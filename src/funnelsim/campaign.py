@@ -10,13 +10,14 @@ Stage outputs are opaque byte strings (JSON by convention).  A stage may
 declare a post_hook, a named filter applied to the stage's outputs when
 its last task terminates; the filtered items become the payloads of the
 next stage's tasks, which are materialized on the spot when the next
-stage declares a materializer.
+stage declares a materializer.  Both happen in the run's PipelineState;
+the spec itself is never written to.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,18 +56,6 @@ class SampledDuration:
     nodes_per_task: float = 1.0
     tail_kind: str = "lognormal"
     tail_params: tuple = (0.0,)
-
-    def sample(self, rng: np.random.Generator, time_scale: float = 1.0) -> float:
-        base = self.node_seconds / self.nodes_per_task * time_scale
-        if self.tail_kind == "lognormal":
-            sigma = float(self.tail_params[0])
-            mult = math.exp(sigma * rng.standard_normal()) if sigma > 0 else 1.0
-        elif self.tail_kind == "pareto_mix":
-            alpha, mix = float(self.tail_params[0]), float(self.tail_params[1])
-            mult = 1.0 + rng.pareto(alpha) if rng.random() < mix else 1.0
-        else:
-            raise ValueError(f"unknown tail kind {self.tail_kind!r}")
-        return base * mult
 
     def sample_from_uniforms(self, u1: float, u2: float, time_scale: float = 1.0) -> float:
         """Draw from two (0,1) uniforms; used with hash-derived streams
@@ -162,6 +151,9 @@ def validate_campaign(spec: CampaignSpec) -> list[Violation]:
         out.append(Violation("time_scale", str(spec.time_scale), "time_scale must be positive"))
     if spec.mode not in ("simulated", "local"):
         out.append(Violation("mode", spec.mode, "mode must be simulated or local"))
+    elif spec.mode != spec.resource.backend:
+        out.append(Violation("mode", spec.mode,
+                             f"mode must match resource.backend {spec.resource.backend!r}"))
     if spec.pipeline_mode not in ("concurrent", "sequential"):
         out.append(Violation("pipeline_mode", spec.pipeline_mode,
                              "pipeline_mode must be concurrent or sequential"))
@@ -328,7 +320,6 @@ class AdvanceResult:
     """What happened when a task completion was applied."""
     kind: str                       # none | stage_advanced | pipeline_done | pipeline_failed
     stage_index: int = -1
-    selected: list[dict] = field(default_factory=list)
     new_tasks: list[TaskDescriptor] = field(default_factory=list)
     canceled: list[str] = field(default_factory=list)
 
@@ -340,6 +331,10 @@ class PipelineState:
     engine loop); snapshots via ``projection`` are safe to share.  Tasks
     enter ``task_states`` when their stage becomes current; tasks of
     stages not yet reached are implicitly pending.
+
+    The spec is never written to: ``stage_tasks`` holds this run's task
+    list per stage, which materializers, hook payloads and resizes
+    replace, so the same spec can be run again.
     """
 
     def __init__(self, spec: PipelineSpec):
@@ -348,6 +343,7 @@ class PipelineState:
         self.status = RUNNING
         self.task_states: dict[str, str] = {}
         self.outputs: dict[str, bytes] = {}
+        self.stage_tasks: list[list[TaskDescriptor]] = [list(st.tasks) for st in spec.stages]
         self._stage_of: dict[str, int] = {}
         self._open_in_stage = 0
         if not spec.stages:
@@ -359,24 +355,21 @@ class PipelineState:
         return self.spec.pipeline_id
 
     def _register_stage(self, index: int) -> list[TaskDescriptor]:
-        stage = self.spec.stages[index]
-        for task in stage.tasks:
+        tasks = self.stage_tasks[index]
+        for task in tasks:
             if task.task_id in self.task_states:
                 raise StateError(f"duplicate task_id {task.task_id}")
             self.task_states[task.task_id] = PENDING
             self._stage_of[task.task_id] = index
-        self._open_in_stage = len(stage.tasks)
-        return stage.tasks
+        self._open_in_stage = len(tasks)
+        return tasks
 
     def current_stage(self) -> StageSpec:
         return self.spec.stages[self.current_stage_index]
 
-    def next_ready_tasks(self) -> list[TaskDescriptor]:
-        """Pending tasks of the current stage, in declaration order."""
-        if self.status != RUNNING:
-            return []
-        return [t for t in self.current_stage().tasks
-                if self.task_states.get(t.task_id) == PENDING]
+    def current_tasks(self) -> list[TaskDescriptor]:
+        """The current stage's tasks in this run, in declaration order."""
+        return self.stage_tasks[self.current_stage_index]
 
     def _require_current(self, task_id: str) -> None:
         if task_id not in self.task_states:
@@ -449,7 +442,7 @@ class PipelineState:
             next_stage is not None and next_stage.materialize is not None)
         selected: list[dict] = []
         if needs_items:
-            outputs = [(t.task_id, self.outputs.get(t.task_id, b"")) for t in stage.tasks]
+            outputs = [(t.task_id, self.outputs.get(t.task_id, b"")) for t in self.current_tasks()]
             try:
                 selected = apply_post_hook(stage.post_hook, outputs)
             except StateError:
@@ -459,25 +452,26 @@ class PipelineState:
                                      canceled=canceled)
         if next_stage is None:
             self.status = DONE
-            return AdvanceResult("pipeline_done", self.current_stage_index, selected=selected)
+            return AdvanceResult("pipeline_done", self.current_stage_index)
 
         if next_stage.materialize is not None:
-            next_stage.tasks = materialize_tasks(next_stage.materialize, selected)
+            self.stage_tasks[next_index] = materialize_tasks(next_stage.materialize, selected)
         elif stage.post_hook is not None:
-            if len(selected) != len(next_stage.tasks):
+            if len(selected) != len(self.stage_tasks[next_index]):
                 self.status = FAILED
                 canceled = self._cancel_open()
                 return AdvanceResult("pipeline_failed", self.current_stage_index, canceled=canceled)
-            for task, item in zip(next_stage.tasks, selected):
-                task.payload = json.dumps(item, separators=(",", ":")).encode()
-        if not next_stage.tasks:
+            self.stage_tasks[next_index] = [
+                replace(task, payload=json.dumps(item, separators=(",", ":")).encode())
+                for task, item in zip(self.stage_tasks[next_index], selected)]
+        if not self.stage_tasks[next_index]:
             # A funnel that filters everything away cannot continue.
             self.status = FAILED
             return AdvanceResult("pipeline_failed", self.current_stage_index)
 
         self.current_stage_index = next_index
         new_tasks = self._register_stage(next_index)
-        return AdvanceResult("stage_advanced", next_index, selected=selected, new_tasks=new_tasks)
+        return AdvanceResult("stage_advanced", next_index, new_tasks=new_tasks)
 
     def resize_stage(self, stage_index: int, new_tasks: list[TaskDescriptor]) -> None:
         """Replace a future stage's task list; current and past stages
@@ -488,13 +482,13 @@ class PipelineState:
             raise OrderingError(
                 f"stage {stage_index} is not in the future (current {self.current_stage_index})")
         other_ids = {t.task_id
-                     for i, st in enumerate(self.spec.stages) if i != stage_index
-                     for t in st.tasks}
+                     for i, tasks in enumerate(self.stage_tasks) if i != stage_index
+                     for t in tasks}
         ids = [t.task_id for t in new_tasks]
         dupes = sorted({i for i in ids if i in other_ids} | {i for i in ids if ids.count(i) > 1})
         if dupes:
             raise StateError(f"resize introduces duplicate task ids: {dupes}")
-        self.spec.stages[stage_index].tasks = list(new_tasks)
+        self.stage_tasks[stage_index] = list(new_tasks)
 
     def projection(self) -> dict:
         """Comparable snapshot: used by the trace-replay check."""

@@ -1,11 +1,15 @@
-"""Campaign execution engines.
+"""Campaign execution engine: one core, two backends.
 
-The simulated engine is a single-threaded deterministic event loop over
-a virtual clock: durations come from each task's duration model seeded
-by (campaign seed, task id), so identical configs give byte-identical
-traces.  The local engine runs tasks genuinely concurrently (threads and
-subprocesses) and reports wall-clock times; state mutation stays in the
-engine thread, workers only push completion notifications onto a queue.
+``Engine`` does everything a run does wherever its tasks execute: the
+trace, node busy/idle accounting, the pending pool, first-fit rounds on
+the pilot, one master/worker overlay per (pipeline, stage) of function
+tasks, stage advancement, walltime expiry and the RunResult.  A backend
+supplies the clock and the executor.  The simulated backend is a
+deterministic event loop over a virtual clock, with each duration drawn
+from (campaign seed, task id), so identical configs give byte-identical
+traces.  The local backend runs tasks concurrently on the host (threads
+and subprocesses) and reports wall-clock times; state changes stay in
+the engine thread, and workers only post notices to a queue.
 """
 from __future__ import annotations
 
@@ -18,14 +22,12 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import campaign as cm
 from .errors import ConfigError, DispatchError, StateError, WorkerKilled
 from .overlay import Bulk, Master, MasterConfig, WorkerState, partition_bulks, round_robin_assign
 from .pilot import PilotSpec, acquire_pilot
 from .trace import TraceEvent, TraceSink
-from .workload import duration_uniforms
+from .workload import call_function, duration_uniforms
 
 
 @dataclass(slots=True)
@@ -45,16 +47,16 @@ class RunResult:
     overlay_workers: list[WorkerState] = field(default_factory=list)
 
 
-def _task_duration(task, seed: int, time_scale: float) -> float:
+def _task_duration(task, spec: cm.CampaignSpec) -> float:
     dm = task.duration_model
     if isinstance(dm, cm.FixedDuration):
         return dm.seconds
-    u1, u2 = duration_uniforms(seed, task.task_id)
-    return dm.sample_from_uniforms(u1, u2, time_scale)
+    u1, u2 = duration_uniforms(spec.seed, task.task_id)
+    return dm.sample_from_uniforms(u1, u2, spec.time_scale)
 
 
-class SimulatedEngine:
-    """Deterministic discrete-event executor for one campaign."""
+class Engine:
+    """Runs one campaign on the backend its ``mode`` names."""
 
     def __init__(self, spec: cm.CampaignSpec, sink: TraceSink | None = None,
                  overlay: MasterConfig | None = None):
@@ -68,18 +70,16 @@ class SimulatedEngine:
         self.spec = spec
         self.sink = sink if sink is not None else TraceSink()
         self.overlay_cfg = overlay
+        backend_cls = _LocalBackend if spec.mode == "local" else _SimulatedBackend
+        self.backend = backend_cls(self)
         self.pilot = acquire_pilot(spec.resource)
         self.states = {p.pipeline_id: cm.PipelineState(p) for p in spec.pipelines}
         self._pipeline_order = [p.pipeline_id for p in spec.pipelines]
         self._pid_of: dict[str, str] = {}
         self._task_of: dict[str, cm.TaskDescriptor] = {}
-        self._heap: list = []
-        self._seq = 0
-        self.now = 0.0
-        self.walltime = spec.resource.walltime_s
-        self._running_slots = np.zeros(spec.resource.nodes, dtype=np.int64)
+        self._running_slots = [0] * spec.resource.nodes
         self.completions: list[Completion] = []
-        self._overlays: dict[tuple[str, int], _OverlayRuntime] = {}
+        self._overlays: dict[tuple[str, int], _Overlay] = {}
         self.overlay_workers: list[WorkerState] = []
         self._walltime_hit = False
         # Per-pipeline queue of not-yet-placed tasks of the current stage,
@@ -100,10 +100,6 @@ class SimulatedEngine:
                  cpus=task.cpus if with_resources else None,
                  gpus=task.gpus if with_resources else None,
                  stage=task.stage_tag, pipeline=pid)
-
-    def _push(self, t, kind, payload):
-        heapq.heappush(self._heap, (t, self._seq, kind, payload))
-        self._seq += 1
 
     # -- node busy accounting ---------------------------------------------
 
@@ -128,7 +124,7 @@ class SimulatedEngine:
         self._ev(t, "stage", f"{pid}/{stage.stage_id}", "started", pipeline=pid)
         pool = self._pending[pid]
         shapes = self._pool_shapes[pid]
-        for task in stage.tasks:
+        for task in state.current_tasks():
             self._pid_of[task.task_id] = pid
             self._task_of[task.task_id] = task
             self._task_ev(t, task, "pending", pid)
@@ -158,221 +154,155 @@ class SimulatedEngine:
                 if pl is not None:
                     self.pilot.release(pl)
                     self._vacate(pl, t)
-                task = self._task_of.get(tid)
-                if task is not None:
-                    self._task_ev(t, task, "canceled", pid)
+                self._task_ev(t, self._task_of[tid], "canceled", pid)
             self._ev(t, "pipeline", pid, "failed", pipeline=pid)
 
     # -- scheduling ---------------------------------------------------------
 
     def _schedule_round(self, t: float):
+        active = [pid for pid in self._pipeline_order
+                  if self.states[pid].status == cm.RUNNING]
         if self.spec.pipeline_mode == "sequential":
-            active = [pid for pid in self._pipeline_order
-                      if self.states[pid].status == cm.RUNNING][:1]
-        else:
-            active = [pid for pid in self._pipeline_order
-                      if self.states[pid].status == cm.RUNNING]
+            active = active[:1]
         for pid in active:
             state = self.states[pid]
-            stage = state.current_stage()
             key = (pid, state.current_stage_index)
-            if key in self._overlays:
-                continue
             pool = self._pending[pid]
-            if not pool:
+            if key in self._overlays or not pool:
                 continue
             if self.overlay_cfg is not None and all(tk.kind == "function" for tk in pool):
-                runtime = _OverlayRuntime(self, pid, state, stage, self.overlay_cfg, t)
-                self._overlays[key] = runtime
-                runtime.feed(list(pool), t)
+                self._overlays[key] = _Overlay(self, pid, state, list(pool), t)
                 pool.clear()
                 self._pool_shapes[pid].clear()
                 continue
-            self._place_from_pool(pid, state, pool, t)
+            for pl in self.pilot.schedule(pool, self._pool_shapes[pid]):
+                task = self._task_of[pl.task_id]
+                state.mark_scheduled(task.task_id)
+                self._task_ev(t, task, "scheduled", pid)
+                self.backend.launch(pid, task, pl, t)
 
-    def _place_from_pool(self, pid: str, state: cm.PipelineState, pool: deque, t: float):
-        """First-fit over the pending queue; stops once every resource
-        shape still in the queue is known not to fit this round.  Tasks
-        that were visited but not placed return to the front in order."""
-        shapes = self._pool_shapes[pid]
-        blocked: set = set()
-        kept: list = []
-        while pool:
-            if len(blocked) >= len(shapes):
-                break
-            task = pool[0]
-            shape = self.pilot.task_shape(task)
-            if shape in blocked:
-                kept.append(pool.popleft())
-                continue
-            pl = self.pilot.place_one(task)
-            if pl is None:
-                blocked.add(shape)
-                kept.append(pool.popleft())
-                continue
-            pool.popleft()
-            shapes[shape] -= 1
-            if shapes[shape] == 0:
-                del shapes[shape]
-            state.mark_scheduled(task.task_id)
-            self._task_ev(t, task, "scheduled", pid)
-            start = t + self.spec.resource.sched_gap_s
-            pl.start_time = start
-            self._push(start, "start", (task, pl))
-        pool.extendleft(reversed(kept))
+    # -- task lifecycle -------------------------------------------------------
 
-    # -- event handlers -------------------------------------------------------
-
-    def _handle_start(self, payload, t) -> bool:
-        task, pl = payload
-        if self.pilot.live.get(task.task_id) is not pl:
-            return False
-        pid = self._pid_of[task.task_id]
-        state = self.states[pid]
-        if state.task_states.get(task.task_id) != cm.SCHEDULED:
-            return False
-        state.mark_running(task.task_id)
+    def _run(self, pid: str, task, pl, t: float):
+        """A placed task starts running on its slots."""
+        self.states[pid].mark_running(task.task_id)
         self._task_ev(t, task, "running", pid, with_resources=True)
         self._occupy(pl, t)
-        dur = _task_duration(task, self.spec.seed, self.spec.time_scale)
-        self._push(t + dur, "done", (task, pl))
-        return False
 
-    def _handle_done(self, payload, t) -> bool:
-        task, pl = payload
-        if self.pilot.live.get(task.task_id) is not pl:
-            return False
+    def _finish(self, task, outcome: str, result: bytes, t: float) -> bool:
+        """A placed task ended; stale notices for canceled tasks are
+        dropped.  Returns whether a completion was applied."""
         pid = self._pid_of[task.task_id]
         state = self.states[pid]
         if state.task_states.get(task.task_id) != cm.RUNNING:
             return False
+        pl = self.pilot.live[task.task_id]
         self.pilot.release(pl)
         self._vacate(pl, t)
-        self._task_ev(t, task, "done", pid)
-        self.completions.append(Completion(t, task.task_id, "done"))
-        # Simulated tasks yield their payload as their result.
-        result = state.on_task_complete(task.task_id, cm.DONE, result=task.payload)
-        self._apply_advance(pid, state, result, t)
+        self._complete(pid, state, task, outcome, result, t)
         return True
 
-    def _handle(self, kind, payload, t) -> bool:
-        if kind == "start":
-            return self._handle_start(payload, t)
-        if kind == "done":
-            return self._handle_done(payload, t)
-        if kind == "fn_done":
-            runtime, worker, task = payload
-            return runtime.on_fn_done(worker, task, t)
-        raise StateError(f"unknown event kind {kind}")
+    def _complete(self, pid: str, state: cm.PipelineState, task, outcome: str,
+                  result: bytes, t: float):
+        self._task_ev(t, task, outcome, pid)
+        self.completions.append(Completion(t, task.task_id, outcome))
+        adv = state.on_task_complete(task.task_id, outcome, result=result)
+        self._apply_advance(pid, state, adv, t)
 
     def _expire(self, t: float):
         self._walltime_hit = True
         for runtime in list(self._overlays.values()):
-            runtime.expire(t)
-        for tid, pl in list(self.pilot.live.items()):
-            task = self._task_of.get(tid)
-            pid = self._pid_of.get(tid)
-            if task is not None and pid is not None:
-                st = self.states[pid].task_states.get(tid)
-                if st in (cm.SCHEDULED, cm.RUNNING):
-                    self._task_ev(t, task, "canceled", pid)
-                    self.completions.append(Completion(t, tid, "canceled"))
+            runtime.teardown(t)
+        # With the overlays gone, every live placement is a scheduled or
+        # running task.
+        placed = list(self.pilot.live.values())
+        for pl in placed:
+            tid = pl.task_id
+            self._task_ev(t, self._task_of[tid], "canceled", self._pid_of[tid])
+            self.completions.append(Completion(t, tid, "canceled"))
             self.pilot.release(pl)
             self._vacate(pl, t)
-        already = {c.task_id for c in self.completions}
+        placed_ids = {pl.task_id for pl in placed}
         for pid, state in self.states.items():
             if state.status != cm.RUNNING:
                 continue
             for tid in state.cancel():
-                task = self._task_of.get(tid)
-                if task is not None and tid not in already:
-                    self._task_ev(t, task, "canceled", pid)
+                if tid not in placed_ids:
+                    self._task_ev(t, self._task_of[tid], "canceled", pid)
             self._ev(t, "pipeline", pid, "canceled", pipeline=pid)
-        self.now = t
 
     def run(self) -> RunResult:
         res = self.spec.resource
         self._ev(0.0, "pilot", self.pilot.pilot_id, "acquired",
                  nodes=res.nodes, cpus=res.cpus_per_node, gpus=res.gpus_per_node)
-        t0 = res.bootstrap_s
+        t0 = self.backend.start()
         self._ev(t0, "pilot", self.pilot.pilot_id, "agent_ready")
-        self.now = t0
         for pid in self._pipeline_order:
             self._ev(t0, "pipeline", pid, "started", pipeline=pid)
             self._start_stage(pid, self.states[pid], t0)
         self._schedule_round(t0)
-        while self._heap:
-            t = self._heap[0][0]
-            if t > self.walltime:
-                self._expire(self.walltime)
-                break
-            batch = []
-            while self._heap and self._heap[0][0] == t:
-                batch.append(heapq.heappop(self._heap))
-            self.now = t
-            progressed = False
-            for (_, _, kind, payload) in batch:
-                if self._handle(kind, payload, t):
-                    progressed = True
-            if progressed:
-                self._schedule_round(t)
+        self.backend.loop()
         if not self._walltime_hit:
             stuck = [pid for pid, st in self.states.items() if st.status == cm.RUNNING]
             if stuck:
                 raise StateError(f"engine stalled with live pipelines: {stuck}")
-        self._ev(self.now, "pilot", self.pilot.pilot_id, "released")
+        t_end = self.backend.now()
+        self._ev(t_end, "pilot", self.pilot.pilot_id, "released")
         return RunResult(
             sink=self.sink,
             final_states={pid: st.projection() for pid, st in self.states.items()},
             completions=self.completions,
-            makespan=self.now,
+            makespan=t_end,
             walltime_hit=self._walltime_hit,
             overlay_workers=self.overlay_workers,
         )
 
 
-class _OverlayRuntime:
-    """Simulated master/worker pool serving one stage's function tasks.
+class _Overlay:
+    """Master/worker pool serving one stage's function tasks.
 
-    Masters and workers are placed on the pilot as long-lived occupants;
-    function tasks run inside workers and do not hold pilot slots
-    themselves.
+    Function tasks run inside workers and hold no pilot slots.  In
+    simulated runs the masters and workers are placed on the pilot as
+    long-lived occupants; locally the workers are host threads.  A
+    worker that dies has its outstanding tasks re-dispatched once; a
+    task that loses a second worker fails.
     """
 
-    def __init__(self, engine: SimulatedEngine, pid: str, state: cm.PipelineState,
-                 stage: cm.StageSpec, config: MasterConfig, t: float):
+    def __init__(self, engine: Engine, pid: str, state: cm.PipelineState,
+                 tasks: list[cm.TaskDescriptor], t: float):
+        config = engine.overlay_cfg
+        stage = state.current_stage()
         self.engine = engine
         self.pid = pid
         self.state = state
-        self.stage = stage
         self.config = config
-        self.remaining = 0
+        self.key = (pid, state.current_stage_index)
+        self.remaining = len(tasks)
         self._done = False
-        self._key = (pid, state.current_stage_index)
-
-        w_cpus, w_gpus = config.worker_cpus, config.worker_gpus
-        if w_cpus is None or w_gpus is None:
-            needs_gpu = any(tk.gpus > 0 for tk in stage.tasks)
-            w_cpus, w_gpus = (0, 1) if needs_gpu else (1, 0)
+        self._busy: set[str] = set()
+        self._redispatched: set[str] = set()
 
         prefix = f"ovl.{pid}.{stage.stage_id}"
-        demands = []
-        for m in range(config.n_masters):
-            demands.append(cm.TaskDescriptor(f"{prefix}.m{m:02d}", cpus=1, gpus=0))
         n_workers = config.n_masters * config.workers_per_master
-        for w in range(n_workers):
-            demands.append(cm.TaskDescriptor(f"{prefix}.w{w:04d}", cpus=w_cpus, gpus=w_gpus))
-        placements, queued = engine.pilot.schedule(demands)
-        if queued:
-            raise DispatchError(
-                f"pilot lacks capacity for {config.n_masters} masters + {n_workers} workers")
-        self.placements = placements
-        for pl in placements:
-            engine._occupy(pl, t)
+        self.placements = []
+        if engine.backend.overlay_on_pilot:
+            w_cpus, w_gpus = config.worker_cpus, config.worker_gpus
+            if w_cpus is None or w_gpus is None:
+                needs_gpu = any(tk.gpus > 0 for tk in tasks)
+                w_cpus, w_gpus = (0, 1) if needs_gpu else (1, 0)
+            demands = deque(cm.TaskDescriptor(f"{prefix}.m{m:02d}", cpus=1, gpus=0)
+                            for m in range(config.n_masters))
+            demands.extend(cm.TaskDescriptor(f"{prefix}.w{w:04d}", cpus=w_cpus, gpus=w_gpus)
+                           for w in range(n_workers))
+            self.placements = engine.pilot.schedule(demands)
+            if demands:
+                raise DispatchError(
+                    f"pilot lacks capacity for {config.n_masters} masters + {n_workers} workers")
+            for pl in self.placements:
+                engine._occupy(pl, t)
 
         self.workers: list[WorkerState] = []
         self.masters: list[Master] = []
-        self._busy: dict[str, bool] = {}
         self._owner: dict[str, Master] = {}
         for m in range(config.n_masters):
             mid = f"{prefix}.m{m:02d}"
@@ -384,16 +314,12 @@ class _OverlayRuntime:
                 engine._ev(t, "worker", wid, "ready", pipeline=pid)
                 owned.append(worker)
                 self.workers.append(worker)
-                self._busy[wid] = False
             master = Master(mid, owned, policy=config.rebalance_policy)
             self.masters.append(master)
             for worker in owned:
                 self._owner[worker.worker_id] = master
 
-    def feed(self, tasks: list[cm.TaskDescriptor], t: float):
-        self.remaining = len(tasks)
-        bulks = partition_bulks(tasks, self.config.bulk_size,
-                                prefix=f"{self.pid}.{self.stage.stage_id}.b")
+        bulks = partition_bulks(tasks, config.bulk_size, prefix=f"{pid}.{stage.stage_id}.b")
         for master, assigned in zip(self.masters, round_robin_assign(bulks, len(self.masters))):
             master.pending_bulks.extend(assigned)
         for master in self.masters:
@@ -403,66 +329,242 @@ class _OverlayRuntime:
         while master.wants_refill(self.config.low_water):
             bulk = master.pending_bulks.popleft()
             self.engine._ev(t, "master", master.master_id, "bulk_created", pipeline=self.pid)
-            assignments = master.dispatch(bulk)
-            for wid, tids in assignments.items():
+            for wid, tids in master.dispatch(bulk).items():
                 for tid in tids:
                     self.state.mark_scheduled(tid)
                     self.engine._task_ev(t, self.engine._task_of[tid], "scheduled", self.pid)
-            for worker in master.workers:
-                self._maybe_start(worker, t)
+            self._pump(master, t)
 
-    def _maybe_start(self, worker: WorkerState, t: float):
-        if self._busy[worker.worker_id] or not worker.queue:
-            return
-        task = worker.queue.popleft()
-        self._busy[worker.worker_id] = True
-        self.engine._ev(t, "worker", worker.worker_id, "busy", pipeline=self.pid)
-        self._start_task(worker, task, t)
+    def _pump(self, master: Master, t: float):
+        for worker in master.workers:
+            if worker.worker_id in self._busy or not worker.queue:
+                continue
+            task = worker.queue.popleft()
+            self._busy.add(worker.worker_id)
+            self.engine._ev(t, "worker", worker.worker_id, "busy", pipeline=self.pid)
+            self._start_task(worker, task, t)
 
     def _start_task(self, worker: WorkerState, task, t: float):
-        self.state.mark_running(task.task_id)
-        self.engine._task_ev(t, task, "running", self.pid, with_resources=True)
-        dur = _task_duration(task, self.engine.spec.seed, self.engine.spec.time_scale)
-        worker.busy_time_s += dur
-        self.engine._push(t + dur, "fn_done", (self, worker, task))
+        # A re-dispatched task is running already.
+        if self.state.task_states.get(task.task_id) == cm.SCHEDULED:
+            self.state.mark_running(task.task_id)
+            self.engine._task_ev(t, task, "running", self.pid, with_resources=True)
+        self.engine.backend.run_function(self, worker, task, t)
 
-    def on_fn_done(self, worker: WorkerState, task, t: float) -> bool:
+    def _complete(self, task, outcome: str, result: bytes, t: float):
+        self.remaining -= 1
+        self.engine._complete(self.pid, self.state, task, outcome, result, t)
+
+    def on_fn_done(self, worker: WorkerState, task, outcome: str, result: bytes,
+                   t: float) -> bool:
+        if self._done:
+            return False
         worker.completed += 1
         worker.outstanding -= 1
-        self.engine._task_ev(t, task, "done", self.pid)
-        self.engine.completions.append(Completion(t, task.task_id, "done"))
-        result = self.state.on_task_complete(task.task_id, cm.DONE, result=task.payload)
-        self.engine._apply_advance(self.pid, self.state, result, t)
-        self.remaining -= 1
-        if worker.queue:
-            task_next = worker.queue.popleft()
-            self._start_task(worker, task_next, t)
+        if self.state.task_states.get(task.task_id) == cm.RUNNING:
+            self._complete(task, outcome, result, t)
+        if worker.queue and self.state.status == cm.RUNNING:
+            self._start_task(worker, worker.queue.popleft(), t)
         else:
-            self._busy[worker.worker_id] = False
+            self._busy.discard(worker.worker_id)
             self.engine._ev(t, "worker", worker.worker_id, "idle", pipeline=self.pid)
-        self._refill(self._owner[worker.worker_id], t)
-        if self.remaining == 0:
-            self._teardown(t)
+        if self.remaining == 0 or self.state.status != cm.RUNNING:
+            self.teardown(t)
+        else:
+            self._refill(self._owner[worker.worker_id], t)
         return True
 
-    def _teardown(self, t: float):
+    def on_death(self, worker: WorkerState, task, t: float) -> bool:
         if self._done:
-            return
+            return False
+        worker.stopped_t = t
+        self.engine._ev(t, "worker", worker.worker_id, "stopped", pipeline=self.pid)
+        master = self._owner[worker.worker_id]
+        master.workers = [w for w in master.workers if w is not worker]
+        self._busy.discard(worker.worker_id)
+        orphans = list(worker.queue)
+        worker.queue.clear()
+        worker.outstanding = 0
+        if not master.workers:
+            raise DispatchError(f"master {master.master_id} lost all workers")
+        if task.task_id in self._redispatched:
+            self._complete(task, cm.FAILED, b"worker died twice", t)
+        else:
+            self._redispatched.add(task.task_id)
+            orphans.insert(0, task)
+        if orphans:
+            master.dispatch(Bulk(f"redispatch.{worker.worker_id}", orphans))
+        if self.remaining == 0 or self.state.status != cm.RUNNING:
+            self.teardown(t)
+        else:
+            self._pump(master, t)
+        return True
+
+    def teardown(self, t: float):
         self._done = True
         for worker in self.workers:
-            worker.stopped_t = t
-            self.engine._ev(t, "worker", worker.worker_id, "stopped", pipeline=self.pid)
+            if worker.stopped_t is None:
+                worker.stopped_t = t
+                self.engine._ev(t, "worker", worker.worker_id, "stopped", pipeline=self.pid)
         for master in self.masters:
             self.engine._ev(t, "master", master.master_id, "stopped", pipeline=self.pid)
         for pl in self.placements:
             self.engine.pilot.release(pl)
             self.engine._vacate(pl, t)
         self.engine.overlay_workers.extend(self.workers)
-        self.engine._overlays.pop(self._key, None)
+        self.engine._overlays.pop(self.key, None)
 
-    def expire(self, t: float):
-        if not self._done:
-            self._teardown(t)
+
+# ---------------------------------------------------------------------------
+# backends
+
+class _SimulatedBackend:
+    """Virtual clock and an event heap; every task takes its sampled
+    duration, starting ``sched_gap_s`` after its scheduling decision."""
+
+    overlay_on_pilot = True
+
+    def __init__(self, engine: Engine):
+        self.engine = engine
+        self._heap: list = []
+        self._seq = 0
+        self.t = 0.0
+
+    def now(self) -> float:
+        return self.t
+
+    def _push(self, t, handler, args):
+        heapq.heappush(self._heap, (t, self._seq, handler, args))
+        self._seq += 1
+
+    def start(self) -> float:
+        self.t = self.engine.spec.resource.bootstrap_s
+        return self.t
+
+    def launch(self, pid: str, task, pl, t: float):
+        start = t + self.engine.spec.resource.sched_gap_s
+        pl.start_time = start
+        self._push(start, self._on_start, (pid, task, pl))
+
+    def _on_start(self, pid: str, task, pl, t: float) -> bool:
+        if self.engine.states[pid].task_states.get(task.task_id) != cm.SCHEDULED:
+            return False
+        self.engine._run(pid, task, pl, t)
+        # Simulated tasks yield their payload as their result.
+        self._push(t + _task_duration(task, self.engine.spec), self.engine._finish,
+                   (task, cm.DONE, task.payload))
+        return False
+
+    def run_function(self, overlay: _Overlay, worker: WorkerState, task, t: float):
+        dur = _task_duration(task, self.engine.spec)
+        worker.busy_time_s += dur
+        self._push(t + dur, overlay.on_fn_done, (worker, task, cm.DONE, task.payload))
+
+    def loop(self):
+        heap = self._heap
+        walltime = self.engine.spec.resource.walltime_s
+        while heap:
+            t = heap[0][0]
+            if t > walltime:
+                self.t = walltime
+                self.engine._expire(walltime)
+                return
+            batch = []
+            while heap and heap[0][0] == t:
+                batch.append(heapq.heappop(heap))
+            self.t = t
+            progressed = False
+            for (_, _, handler, args) in batch:
+                if handler(*args, t):
+                    progressed = True
+            if progressed:
+                self.engine._schedule_round(t)
+
+
+class _LocalBackend:
+    """Wall clock and a notification queue.  Simulated-kind tasks sleep
+    for their sampled duration, executables run as subprocesses, and
+    function tasks run on overlay worker threads.  Times in the trace are
+    wall-clock seconds since pilot acquisition."""
+
+    overlay_on_pilot = False
+
+    def __init__(self, engine: Engine):
+        tasks = [t for pipe in engine.spec.pipelines for st in pipe.stages for t in st.tasks]
+        if any(t.nodes > 1 for t in tasks):
+            raise ConfigError("multi-node tasks run in simulated mode only")
+        if engine.overlay_cfg is None and any(t.kind == "function" for t in tasks):
+            raise ConfigError("function tasks on the local backend need an overlay config")
+        self.engine = engine
+        self._queue: queue_mod.Queue = queue_mod.Queue()
+        self._stop = threading.Event()
+        self._t0 = time.perf_counter()
+
+    def now(self) -> float:
+        return time.perf_counter() - self._t0
+
+    def start(self) -> float:
+        self._t0 = time.perf_counter()
+        return self.now()
+
+    def launch(self, pid: str, task, pl, t: float):
+        self.engine._run(pid, task, pl, self.now())
+        threading.Thread(target=self._run_task, args=(task,), daemon=True).start()
+
+    def _run_task(self, task: cm.TaskDescriptor):
+        outcome, result = cm.DONE, task.payload
+        try:
+            if task.kind == "simulated":
+                if self._stop.wait(_task_duration(task, self.engine.spec)):
+                    return
+            elif task.kind == "executable":
+                argv = json.loads(task.payload.decode() or "{}").get("argv")
+                if not argv:
+                    outcome, result = cm.FAILED, b"no argv"
+                else:
+                    proc = subprocess.run(argv, capture_output=True,
+                                          timeout=self.engine.spec.resource.walltime_s)
+                    outcome = cm.DONE if proc.returncode == 0 else cm.FAILED
+                    result = proc.stdout
+            else:
+                outcome, result = cm.FAILED, b"function tasks need the overlay"
+        except Exception as exc:  # pragma: no cover - defensive
+            outcome, result = cm.FAILED, str(exc).encode()
+        self._queue.put((self.engine._finish, (task, outcome, result)))
+
+    def run_function(self, overlay: _Overlay, worker: WorkerState, task, t: float):
+        # A worker runs one task at a time, so each call gets its own thread.
+        threading.Thread(target=self._call, args=(overlay, worker, task), daemon=True).start()
+
+    def _call(self, overlay: _Overlay, worker: WorkerState, task):
+        start = time.perf_counter()
+        try:
+            outcome, result = cm.DONE, call_function(task.payload)
+        except WorkerKilled:
+            self._queue.put((overlay.on_death, (worker, task)))
+            return
+        except Exception as exc:
+            outcome, result = cm.FAILED, str(exc).encode()
+        worker.busy_time_s += time.perf_counter() - start
+        self._queue.put((overlay.on_fn_done, (worker, task, outcome, result)))
+
+    def loop(self):
+        engine = self.engine
+        walltime = engine.spec.resource.walltime_s
+        try:
+            while any(st.status == cm.RUNNING for st in engine.states.values()):
+                remaining = walltime - self.now()
+                if remaining <= 0:
+                    engine._expire(self.now())
+                    return
+                try:
+                    handler, args = self._queue.get(timeout=min(remaining, 0.05))
+                except queue_mod.Empty:
+                    continue
+                handler(*args, self.now())
+                engine._schedule_round(self.now())
+        finally:
+            self._stop.set()
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +572,7 @@ class _OverlayRuntime:
 
 def run_campaign(spec: cm.CampaignSpec, overlay: MasterConfig | None = None,
                  sink: TraceSink | None = None) -> RunResult:
-    if spec.mode == "local":
-        engine = LocalEngine(spec, sink=sink, overlay=overlay)
-    else:
-        engine = SimulatedEngine(spec, sink=sink, overlay=overlay)
-    return engine.run()
+    return Engine(spec, sink=sink, overlay=overlay).run()
 
 
 def run_executor(resource: PilotSpec, tasks: list[cm.TaskDescriptor], seed: int = 0,
@@ -494,385 +592,3 @@ def run_overlay(resource: PilotSpec, config: MasterConfig,
     """Run function tasks through the master/worker overlay on a pilot."""
     return run_executor(resource, tasks, seed=seed, time_scale=time_scale,
                         sink=sink, overlay=config)
-
-
-# ---------------------------------------------------------------------------
-# local backend
-
-class LocalEngine:
-    """Runs a campaign on the host: simulated-kind tasks sleep for their
-    sampled duration, executables run as subprocesses, function tasks run
-    on overlay worker threads.  Times in the trace are wall-clock seconds
-    since pilot acquisition."""
-
-    def __init__(self, spec: cm.CampaignSpec, sink: TraceSink | None = None,
-                 overlay: MasterConfig | None = None):
-        violations = cm.validate_campaign(spec)
-        if violations:
-            raise ConfigError("invalid campaign: " + "; ".join(str(v) for v in violations))
-        for pipe in spec.pipelines:
-            for stage in pipe.stages:
-                if any(t.nodes > 1 for t in stage.tasks):
-                    raise ConfigError("multi-node tasks run in simulated mode only")
-        self.spec = spec
-        self.sink = sink if sink is not None else TraceSink()
-        self.pilot = acquire_pilot(spec.resource)
-        self.overlay_cfg = overlay
-        self.states = {p.pipeline_id: cm.PipelineState(p) for p in spec.pipelines}
-        self._task_of: dict[str, cm.TaskDescriptor] = {}
-        self._pid_of: dict[str, str] = {}
-        self._queue: queue_mod.Queue = queue_mod.Queue()
-        self._stop = threading.Event()
-        self._t0 = 0.0
-        self.completions: list[Completion] = []
-        self.overlay_workers: list[WorkerState] = []
-        self._local_overlay: _LocalOverlay | None = None
-        self._redispatched: set[str] = set()
-        self._running_slots = np.zeros(spec.resource.nodes, dtype=np.int64)
-
-    def _now(self) -> float:
-        return time.perf_counter() - self._t0
-
-    def _ev(self, t, entity, entity_id, transition, **kw):
-        self.sink.record(TraceEvent(t, entity, entity_id, transition, **kw))
-
-    def _occupy(self, placement, t):
-        for i, n in enumerate(placement.node_indices):
-            cnt = len(placement.cpu_slot_indices[i]) + len(placement.gpu_slot_indices[i])
-            if self._running_slots[n] == 0 and cnt > 0:
-                self._ev(t, "node", f"{self.pilot.pilot_id}/{n}", "busy")
-            self._running_slots[n] += cnt
-
-    def _vacate(self, placement, t):
-        for i, n in enumerate(placement.node_indices):
-            cnt = len(placement.cpu_slot_indices[i]) + len(placement.gpu_slot_indices[i])
-            self._running_slots[n] -= cnt
-            if self._running_slots[n] == 0 and cnt > 0:
-                self._ev(t, "node", f"{self.pilot.pilot_id}/{n}", "idle")
-
-    def _task_ev(self, t, task, transition, pid, with_resources=False):
-        self._ev(t, "task", task.task_id, transition,
-                 nodes=task.nodes if with_resources else None,
-                 cpus=task.cpus if with_resources else None,
-                 gpus=task.gpus if with_resources else None,
-                 stage=task.stage_tag, pipeline=pid)
-
-    def _start_stage(self, pid, state, t):
-        stage = state.current_stage()
-        self._ev(t, "stage", f"{pid}/{stage.stage_id}", "started", pipeline=pid)
-        for task in stage.tasks:
-            self._task_of[task.task_id] = task
-            self._pid_of[task.task_id] = pid
-            self._task_ev(t, task, "pending", pid)
-
-    def _run_task_thread(self, task: cm.TaskDescriptor):
-        try:
-            if task.kind == "simulated":
-                dur = _task_duration(task, self.spec.seed, self.spec.time_scale)
-                canceled = self._stop.wait(dur)
-                if canceled:
-                    return
-                self._queue.put(("done", task.task_id, cm.DONE, task.payload))
-            elif task.kind == "executable":
-                doc = json.loads(task.payload.decode() or "{}")
-                argv = doc.get("argv")
-                if not argv:
-                    self._queue.put(("done", task.task_id, cm.FAILED, b"no argv"))
-                    return
-                proc = subprocess.run(argv, capture_output=True, timeout=self.spec.resource.walltime_s)
-                outcome = cm.DONE if proc.returncode == 0 else cm.FAILED
-                self._queue.put(("done", task.task_id, outcome, proc.stdout))
-            else:
-                self._queue.put(("done", task.task_id, cm.FAILED,
-                                 b"function tasks need the overlay"))
-        except Exception as exc:  # pragma: no cover - defensive
-            self._queue.put(("done", task.task_id, cm.FAILED, str(exc).encode()))
-
-    def _schedule_round(self, t):
-        if self.spec.pipeline_mode == "sequential":
-            pids = [pid for pid, st in self.states.items() if st.status == cm.RUNNING][:1]
-        else:
-            pids = [pid for pid, st in self.states.items() if st.status == cm.RUNNING]
-        for pid in pids:
-            state = self.states[pid]
-            pending = state.next_ready_tasks()
-            if not pending:
-                continue
-            if all(tk.kind == "function" for tk in pending):
-                if self._local_overlay is None:
-                    cfg = self.overlay_cfg or MasterConfig(
-                        n_masters=1,
-                        workers_per_master=max(1, self.spec.resource.cpus_per_node - 1),
-                        bulk_size=64)
-                    self._local_overlay = _LocalOverlay(self, cfg, pid, state, pending, t)
-                continue
-            placements, _ = self.pilot.schedule(pending)
-            for pl in placements:
-                task = self._task_of[pl.task_id]
-                state.mark_scheduled(task.task_id)
-                self._task_ev(t, task, "scheduled", pid)
-                state.mark_running(task.task_id)
-                t_run = self._now()
-                self._task_ev(t_run, task, "running", pid, with_resources=True)
-                self._occupy(pl, t_run)
-                thread = threading.Thread(target=self._run_task_thread, args=(task,), daemon=True)
-                thread.start()
-
-    def run(self) -> RunResult:
-        res = self.spec.resource
-        self._t0 = time.perf_counter()
-        self._ev(0.0, "pilot", self.pilot.pilot_id, "acquired",
-                 nodes=res.nodes, cpus=res.cpus_per_node, gpus=res.gpus_per_node)
-        self._ev(self._now(), "pilot", self.pilot.pilot_id, "agent_ready")
-        for pid, state in self.states.items():
-            self._ev(self._now(), "pipeline", pid, "started", pipeline=pid)
-            self._start_stage(pid, state, self._now())
-        self._schedule_round(self._now())
-        walltime_hit = False
-        while any(st.status == cm.RUNNING for st in self.states.values()):
-            remaining = self.spec.resource.walltime_s - self._now()
-            if remaining <= 0:
-                walltime_hit = True
-                break
-            try:
-                msg = self._queue.get(timeout=min(remaining, 0.05))
-            except queue_mod.Empty:
-                continue
-            self._handle_msg(msg)
-            self._schedule_round(self._now())
-        if walltime_hit:
-            self._expire()
-        if self._local_overlay is not None:
-            self._local_overlay.stop()
-        t_end = self._now()
-        self._ev(t_end, "pilot", self.pilot.pilot_id, "released")
-        return RunResult(
-            sink=self.sink,
-            final_states={pid: st.projection() for pid, st in self.states.items()},
-            completions=self.completions,
-            makespan=t_end,
-            walltime_hit=walltime_hit,
-            overlay_workers=self.overlay_workers,
-        )
-
-    def _handle_msg(self, msg):
-        kind = msg[0]
-        t = self._now()
-        if kind == "done":
-            _, tid, outcome, result = msg
-            task = self._task_of[tid]
-            pid = self._pid_of[tid]
-            state = self.states[pid]
-            pl = self.pilot.live.get(tid)
-            if pl is not None:
-                self.pilot.release(pl)
-                self._vacate(pl, t)
-            if state.task_states.get(tid) != cm.RUNNING:
-                return
-            self._task_ev(t, task, outcome, pid)
-            self.completions.append(Completion(t, tid, outcome))
-            adv = state.on_task_complete(tid, outcome, result=result)
-            self._apply_advance(pid, state, adv, t)
-        elif kind == "fn_done":
-            _, worker_id, tid, outcome, result = msg
-            self._local_overlay.on_done(worker_id, tid, outcome, result, t)
-        elif kind == "worker_death":
-            _, worker_id, tid = msg
-            self._local_overlay.on_death(worker_id, tid, t)
-
-    def _apply_advance(self, pid, state, result, t):
-        if result.kind == "none":
-            return
-        if result.kind == "stage_advanced":
-            prev = state.spec.stages[result.stage_index - 1]
-            self._ev(t, "stage", f"{pid}/{prev.stage_id}", "completed", pipeline=pid)
-            self._start_stage(pid, state, t)
-        elif result.kind == "pipeline_done":
-            last = state.current_stage()
-            self._ev(t, "stage", f"{pid}/{last.stage_id}", "completed", pipeline=pid)
-            self._ev(t, "pipeline", pid, "done", pipeline=pid)
-        elif result.kind == "pipeline_failed":
-            cur = state.current_stage()
-            self._ev(t, "stage", f"{pid}/{cur.stage_id}", "failed", pipeline=pid)
-            for tid in result.canceled:
-                pl = self.pilot.live.get(tid)
-                if pl is not None:
-                    self.pilot.release(pl)
-                    self._vacate(pl, t)
-                task = self._task_of.get(tid)
-                if task is not None:
-                    self._task_ev(t, task, "canceled", pid)
-            self._ev(t, "pipeline", pid, "failed", pipeline=pid)
-
-    def _expire(self):
-        self._stop.set()
-        t = self._now()
-        for pid, state in self.states.items():
-            if state.status != cm.RUNNING:
-                continue
-            for tid in state.cancel():
-                task = self._task_of.get(tid)
-                if task is not None:
-                    self._task_ev(t, task, "canceled", pid)
-                    self.completions.append(Completion(t, tid, "canceled"))
-                pl = self.pilot.live.get(tid)
-                if pl is not None:
-                    self.pilot.release(pl)
-                    self._vacate(pl, t)
-            self._ev(t, "pipeline", pid, "canceled", pipeline=pid)
-
-
-class _LocalOverlay:
-    """Worker threads executing registered functions; dispatch decisions
-    run in the engine thread.  A dead worker's outstanding tasks are
-    re-dispatched once, then failed."""
-
-    def __init__(self, engine: LocalEngine, config: MasterConfig, pid: str,
-                 state: cm.PipelineState, tasks: list[cm.TaskDescriptor], t: float):
-        problems = config.validate()
-        if problems:
-            raise ConfigError("; ".join(problems))
-        self.engine = engine
-        self.config = config
-        self.pid = pid
-        self.state = state
-        self._task_of = {tk.task_id: tk for tk in tasks}
-        self._assigned: dict[str, list] = {}
-        self._inflight: dict[str, str] = {}
-        self._threads: dict[str, threading.Thread] = {}
-        self._feeds: dict[str, queue_mod.Queue] = {}
-        self._dead: set[str] = set()
-        self._redispatched: set[str] = set()
-
-        n_workers = config.n_masters * config.workers_per_master
-        self.workers = []
-        masters = []
-        for m in range(config.n_masters):
-            mid = f"ovl.{pid}.m{m:02d}"
-            engine._ev(t, "master", mid, "ready", pipeline=pid)
-            owned = []
-            for w in range(m * config.workers_per_master, (m + 1) * config.workers_per_master):
-                wid = f"ovl.{pid}.w{w:04d}"
-                worker = WorkerState(wid, mid, ready_t=t)
-                engine._ev(t, "worker", wid, "ready", pipeline=pid)
-                owned.append(worker)
-                self.workers.append(worker)
-                feed: queue_mod.Queue = queue_mod.Queue()
-                self._feeds[wid] = feed
-                thread = threading.Thread(target=self._worker_loop, args=(wid, feed), daemon=True)
-                self._threads[wid] = thread
-                thread.start()
-            masters.append(Master(mid, owned, policy=config.rebalance_policy))
-        self.masters = masters
-        self._worker_by_id = {w.worker_id: w for w in self.workers}
-
-        bulks = partition_bulks(tasks, config.bulk_size, prefix=f"{pid}.b")
-        for master, assigned in zip(masters, round_robin_assign(bulks, len(masters))):
-            master.pending_bulks.extend(assigned)
-        for master in masters:
-            self._refill(master, t)
-
-    def _worker_loop(self, worker_id: str, feed: queue_mod.Queue):
-        from .workload import FUNCTIONS
-        while True:
-            task = feed.get()
-            if task is None:
-                return
-            start = time.perf_counter()
-            try:
-                doc = json.loads(task.payload.decode() or "{}")
-                fn = FUNCTIONS.get(doc.get("fn", ""))
-                if fn is None:
-                    raise KeyError(f"unknown function {doc.get('fn')!r}")
-                value = fn(**doc.get("kwargs", {}))
-                result = json.dumps(value).encode()
-                outcome = cm.DONE
-            except WorkerKilled:
-                self.engine._queue.put(("worker_death", worker_id, task.task_id))
-                return
-            except Exception as exc:
-                result = str(exc).encode()
-                outcome = cm.FAILED
-            worker = self._worker_by_id[worker_id]
-            worker.busy_time_s += time.perf_counter() - start
-            self.engine._queue.put(("fn_done", worker_id, task.task_id, outcome, result))
-
-    def _refill(self, master: Master, t: float):
-        while master.wants_refill(self.config.low_water):
-            bulk = master.pending_bulks.popleft()
-            self.engine._ev(t, "master", master.master_id, "bulk_created", pipeline=self.pid)
-            for wid, tids in master.dispatch(bulk).items():
-                for tid in tids:
-                    if self.state.task_states.get(tid) == cm.PENDING:
-                        self.state.mark_scheduled(tid)
-                        self.engine._task_ev(t, self._task_of[tid], "scheduled", self.pid)
-                    self._assigned.setdefault(wid, []).append(tid)
-            self._pump(master, t)
-
-    def _pump(self, master: Master, t: float):
-        for worker in master.workers:
-            if worker.worker_id in self._dead:
-                continue
-            while worker.queue and worker.worker_id not in self._inflight:
-                task = worker.queue.popleft()
-                self._inflight[worker.worker_id] = task.task_id
-                if self.state.task_states.get(task.task_id) == cm.SCHEDULED:
-                    self.state.mark_running(task.task_id)
-                    self.engine._task_ev(self.engine._now(), task, "running", self.pid,
-                                         with_resources=True)
-                self._feeds[worker.worker_id].put(task)
-
-    def on_done(self, worker_id: str, tid: str, outcome: str, result: bytes, t: float):
-        worker = self._worker_by_id[worker_id]
-        worker.completed += 1
-        worker.outstanding -= 1
-        self._inflight.pop(worker_id, None)
-        task = self._task_of[tid]
-        if self.state.task_states.get(tid) == cm.RUNNING:
-            self.engine._task_ev(t, task, outcome, self.pid)
-            self.engine.completions.append(Completion(t, tid, outcome))
-            adv = self.state.on_task_complete(tid, outcome, result=result)
-            self.engine._apply_advance(self.pid, self.state, adv, t)
-        master = next(m for m in self.masters if m.master_id == worker.master_id)
-        self._refill(master, t)
-        self._pump(master, t)
-
-    def on_death(self, worker_id: str, tid: str, t: float):
-        self._dead.add(worker_id)
-        worker = self._worker_by_id[worker_id]
-        worker.stopped_t = t
-        self.engine._ev(t, "worker", worker_id, "stopped", pipeline=self.pid)
-        master = next(m for m in self.masters if m.master_id == worker.master_id)
-        master.workers = [w for w in master.workers if w.worker_id != worker_id]
-        self._inflight.pop(worker_id, None)
-        orphans = [self._task_of[tid]] + list(worker.queue)
-        worker.queue.clear()
-        worker.outstanding = 0
-        if not master.workers:
-            raise DispatchError(f"master {master.master_id} lost all workers")
-        for task in orphans:
-            if self.state.task_states.get(task.task_id) in cm.TERMINAL:
-                continue
-            if task.task_id in self._redispatched:
-                if self.state.task_states.get(task.task_id) == cm.RUNNING:
-                    adv = self.state.on_task_complete(task.task_id, cm.FAILED,
-                                                      result=b"worker died twice")
-                    self.engine._task_ev(t, task, cm.FAILED, self.pid)
-                    self.engine._apply_advance(self.pid, self.state, adv, t)
-                continue
-            self._redispatched.add(task.task_id)
-            master.dispatch(Bulk(f"redispatch.{task.task_id}", [task]))
-        self._pump(master, t)
-
-    def stop(self):
-        for wid, feed in self._feeds.items():
-            if wid not in self._dead:
-                feed.put(None)
-        t = self.engine._now()
-        for worker in self.workers:
-            if worker.worker_id not in self._dead and worker.stopped_t is None:
-                worker.stopped_t = t
-                self.engine._ev(t, "worker", worker.worker_id, "stopped", pipeline=self.pid)
-        for master in self.masters:
-            self.engine._ev(t, "master", master.master_id, "stopped", pipeline=self.pid)
-        self.engine.overlay_workers.extend(self.workers)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import os
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,6 @@ class SlotMap:
         self.free_gpus = np.full(nodes, gpus_per_node, dtype=np.int64)
         self._cpu_heaps = [list(range(cpus_per_node)) for _ in range(nodes)]
         self._gpu_heaps = [list(range(gpus_per_node)) for _ in range(nodes)]
-        self.busy_slots_per_node = np.zeros(nodes, dtype=np.int64)
 
     def total_free(self) -> tuple[int, int]:
         return int(self.free_cpus.sum()), int(self.free_gpus.sum())
@@ -87,9 +87,6 @@ class SlotMap:
         total_g = self.nodes * self.gpus_per_node
         free_c, free_g = self.total_free()
         return total_c - free_c, total_g - free_g
-
-    def busy_nodes(self) -> int:
-        return int(np.count_nonzero(self.busy_slots_per_node))
 
     def find_nodes(self, cpus: int, gpus: int, nodes: int) -> list[int] | None:
         """Lowest-indexed set of nodes able to host ``cpus``/``gpus`` each."""
@@ -106,7 +103,6 @@ class SlotMap:
             gpu_slots.append([heapq.heappop(self._gpu_heaps[n]) for _ in range(gpus)])
             self.free_cpus[n] -= cpus
             self.free_gpus[n] -= gpus
-            self.busy_slots_per_node[n] += cpus + gpus
         return Placement(task_id, list(node_indices), cpu_slots, gpu_slots)
 
     def free(self, placement: Placement) -> None:
@@ -118,7 +114,6 @@ class SlotMap:
                 heapq.heappush(self._gpu_heaps[n], s)
             self.free_cpus[n] += len(cs)
             self.free_gpus[n] += len(gs)
-            self.busy_slots_per_node[n] -= len(cs) + len(gs)
 
 
 class Pilot:
@@ -162,30 +157,42 @@ class Pilot:
         self.live[task.task_id] = pl
         return pl
 
-    def schedule(self, ready: list) -> tuple[list[Placement], list[str]]:
-        """First-fit in ready order.  Returns (placements, queued ids).
+    def schedule(self, pool: deque, shapes: dict | None = None) -> list[Placement]:
+        """First-fit over a queue of tasks, in queue order.
+
+        Placed tasks leave ``pool``; the rest stay queued in it, in
+        order.  ``shapes`` counts the pool's tasks per resource shape and
+        is kept up to date across calls; the scan stops once every shape
+        still queued is known not to fit this round.
 
         Raises UnsatisfiableError for tasks that exceed the whole pilot.
         """
+        if shapes is None:
+            shapes = Counter(map(self.task_shape, pool))
         placements: list[Placement] = []
-        queued: list[str] = []
-        blocked_shapes: set[tuple[int, int, int]] = set()
-        for task in ready:
-            shape = self.task_shape(task)
-            if shape in blocked_shapes:
-                why = self.check_unsatisfiable(task)
-                if why is not None:
-                    raise UnsatisfiableError(why)
-                queued.append(task.task_id)
-                continue
-            pl = self.place_one(task)
-            if pl is None:
-                # A same-shaped later task cannot fit either this round.
-                blocked_shapes.add(shape)
-                queued.append(task.task_id)
-                continue
-            placements.append(pl)
-        return placements, queued
+        blocked: set[tuple[int, int, int]] = set()
+        kept: list = []
+        try:
+            while pool and len(blocked) < len(shapes):
+                task = pool[0]
+                shape = self.task_shape(task)
+                if shape in blocked:
+                    kept.append(pool.popleft())
+                    continue
+                pl = self.place_one(task)
+                if pl is None:
+                    # A same-shaped later task cannot fit either this round.
+                    blocked.add(shape)
+                    kept.append(pool.popleft())
+                    continue
+                pool.popleft()
+                shapes[shape] -= 1
+                if shapes[shape] == 0:
+                    del shapes[shape]
+                placements.append(pl)
+        finally:
+            pool.extendleft(reversed(kept))
+        return placements
 
     def release(self, placement: Placement) -> None:
         if self.live.get(placement.task_id) is not placement:

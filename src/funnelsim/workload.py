@@ -8,7 +8,6 @@ ML1 319674/1536 ligands/s/GPU.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -38,7 +37,6 @@ FG_REPLICAS = 24
 _STREAM_LIBRARY = 1
 _STREAM_NOISE = 2
 _STREAM_CONF = 3
-_STREAM_DURATION = 4
 
 
 @dataclass
@@ -200,14 +198,13 @@ def sample_duration(stage_tag: str, cost_model: CostModel,
                     ligands: float = 1.0) -> float:
     """Draw one task duration in simulated seconds: modeled node-seconds
     over the task's node span, scaled by time_scale, with the stage's
-    tail applied (median of samples converges to the configured median)."""
-    return resolve_duration(stage_tag, cost_model, ligands).sample(rng, time_scale)
+    tail applied (median of samples converges to the configured median).
 
-
-def task_duration_rng(seed: int, task_id: str) -> np.random.Generator:
-    """Duration stream for one task: a pure function of (seed, task_id),
-    so sampling is independent of scheduling order."""
-    return _rng(seed, _STREAM_DURATION, _hash_key(task_id))
+    Draws two uniforms from ``rng`` and goes through the same sampler the
+    engine feeds with hashed per-task uniforms."""
+    u1 = 1.0 - rng.random()   # (0, 1], so log(u1) is safe
+    u2 = rng.random()
+    return resolve_duration(stage_tag, cost_model, ligands).sample_from_uniforms(u1, u2, time_scale)
 
 
 def duration_uniforms(seed: int, task_id: str) -> tuple[float, float]:
@@ -507,26 +504,11 @@ def register_function(name: str, fn) -> None:
     FUNCTIONS[name] = fn
 
 
-def save_scores_csv(records: list[LigandRecord], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ligand_id", "true_score", "predicted_score"])
-        for r in records:
-            writer.writerow([r.ligand_id, f"{r.true_score:.10g}",
-                             "" if r.predicted_score is None else f"{r.predicted_score:.10g}"])
-
-
-def load_scores_csv(path) -> list[LigandRecord]:
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if lineno == 1 and row and row[0].strip() == "ligand_id":
-                continue
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                pred = float(row[2]) if len(row) > 2 and row[2].strip() else None
-                records.append(LigandRecord(row[0].strip(), "", float(row[1]), pred))
-            except (IndexError, ValueError) as exc:
-                raise ConfigError(f"bad scores row at line {lineno}: {exc}") from exc
-    return records
+def call_function(payload: bytes) -> bytes:
+    """Run the registered function that a function task's payload
+    ``{"fn": name, "kwargs": {...}}`` names; returns its JSON result."""
+    doc = json.loads(payload.decode() or "{}")
+    fn = FUNCTIONS.get(doc.get("fn", ""))
+    if fn is None:
+        raise KeyError(f"unknown function {doc.get('fn')!r}")
+    return json.dumps(fn(**doc.get("kwargs", {}))).encode()

@@ -83,6 +83,11 @@ class TestValidate:
         ])], pilot(), seed=0)
         assert validate_campaign(spec2) == []
 
+    def test_mode_must_match_backend(self):
+        spec = two_pipeline_spec()
+        spec.mode = "local"
+        assert [v.code for v in validate_campaign(spec)] == ["mode"]
+
     def test_bad_seed_and_time_scale(self):
         spec = two_pipeline_spec()
         spec.seed = -1
@@ -91,10 +96,15 @@ class TestValidate:
         assert {"seed", "time_scale"} <= codes
 
 
+def pending(state):
+    """Ids of the pending tasks of the stages reached so far."""
+    return {tid for tid, st in state.task_states.items() if st == "pending"}
+
+
 class TestNextReady:
     def test_fresh_pipeline_returns_stage_zero(self):
         state = PipelineState(PipelineSpec("p", [StageSpec("s0", [task("a"), task("b")])]))
-        assert {t.task_id for t in state.next_ready_tasks()} == {"a", "b"}
+        assert pending(state) == {"a", "b"}
 
     def test_barrier_returns_empty_while_stage_in_flight(self):
         state = PipelineState(PipelineSpec("p", [
@@ -104,7 +114,7 @@ class TestNextReady:
         drive(state, "a")
         state.mark_scheduled("b")
         state.mark_running("b")
-        assert state.next_ready_tasks() == []
+        assert pending(state) == set()
 
     def test_after_advance_returns_next_stage(self):
         state = PipelineState(PipelineSpec("p", [
@@ -114,7 +124,7 @@ class TestNextReady:
         drive(state, "a")
         res = drive(state, "b")
         assert res.kind == "stage_advanced"
-        assert {t.task_id for t in state.next_ready_tasks()} == {"c", "d", "e"}
+        assert pending(state) == {"c", "d", "e"}
 
 
 class TestOnTaskComplete:
@@ -247,7 +257,8 @@ class TestResize:
     def test_future_stage_replaced(self):
         state = self.make_state()
         state.resize_stage(1, [task(f"n{i}") for i in range(25)])
-        assert len(state.spec.stages[1].tasks) == 25
+        assert len(state.stage_tasks[1]) == 25
+        assert len(state.spec.stages[1].tasks) == 5     # the spec is not written to
 
     def test_resize_current_stage_is_ordering_error(self):
         state = self.make_state()

@@ -1,8 +1,12 @@
-"""Engine integration: barriers, pipeline modes, failures, overlay stages."""
+"""Engine integration: barriers, pipeline modes, failures, overlay stages,
+the local backend, and specs that a run leaves as they were."""
+import copy
+import json
+
 import pytest
 from funnelsim.campaign import (CampaignSpec, FixedDuration, HookSpec,
                                 PipelineSpec, StageSpec, TaskDescriptor)
-from funnelsim.engine import run_campaign
+from funnelsim.engine import Engine, run_campaign
 from funnelsim.errors import ConfigError
 from funnelsim.overlay import MasterConfig
 from funnelsim.pilot import PilotSpec
@@ -180,3 +184,68 @@ class TestSummaryShapes:
         r = run_campaign(build_funnel_campaign(funnel))
         times = [ev.t for ev in r.sink.events]
         assert times == sorted(times)
+
+
+def sleep_fn(tid):
+    payload = json.dumps({"fn": "sleep_ms", "kwargs": {"ms": 1.0}}).encode()
+    return TaskDescriptor(tid, kind="function", cpus=1,
+                          duration_model=FixedDuration(0.0), payload=payload)
+
+
+def local_pilot():
+    return pilot(nodes=1, cpus_per_node=1, walltime_s=3.0, backend="local")
+
+
+class TestLocalBackend:
+    @pytest.mark.parametrize("layout", ["two_pipelines", "two_stages"])
+    def test_every_function_stage_gets_an_overlay(self, layout):
+        if layout == "two_pipelines":
+            pipes = [PipelineSpec(p, [StageSpec("s", [sleep_fn(f"{p}.t{i}") for i in range(4)])])
+                     for p in ("p0", "p1")]
+        else:
+            pipes = [PipelineSpec("p0", [
+                StageSpec(f"s{s}", [sleep_fn(f"s{s}.t{i}") for i in range(4)])
+                for s in range(2)])]
+        spec = CampaignSpec(pipes, local_pilot(), mode="local")
+        r = run_campaign(spec, overlay=MasterConfig(n_masters=1, workers_per_master=2,
+                                                    bulk_size=2))
+        assert not r.walltime_hit
+        assert {pid: s["status"] for pid, s in r.final_states.items()} == \
+            {p.pipeline_id: "done" for p in pipes}
+
+    def test_function_tasks_without_overlay_config_rejected(self):
+        spec = CampaignSpec([PipelineSpec("p", [StageSpec("s", [sleep_fn("f")])])],
+                            local_pilot(), mode="local")
+        with pytest.raises(ConfigError, match="overlay"):
+            Engine(spec)
+
+
+def top_k_into_fixed_stage():
+    items = [{"id": f"x{i}", "true_score": float(-i)} for i in range(4)]
+    first = [task(f"a{i}", payload=json.dumps(item).encode()) for i, item in enumerate(items)]
+    return CampaignSpec([PipelineSpec("p", [
+        StageSpec("s0", first, post_hook=HookSpec("select_top_k", {"k": 2})),
+        StageSpec("s1", [task("b0"), task("b1")]),
+    ])], pilot(), seed=0)
+
+
+def small_funnel():
+    return build_funnel_campaign(FunnelConfig(library_size=1000, s1_fraction=0.04,
+                                              cg_count=4, top_binders=1,
+                                              outliers_per_binder=2, seed=4))
+
+
+class TestSpecImmutability:
+    @pytest.mark.parametrize("make_spec", [small_funnel, top_k_into_fixed_stage])
+    def test_running_twice_leaves_spec_and_trace_unchanged(self, make_spec, tmp_path):
+        spec = make_spec()
+        snapshot = copy.deepcopy(spec)
+        traces = []
+        for i in range(2):
+            r = run_campaign(spec)
+            assert all(s["status"] == "done" for s in r.final_states.values())
+            r.sink.save(tmp_path / f"trace{i}.jsonl")
+            traces.append((tmp_path / f"trace{i}.jsonl").read_bytes())
+        assert spec == snapshot
+        assert traces[0] == traces[1]
+        assert all(t.payload == b"" for t in spec.pipelines[0].stages[1].tasks)

@@ -1,4 +1,6 @@
 """Slot map arithmetic, first-fit placement, and executor timing."""
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,13 @@ from funnelsim.trace import busy_node_seconds, peak_concurrency
 def task(tid, cpus=1, gpus=0, nodes=1, dur=1.0):
     return TaskDescriptor(tid, cpus=cpus, gpus=gpus, nodes=nodes,
                           duration_model=FixedDuration(dur))
+
+
+def schedule(pilot, tasks):
+    """One first-fit round over a fresh pool: (placements, queued ids)."""
+    pool = deque(tasks)
+    placements = pilot.schedule(pool)
+    return placements, [t.task_id for t in pool]
 
 
 class TestAcquire:
@@ -48,21 +57,31 @@ class TestSchedule:
         pilot = acquire_pilot(PilotSpec(nodes=1000, cpus_per_node=1, gpus_per_node=0,
                                         walltime_s=1e9))
         tasks = [task(f"t{i:05d}") for i in range(10_000)]
-        placements, queued = pilot.schedule(tasks)
+        placements, queued = schedule(pilot, tasks)
         assert len(placements) == 1000
         assert len(queued) == 9000
         # queued order preserved
         assert queued == [f"t{i:05d}" for i in range(1000, 10_000)]
 
+    def test_pool_keeps_queue_order_and_shape_counts(self):
+        pilot = acquire_pilot(PilotSpec(nodes=1, cpus_per_node=2, gpus_per_node=0,
+                                        walltime_s=1.0))
+        pool = deque([task("a", cpus=2), task("b"), task("c", cpus=2), task("d")])
+        shapes = {(2, 0, 1): 2, (1, 0, 1): 2}
+        placements = pilot.schedule(pool, shapes)
+        assert [p.task_id for p in placements] == ["a"]
+        assert [t.task_id for t in pool] == ["b", "c", "d"]
+        assert shapes == {(2, 0, 1): 1, (1, 0, 1): 2}
+
     def test_empty_ready_list(self):
         pilot = acquire_pilot(PilotSpec(nodes=1, cpus_per_node=1, gpus_per_node=0,
                                         walltime_s=1.0))
-        assert pilot.schedule([]) == ([], [])
+        assert schedule(pilot, []) == ([], [])
 
     def test_gpu_slots_filled_lowest_first(self):
         pilot = acquire_pilot(PilotSpec(nodes=1, cpus_per_node=2, gpus_per_node=2,
                                         walltime_s=1.0))
-        placements, queued = pilot.schedule([
+        placements, queued = schedule(pilot, [
             task("g1", cpus=0, gpus=1), task("g2", cpus=0, gpus=1),
             task("g3", cpus=0, gpus=1)])
         assert [p.task_id for p in placements] == ["g1", "g2"]
@@ -73,34 +92,34 @@ class TestSchedule:
     def test_first_fit_takes_lowest_indexed_nodes(self):
         pilot = acquire_pilot(PilotSpec(nodes=4, cpus_per_node=2, gpus_per_node=0,
                                         walltime_s=1.0))
-        pilot.schedule([task("hold", cpus=2)])
-        placements, _ = pilot.schedule([task("next", cpus=2)])
+        schedule(pilot, [task("hold", cpus=2)])
+        placements, _ = schedule(pilot, [task("next", cpus=2)])
         assert placements[0].node_indices == [1]
 
     def test_multi_node_placement(self):
         pilot = acquire_pilot(PilotSpec(nodes=4, cpus_per_node=2, gpus_per_node=0,
                                         walltime_s=1.0))
-        placements, _ = pilot.schedule([task("wide", cpus=2, nodes=3, dur=1.0)])
+        placements, _ = schedule(pilot, [task("wide", cpus=2, nodes=3, dur=1.0)])
         assert placements[0].node_indices == [0, 1, 2]
 
     def test_unsatisfiable_distinct_from_queued(self):
         pilot = acquire_pilot(PilotSpec(nodes=2, cpus_per_node=4, gpus_per_node=0,
                                         walltime_s=1.0))
         with pytest.raises(UnsatisfiableError):
-            pilot.schedule([task("giant", cpus=5)])
+            schedule(pilot, [task("giant", cpus=5)])
         with pytest.raises(UnsatisfiableError):
-            pilot.schedule([task("wide", cpus=1, nodes=3)])
+            schedule(pilot, [task("wide", cpus=1, nodes=3)])
 
     def test_gpu_task_consumes_host_cpu_slot(self):
         pilot = acquire_pilot(PilotSpec(nodes=1, cpus_per_node=1, gpus_per_node=2,
                                         walltime_s=1.0))
-        placements, queued = pilot.schedule([
+        placements, queued = schedule(pilot, [
             task("g1", cpus=0, gpus=1), task("g2", cpus=0, gpus=1)])
         # one cpu slot on the node, so only one gpu task fits
         assert len(placements) == 1 and queued == ["g2"]
         pilot2 = acquire_pilot(PilotSpec(nodes=1, cpus_per_node=1, gpus_per_node=2,
                                          walltime_s=1.0, gpu_host_cpu=False))
-        placements, queued = pilot2.schedule([
+        placements, queued = schedule(pilot2, [
             task("g1", cpus=0, gpus=1), task("g2", cpus=0, gpus=1)])
         assert len(placements) == 2 and queued == []
 
@@ -110,7 +129,7 @@ class TestRelease:
         pilot = acquire_pilot(PilotSpec(nodes=2, cpus_per_node=3, gpus_per_node=2,
                                         walltime_s=1.0))
         before = pilot.slots.total_free()
-        placements, _ = pilot.schedule([task("t", cpus=2, gpus=1)])
+        placements, _ = schedule(pilot, [task("t", cpus=2, gpus=1)])
         assert pilot.slots.total_free() != before
         pilot.release(placements[0])
         assert pilot.slots.total_free() == before
@@ -118,7 +137,7 @@ class TestRelease:
     def test_double_release_is_state_error(self):
         pilot = acquire_pilot(PilotSpec(nodes=1, cpus_per_node=1, gpus_per_node=0,
                                         walltime_s=1.0))
-        placements, _ = pilot.schedule([task("t")])
+        placements, _ = schedule(pilot, [task("t")])
         pilot.release(placements[0])
         with pytest.raises(StateError):
             pilot.release(placements[0])
@@ -145,7 +164,7 @@ class TestRelease:
                 if c + g == 0:
                     c = 1
                 eff_c = pilot.spec.effective_cpus(c, g)
-                placements, queued = pilot.schedule([task(f"t{i}", cpus=c, gpus=g)])
+                placements, queued = schedule(pilot, [task(f"t{i}", cpus=c, gpus=g)])
                 if placements:
                     live[f"t{i}"] = (placements[0], (eff_c, g))
                     expect_busy_c += eff_c

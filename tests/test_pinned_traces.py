@@ -1,0 +1,47 @@
+"""Pinned sha256 digests of saved traces for two cheap campaigns.
+
+Comparing two runs of the same commit cannot catch a change that moves
+trace bytes on every run alike; these pins can.  A change that alters
+traces on purpose updates the pins and says why in CHANGES.md.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from funnelsim.engine import run_campaign
+from funnelsim.overlay import MasterConfig
+from funnelsim.workload import FunnelConfig, build_funnel_campaign
+
+from test_properties import random_campaign
+
+OVERLAY_FUNNEL_SHA256 = "eb7ffed374bdd4996d20d8b470ffb027663cb7db84bdb8e46fd0f9093d7eb91a"
+PROPERTY_TRIAL_SHA256 = [
+    "793d058eb158cd9cffb817d72157caa53372875d362f9e208f50e2a8771794eb",
+    "30246cebfd6e0f244f1d51f68144c8558ee4179b8c69dc1a79f55cdfa20abe56",
+    "3b35f9b2995d0d55e879869208b130100f1850baab69ea733365eccaf5270b5e",
+    "581d56bdf0909110e6214630ecd9ab8dc38d7d72d2f1f4220822d6a9a932fd36",
+    "90f43ffb9a3380d183d08c061a48cb03c3d760fc76cd8210133bbfa2f35c5509",
+]
+
+
+def trace_sha256(result, tmp_path):
+    path = tmp_path / "trace.jsonl"
+    result.sink.save(path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_overlay_funnel_trace_pinned(tmp_path):
+    # The funnel of test_engine.TestOverlayStage: 3,257 events.
+    spec = build_funnel_campaign(FunnelConfig(library_size=5000, cg_count=20, seed=3),
+                                 overlay_stage_kind="function")
+    r = run_campaign(spec, overlay=MasterConfig(n_masters=2, workers_per_master=12,
+                                                bulk_size=16))
+    assert len(r.sink.events) == 3257
+    assert trace_sha256(r, tmp_path) == OVERLAY_FUNNEL_SHA256
+
+
+@pytest.mark.parametrize("trial", range(5))
+def test_property_trial_trace_pinned(trial, tmp_path):
+    r = run_campaign(random_campaign(np.random.default_rng(trial), seed=trial))
+    assert trace_sha256(r, tmp_path) == PROPERTY_TRIAL_SHA256[trial]
