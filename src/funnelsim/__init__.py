@@ -12,7 +12,7 @@ from .engine import RunResult, run_campaign, run_executor, run_overlay
 from .overlay import MasterConfig, partition_bulks, round_robin_assign
 from .pilot import PilotSpec, acquire_pilot
 from .trace import TraceEvent, TraceSink, load_trace, merge_traces
-from .workload import (CostModel, FunnelConfig, LigandRecord, StageCost,
+from .workload import (CostModel, FunnelConfig, StageCost,
                        build_funnel_campaign, default_cost_model,
                        generate_library, sample_duration, select_top_fraction,
                        surrogate_scores)
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CampaignSpec", "CostModel", "FixedDuration", "FunnelConfig", "HookSpec",
-    "LigandRecord", "MasterConfig", "PilotSpec", "PipelineSpec", "PipelineState",
+    "MasterConfig", "PilotSpec", "PipelineSpec", "PipelineState",
     "RunResult", "SampledDuration", "StageCost", "StageSpec", "TaskDescriptor",
     "TraceEvent", "TraceSink", "acquire_pilot", "build_funnel_campaign",
     "default_cost_model", "generate_library", "load_trace", "merge_traces",

@@ -58,16 +58,14 @@ class ScoredSet:
 
 def _rank_orders(scored: ScoredSet) -> tuple[np.ndarray, np.ndarray]:
     """Rank of each item under (score, id) ascending order, per score kind."""
-    n = scored.u
-    true_order = sorted(range(n), key=lambda i: (scored.true_scores[i], scored.ids[i]))
-    pred_order = sorted(range(n), key=lambda i: (scored.predicted_scores[i], scored.ids[i]))
-    true_rank = np.empty(n, dtype=np.int64)
-    pred_rank = np.empty(n, dtype=np.int64)
-    for r, i in enumerate(true_order):
-        true_rank[i] = r
-    for r, i in enumerate(pred_order):
-        pred_rank[i] = r
-    return true_rank, pred_rank
+    ids = np.array(scored.ids)
+
+    def rank(scores: np.ndarray) -> np.ndarray:
+        out = np.empty(scored.u, dtype=np.int64)
+        out[np.lexsort((ids, scores))] = np.arange(scored.u)
+        return out
+
+    return rank(scored.true_scores), rank(scored.predicted_scores)
 
 
 def top_k_recall(scored: ScoredSet, k: int, delta: int) -> float:

@@ -26,7 +26,6 @@ from .errors import OrderingError, StateError
 from .pilot import PilotSpec
 
 TASK_KINDS = ("executable", "function", "simulated")
-KNOWN_STAGE_TAGS = ("ML1", "S1", "S3CG", "S2", "S3FG")
 
 PENDING = "pending"
 SCHEDULED = "scheduled"

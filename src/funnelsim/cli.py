@@ -142,6 +142,9 @@ def load_config(path: str, seed_override: int | None = None,
     funnel = parse_funnel(doc.get("funnel", {}))
     cost_model = parse_cost_model(doc.get("cost_model", {}))
     overlay = parse_overlay(doc["overlay"]) if "overlay" in doc else None
+    if overlay is not None and resource.backend == "local":
+        # S1 payloads are ligand items, not calls of registered functions.
+        raise ConfigError("an overlay section needs the simulated backend")
     seed = int(doc.get("seed", 0)) if seed_override is None else seed_override
     time_scale = float(doc.get("time_scale", 1e-4))
     mode = doc.get("mode", "concurrent")

@@ -2,6 +2,9 @@
 scores, noisy surrogate scores, per-stage duration models calibrated to
 reference per-ligand costs, and the five-stage funnel wiring.
 
+The scored library is two float64 columns, true and predicted scores;
+ligand ``i`` is named ``ligand_id(i)``, so ids follow index order.
+
 Stage cost defaults (node-hours per ligand): S1 1e-4, S3CG 0.5, S2 4,
 S3FG 5.  Per-GPU throughput calibration: S1 14252/6000 ligands/s/GPU,
 ML1 319674/1536 ligands/s/GPU.
@@ -11,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -37,14 +40,6 @@ FG_REPLICAS = 24
 _STREAM_LIBRARY = 1
 _STREAM_NOISE = 2
 _STREAM_CONF = 3
-
-
-@dataclass
-class LigandRecord:
-    ligand_id: str
-    smiles_like_token: str
-    true_score: float                    # latent docking score, lower = better
-    predicted_score: Optional[float] = None
 
 
 @dataclass
@@ -134,48 +129,35 @@ def _rng(*entropy: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
 
 
-_TOKEN_CHARS = np.array(list("CNOSPFclnos123()=#[]+-"))
+def ligand_id(i: int) -> str:
+    return f"L{i:07d}"
 
 
-def generate_library(n: int, seed: int) -> list[LigandRecord]:
-    """Ligand ids, opaque structure tokens, and latent true scores drawn
-    from a standard normal; deterministic under the seed."""
+def generate_library(n: int, seed: int) -> np.ndarray:
+    """Latent true scores of ligands 0..n-1, drawn from a standard
+    normal; deterministic under the seed."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    rng = _rng(seed, _STREAM_LIBRARY)
-    scores = rng.standard_normal(n)
-    lengths = rng.integers(8, 17, size=n)
-    chars = rng.choice(_TOKEN_CHARS, size=int(lengths.sum())) if n else np.array([])
-    records = []
-    pos = 0
-    for i in range(n):
-        end = pos + int(lengths[i])
-        records.append(LigandRecord(f"L{i:07d}", "".join(chars[pos:end]), float(scores[i])))
-        pos = end
-    return records
+    return _rng(seed, _STREAM_LIBRARY).standard_normal(n)
 
 
-def surrogate_scores(library: list[LigandRecord], noise_sigma: float,
-                     seed: int) -> list[LigandRecord]:
+def surrogate_scores(true_scores: np.ndarray, noise_sigma: float,
+                     seed: int) -> np.ndarray:
     """Predicted score = true score + gaussian noise, modeling an
     imperfect surrogate ranking model."""
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
     rng = _rng(seed, _STREAM_NOISE)
-    noise = rng.standard_normal(len(library)) * noise_sigma
-    return [replace(rec, predicted_score=rec.true_score + float(e))
-            for rec, e in zip(library, noise)]
+    return true_scores + rng.standard_normal(len(true_scores)) * noise_sigma
 
 
-def select_top_fraction(records: list[LigandRecord], fraction: float,
-                        by: str = "predicted_score") -> list[LigandRecord]:
-    """The ceil(fraction*n) records with the best (lowest) scores; ties
-    broken by ligand_id."""
+def select_top_fraction(scores: np.ndarray, fraction: float) -> np.ndarray:
+    """Indices of the ceil(fraction*n) best (lowest) scores, best first;
+    ties go to the lower index (ligand-id order for n <= 10**7)."""
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    keep = math.ceil(fraction * len(records))
-    ranked = sorted(records, key=lambda r: (getattr(r, by), r.ligand_id))
-    return ranked[:keep]
+    keep = math.ceil(fraction * len(scores))
+    return np.argsort(scores, kind="stable")[:keep]
 
 
 def resolve_duration(stage_tag: str, cost_model: CostModel,
@@ -349,8 +331,9 @@ def build_funnel_campaign(funnel: FunnelConfig,
                           overlay_stage_kind: str = "simulated") -> CampaignSpec:
     """Wire the five-stage screening funnel:
 
-    ML1 (one scoring task over the library)
-      -> S1 docking on the top s1_fraction by predicted score
+    ML1 (one scoring task over the library, handing S1 its top
+         s1_fraction by predicted score)
+      -> S1 docking, one task per ligand ML1 handed on
       -> S3CG ensembles (6 replica tasks per ligand) on the cg_count best
       -> S2 aggregation + training proxy, with outlier selection of
          top_binders * outliers_per_binder conformations
@@ -364,12 +347,15 @@ def build_funnel_campaign(funnel: FunnelConfig,
                                      walltime_s=1e9, backend="simulated")
     seed = funnel.seed
 
-    library = generate_library(funnel.library_size, seed)
-    scored = surrogate_scores(library, funnel.noise_sigma, seed)
+    true = generate_library(funnel.library_size, seed)
+    pred = surrogate_scores(true, funnel.noise_sigma, seed)
+    # ML1's duration covers scoring the whole library; its payload holds
+    # only the s1_count() ligands it passes on, best predicted score first.
     ml1_payload = _dump({
         "kind": "scored_library",
-        "items": [{"ligand_id": r.ligand_id, "true_score": r.true_score,
-                   "predicted_score": r.predicted_score} for r in scored],
+        "items": [{"ligand_id": ligand_id(i), "true_score": float(true[i]),
+                   "predicted_score": float(pred[i])}
+                  for i in select_top_fraction(pred, funnel.s1_fraction).tolist()],
     })
     ml1_task = TaskDescriptor(
         task_id=f"{pipeline_id}.ML1.000000", kind="simulated", stage_tag="ML1",
@@ -389,9 +375,7 @@ def build_funnel_campaign(funnel: FunnelConfig,
     train_cpus = 0 if train_gpus else min(4, resource.cpus_per_node)
 
     stages = [
-        StageSpec("ML1", [ml1_task],
-                  post_hook=HookSpec("select_top_fraction",
-                                     {"fraction": funnel.s1_fraction, "by": "predicted_score"})),
+        StageSpec("ML1", [ml1_task]),
         StageSpec("S1", [],
                   post_hook=HookSpec("select_top_k",
                                      {"k": funnel.cg_count, "by": "true_score"}),
@@ -439,11 +423,9 @@ def recall_at_operating_point(u: int, noise_sigma: float, seed: int,
     calibrate the surrogate noise."""
     from . import analysis
 
-    library = generate_library(u, seed)
-    scored = surrogate_scores(library, noise_sigma, seed)
-    sset = analysis.ScoredSet([r.ligand_id for r in scored],
-                              np.array([r.true_score for r in scored]),
-                              np.array([r.predicted_score for r in scored]))
+    true = generate_library(u, seed)
+    sset = analysis.ScoredSet([ligand_id(i) for i in range(u)], true,
+                              surrogate_scores(true, noise_sigma, seed))
     return analysis.top_k_recall(sset, math.ceil(k_frac * u), math.ceil(delta_frac * u))
 
 

@@ -247,6 +247,21 @@ class TestRunLocal:
         assert summary["pipelines"]["p0"] == "done"
         assert summary["funnel"]["S3FG_tasks"] == 24
 
+    def test_overlay_section_rejected_at_once(self, tmp_path, capsys):
+        # The overlay models S1 dispatch in simulation only; a local run
+        # with one must fail before any task starts, not at S1.
+        overlay = {"n_masters": 1, "workers_per_master": 2, "bulk_size": 4}
+        cfg = self.local_config(tmp_path / "c.json")
+        doc = json.loads(cfg.read_text())
+        doc["overlay"] = overlay
+        cfg.write_text(json.dumps(doc))
+        sim = write_config(tmp_path / "sim.json", overlay=overlay)
+        for path in (cfg, sim):
+            out = tmp_path / f"out_{path.stem}"
+            assert main(["run-local", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+            assert "overlay" in capsys.readouterr().err
+            assert not (out / "trace.jsonl").exists()
+
 
 class TestLocalOverlayFunctions:
     def test_function_tasks_and_worker_death(self):

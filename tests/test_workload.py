@@ -1,14 +1,17 @@
 """Library generation, surrogate noise, duration models, and funnel wiring."""
+import json
+
 import numpy as np
 import pytest
 
 from funnelsim.errors import ConfigError
 from funnelsim.pilot import PilotSpec
 from funnelsim.workload import (CostModel, FunnelConfig, StageCost,
-                                build_funnel_campaign, default_cost_model,
-                                generate_library, recall_at_operating_point,
-                                sample_duration, select_top_fraction,
-                                surrogate_scores, synth_conformations)
+                                build_funnel_campaign, calibrate_noise_sigma,
+                                default_cost_model, generate_library, ligand_id,
+                                recall_at_operating_point, sample_duration,
+                                select_top_fraction, surrogate_scores,
+                                synth_conformations)
 
 
 def rng(seed=0):
@@ -17,37 +20,29 @@ def rng(seed=0):
 
 class TestLibrary:
     def test_same_seed_identical(self):
-        a = generate_library(500, 123)
-        b = generate_library(500, 123)
-        assert [(r.ligand_id, r.smiles_like_token, r.true_score) for r in a] == \
-               [(r.ligand_id, r.smiles_like_token, r.true_score) for r in b]
+        assert np.array_equal(generate_library(500, 123), generate_library(500, 123))
 
     def test_different_seed_differs(self):
-        a = generate_library(100, 1)
-        b = generate_library(100, 2)
-        assert [r.true_score for r in a] != [r.true_score for r in b]
+        assert not np.array_equal(generate_library(100, 1), generate_library(100, 2))
 
     def test_empty(self):
-        assert generate_library(0, 0) == []
+        assert generate_library(0, 0).shape == (0,)
 
     def test_hundred_thousand_unique_ids(self):
         lib = generate_library(100_000, 7)
-        assert len({r.ligand_id for r in lib}) == 100_000
+        assert len({ligand_id(i) for i in range(len(lib))}) == 100_000
 
     def test_scores_standard_normal_ish(self):
-        lib = generate_library(20_000, 3)
-        scores = np.array([r.true_score for r in lib])
+        scores = generate_library(20_000, 3)
         assert abs(scores.mean()) < 0.05
         assert abs(scores.std() - 1.0) < 0.05
 
 
 class TestSurrogate:
     def test_zero_noise_preserves_ranking(self):
-        lib = generate_library(200, 5)
-        scored = surrogate_scores(lib, 0.0, 5)
-        true_rank = sorted(scored, key=lambda r: r.true_score)
-        pred_rank = sorted(scored, key=lambda r: r.predicted_score)
-        assert [r.ligand_id for r in true_rank] == [r.ligand_id for r in pred_rank]
+        true = generate_library(200, 5)
+        pred = surrogate_scores(true, 0.0, 5)
+        assert np.array_equal(np.argsort(true), np.argsort(pred))
 
     def test_huge_noise_recall_tends_to_k_over_n(self):
         # With delta = k, expected recall of a random ranking is k/n.
@@ -55,11 +50,9 @@ class TestSurrogate:
         n, k = 200, 10
         vals = []
         for seed in range(100):
-            lib = generate_library(n, seed)
-            scored = surrogate_scores(lib, 1e6, seed)
-            ss = ScoredSet([r.ligand_id for r in scored],
-                           np.array([r.true_score for r in scored]),
-                           np.array([r.predicted_score for r in scored]))
+            true = generate_library(n, seed)
+            ss = ScoredSet([ligand_id(i) for i in range(n)], true,
+                           surrogate_scores(true, 1e6, seed))
             vals.append(top_k_recall(ss, k, k))
         assert abs(float(np.mean(vals)) - k / n) < 0.03
 
@@ -67,10 +60,8 @@ class TestSurrogate:
         def mean_spearman(sigma):
             out = []
             for seed in range(5):
-                lib = generate_library(400, seed)
-                scored = surrogate_scores(lib, sigma, seed)
-                t = np.array([r.true_score for r in scored])
-                p = np.array([r.predicted_score for r in scored])
+                t = generate_library(400, seed)
+                p = surrogate_scores(t, sigma, seed)
                 rt = np.argsort(np.argsort(t))
                 rp = np.argsort(np.argsort(p))
                 out.append(np.corrcoef(rt, rp)[0, 1])
@@ -88,6 +79,18 @@ class TestSurrogate:
         vals = [recall_at_operating_point(100_000, DEFAULT_NOISE_SIGMA, s)
                 for s in range(8)]
         assert 0.4 <= float(np.mean(vals)) <= 0.6
+
+    def test_calibrate_noise_sigma(self):
+        u, seeds, tol = 100_000, 4, 0.05
+
+        def mean_recall(sigma):
+            return float(np.mean([recall_at_operating_point(u, sigma, s)
+                                  for s in range(seeds)]))
+
+        sigma_half = calibrate_noise_sigma(u, target=0.5, seeds=seeds, tol=tol)
+        sigma_high = calibrate_noise_sigma(u, target=0.7, seeds=seeds, tol=tol)
+        assert abs(mean_recall(sigma_half) - 0.5) < tol
+        assert sigma_high < sigma_half
 
 
 class TestSampleDuration:
@@ -134,22 +137,22 @@ class TestSampleDuration:
 
 class TestSelectTopFraction:
     def test_one_percent_of_thousand(self):
-        lib = surrogate_scores(generate_library(1000, 0), 0.3, 0)
-        got = select_top_fraction(lib, 0.01)
-        assert len(got) == 10
-        best = sorted(lib, key=lambda r: (r.predicted_score, r.ligand_id))[:10]
-        assert [r.ligand_id for r in got] == [r.ligand_id for r in best]
+        pred = surrogate_scores(generate_library(1000, 0), 0.3, 0)
+        got = select_top_fraction(pred, 0.01)
+        best = sorted(range(1000), key=lambda i: (pred[i], ligand_id(i)))[:10]
+        assert got.tolist() == best
 
     def test_fraction_one_is_identity(self):
-        lib = surrogate_scores(generate_library(50, 1), 0.1, 1)
-        assert len(select_top_fraction(lib, 1.0)) == 50
+        pred = surrogate_scores(generate_library(50, 1), 0.1, 1)
+        assert sorted(select_top_fraction(pred, 1.0).tolist()) == list(range(50))
 
     def test_all_equal_scores_tie_break_lexicographic(self):
-        lib = generate_library(10, 2)
-        for r in lib:
-            r.true_score = 0.0
-        got = select_top_fraction(lib, 0.5, by="true_score")
-        assert [r.ligand_id for r in got] == sorted(r.ligand_id for r in lib)[:5]
+        got = select_top_fraction(np.zeros(10), 0.5)
+        assert [ligand_id(i) for i in got] == sorted(ligand_id(i) for i in range(10))[:5]
+
+    def test_all_equal_scores_keep_lowest_indices(self):
+        scores = np.array([0.0, -0.0] * 20)
+        assert select_top_fraction(scores, 0.25).tolist() == list(range(10))
 
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
@@ -172,6 +175,19 @@ class TestFunnel:
         # a production-sized per-target choice must validate
         f = FunnelConfig(library_size=1_000_000, cg_count=10_000)
         assert f.validate() == []
+
+    def test_ml1_payload_is_top_fraction_in_score_then_id_order(self):
+        funnel = FunnelConfig(library_size=3000, s1_fraction=0.01, cg_count=3,
+                              top_binders=2, outliers_per_binder=2, seed=4)
+        ml1 = build_funnel_campaign(funnel).pipelines[0].stages[0]
+        assert ml1.post_hook is None
+        true = generate_library(funnel.library_size, funnel.seed)
+        pred = surrogate_scores(true, funnel.noise_sigma, funnel.seed)
+        best = sorted(range(funnel.library_size),
+                      key=lambda i: (pred[i], ligand_id(i)))[:funnel.s1_count()]
+        items = json.loads(ml1.tasks[0].payload)["items"]
+        assert items == [{"ligand_id": ligand_id(i), "true_score": float(true[i]),
+                          "predicted_score": float(pred[i])} for i in best]
 
     def test_built_spec_is_deterministic(self):
         cfg = dict(library_size=300, cg_count=3, top_binders=2,
