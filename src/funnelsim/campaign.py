@@ -6,7 +6,9 @@ mutual ordering, and stage i+1 cannot start until every task of stage i
 reached a terminal state.  Pipelines progress independently of each
 other.
 
-Stage outputs are opaque byte strings (JSON by convention).  A stage may
+Payloads and stage outputs are JSON-shaped Python values (a dict, a
+list or None), handed on as they are; only an executable's stdout
+arrives as bytes, decoded as JSON where outputs are read.  A stage may
 declare a post_hook, a named filter applied to the stage's outputs when
 its last task terminates; the filtered items become the payloads of the
 next stage's tasks, which are materialized on the spot when the next
@@ -86,7 +88,7 @@ class TaskDescriptor:
     gpus: int = 0
     nodes: int = 1
     duration_model: DurationModel = FixedDuration(0.0)
-    payload: bytes = b""
+    payload: object = None
 
 
 @dataclass(frozen=True)
@@ -202,18 +204,20 @@ def _validate_task(task: TaskDescriptor, pilot: PilotSpec, pipeline_id: str) -> 
 # ---------------------------------------------------------------------------
 # post hooks
 
-def _parse_output(task_id: str, raw: bytes) -> list[dict]:
-    """Outputs are JSON: either {"items": [...]} or a single record."""
-    try:
-        doc = json.loads(raw.decode("utf-8")) if raw else {"items": []}
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise StateError(f"output of task {task_id} is not parseable: {exc}") from exc
-    if isinstance(doc, dict) and "items" in doc:
-        return list(doc["items"])
-    if isinstance(doc, dict):
-        return [doc]
-    if isinstance(doc, list):
-        return list(doc)
+def _parse_output(task_id: str, out) -> list[dict]:
+    """An output is {"items": [...]}, a list of items, a single record,
+    or None for no items; an executable's stdout holds one as JSON."""
+    if isinstance(out, bytes):
+        try:
+            out = json.loads(out.decode("utf-8")) if out else None
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise StateError(f"output of task {task_id} is not parseable: {exc}") from exc
+    if out is None:
+        return []
+    if isinstance(out, dict):
+        return out["items"] if "items" in out else [out]
+    if isinstance(out, list):
+        return out
     raise StateError(f"output of task {task_id} has no items")
 
 
@@ -279,11 +283,12 @@ HOOK_OPS: dict[str, Callable[[dict, list[dict]], list[dict]]] = {
 }
 
 
-def apply_post_hook(hook: Optional[HookSpec], outputs: list[tuple[str, bytes]]) -> list[dict]:
-    """Apply a hook to stage outputs (sorted by task_id for determinism)."""
+def apply_post_hook(hook: Optional[HookSpec], outputs: list[tuple[str, object]]) -> list[dict]:
+    """Apply a hook to stage outputs (sorted by task_id for determinism).
+    Items are shared with the outputs, so hooks never mutate them."""
     items: list[dict] = []
-    for task_id, raw in sorted(outputs, key=lambda p: p[0]):
-        items.extend(_parse_output(task_id, raw))
+    for task_id, out in sorted(outputs, key=lambda p: p[0]):
+        items.extend(_parse_output(task_id, out))
     if hook is None:
         return items
     op = HOOK_OPS.get(hook.op)
@@ -341,7 +346,7 @@ class PipelineState:
         self.current_stage_index = 0
         self.status = RUNNING
         self.task_states: dict[str, str] = {}
-        self.outputs: dict[str, bytes] = {}
+        self.outputs: dict[str, object] = {}
         self.stage_tasks: list[list[TaskDescriptor]] = [list(st.tasks) for st in spec.stages]
         self._stage_of: dict[str, int] = {}
         self._open_in_stage = 0
@@ -388,7 +393,7 @@ class PipelineState:
             raise OrderingError(f"task {task_id} is {self.task_states[task_id]}, not scheduled")
         self.task_states[task_id] = RUNNING
 
-    def on_task_complete(self, task_id: str, outcome: str, result: bytes = b"") -> AdvanceResult:
+    def on_task_complete(self, task_id: str, outcome: str, result=None) -> AdvanceResult:
         """Record a terminal state; advance the stage barrier when the
         current stage fully completes, applying the post_hook and
         materializing the next stage's tasks."""
@@ -436,12 +441,12 @@ class PipelineState:
         next_index = self.current_stage_index + 1
         next_stage = self.spec.stages[next_index] if next_index < len(self.spec.stages) else None
         # Outputs are only interpreted when a hook or a materializer
-        # consumes them; results of plain terminal stages stay opaque.
+        # consumes them; results of plain terminal stages are never read.
         needs_items = stage.post_hook is not None or (
             next_stage is not None and next_stage.materialize is not None)
         selected: list[dict] = []
         if needs_items:
-            outputs = [(t.task_id, self.outputs.get(t.task_id, b"")) for t in self.current_tasks()]
+            outputs = [(t.task_id, self.outputs.get(t.task_id)) for t in self.current_tasks()]
             try:
                 selected = apply_post_hook(stage.post_hook, outputs)
             except StateError:
@@ -460,9 +465,8 @@ class PipelineState:
                 self.status = FAILED
                 canceled = self._cancel_open()
                 return AdvanceResult("pipeline_failed", self.current_stage_index, canceled=canceled)
-            self.stage_tasks[next_index] = [
-                replace(task, payload=json.dumps(item, separators=(",", ":")).encode())
-                for task, item in zip(self.stage_tasks[next_index], selected)]
+            self.stage_tasks[next_index] = [replace(task, payload=item) for task, item
+                                            in zip(self.stage_tasks[next_index], selected)]
         if not self.stage_tasks[next_index]:
             # A funnel that filters everything away cannot continue.
             self.status = FAILED

@@ -14,7 +14,6 @@ the engine thread, and workers only post notices to a queue.
 from __future__ import annotations
 
 import heapq
-import json
 import queue as queue_mod
 import subprocess
 import threading
@@ -171,15 +170,44 @@ class Engine:
             if key in self._overlays or not pool:
                 continue
             if self.overlay_cfg is not None and all(tk.kind == "function" for tk in pool):
-                self._overlays[key] = _Overlay(self, pid, state, list(pool), t)
-                pool.clear()
-                self._pool_shapes[pid].clear()
+                placements = self._place_overlay(pid, state, pool)
+                if placements is not None:
+                    self._overlays[key] = _Overlay(self, pid, state, list(pool), placements, t)
+                    pool.clear()
+                    self._pool_shapes[pid].clear()
                 continue
             for pl in self.pilot.schedule(pool, self._pool_shapes[pid]):
                 task = self._task_of[pl.task_id]
                 state.mark_scheduled(task.task_id)
                 self._task_ev(t, task, "scheduled", pid)
                 self.backend.launch(pid, task, pl, t)
+
+    def _place_overlay(self, pid: str, state: cm.PipelineState, tasks) -> list | None:
+        """Place the masters and workers of an overlay for ``tasks`` on the
+        pilot, all or nothing: None, holding no slots, if they do not fit
+        yet.  Local overlays run on host threads and hold no slots."""
+        if not self.backend.overlay_on_pilot:
+            return []
+        config = self.overlay_cfg
+        prefix = f"ovl.{pid}.{state.current_stage().stage_id}"
+        n_workers = config.n_masters * config.workers_per_master
+        w_cpus, w_gpus = config.worker_cpus, config.worker_gpus
+        if w_cpus is None or w_gpus is None:
+            w_cpus, w_gpus = (0, 1) if any(tk.gpus > 0 for tk in tasks) else (1, 0)
+        demands = deque(cm.TaskDescriptor(f"{prefix}.m{m:02d}", cpus=1, gpus=0)
+                        for m in range(config.n_masters))
+        demands.extend(cm.TaskDescriptor(f"{prefix}.w{w:04d}", cpus=w_cpus, gpus=w_gpus)
+                       for w in range(n_workers))
+        idle = not self.pilot.live
+        placements = self.pilot.schedule(demands)
+        if not demands:
+            return placements
+        for pl in placements:
+            self.pilot.release(pl)
+        if idle:
+            raise DispatchError(
+                f"pilot lacks capacity for {config.n_masters} masters + {n_workers} workers")
+        return None
 
     # -- task lifecycle -------------------------------------------------------
 
@@ -189,7 +217,7 @@ class Engine:
         self._task_ev(t, task, "running", pid, with_resources=True)
         self._occupy(pl, t)
 
-    def _finish(self, task, outcome: str, result: bytes, t: float) -> bool:
+    def _finish(self, task, outcome: str, result, t: float) -> bool:
         """A placed task ended; stale notices for canceled tasks are
         dropped.  Returns whether a completion was applied."""
         pid = self._pid_of[task.task_id]
@@ -203,7 +231,7 @@ class Engine:
         return True
 
     def _complete(self, pid: str, state: cm.PipelineState, task, outcome: str,
-                  result: bytes, t: float):
+                  result, t: float):
         self._task_ev(t, task, outcome, pid)
         self.completions.append(Completion(t, task.task_id, outcome))
         adv = state.on_task_complete(task.task_id, outcome, result=result)
@@ -262,14 +290,14 @@ class _Overlay:
     """Master/worker pool serving one stage's function tasks.
 
     Function tasks run inside workers and hold no pilot slots.  In
-    simulated runs the masters and workers are placed on the pilot as
-    long-lived occupants; locally the workers are host threads.  A
+    simulated runs the masters and workers hold the slots the engine
+    placed once they all fit; locally the workers are host threads.  A
     worker that dies has its outstanding tasks re-dispatched once; a
     task that loses a second worker fails.
     """
 
     def __init__(self, engine: Engine, pid: str, state: cm.PipelineState,
-                 tasks: list[cm.TaskDescriptor], t: float):
+                 tasks: list[cm.TaskDescriptor], placements: list, t: float):
         config = engine.overlay_cfg
         stage = state.current_stage()
         self.engine = engine
@@ -283,23 +311,9 @@ class _Overlay:
         self._redispatched: set[str] = set()
 
         prefix = f"ovl.{pid}.{stage.stage_id}"
-        n_workers = config.n_masters * config.workers_per_master
-        self.placements = []
-        if engine.backend.overlay_on_pilot:
-            w_cpus, w_gpus = config.worker_cpus, config.worker_gpus
-            if w_cpus is None or w_gpus is None:
-                needs_gpu = any(tk.gpus > 0 for tk in tasks)
-                w_cpus, w_gpus = (0, 1) if needs_gpu else (1, 0)
-            demands = deque(cm.TaskDescriptor(f"{prefix}.m{m:02d}", cpus=1, gpus=0)
-                            for m in range(config.n_masters))
-            demands.extend(cm.TaskDescriptor(f"{prefix}.w{w:04d}", cpus=w_cpus, gpus=w_gpus)
-                           for w in range(n_workers))
-            self.placements = engine.pilot.schedule(demands)
-            if demands:
-                raise DispatchError(
-                    f"pilot lacks capacity for {config.n_masters} masters + {n_workers} workers")
-            for pl in self.placements:
-                engine._occupy(pl, t)
+        self.placements = placements
+        for pl in placements:
+            engine._occupy(pl, t)
 
         self.workers: list[WorkerState] = []
         self.masters: list[Master] = []
@@ -351,11 +365,11 @@ class _Overlay:
             self.engine._task_ev(t, task, "running", self.pid, with_resources=True)
         self.engine.backend.run_function(self, worker, task, t)
 
-    def _complete(self, task, outcome: str, result: bytes, t: float):
+    def _complete(self, task, outcome: str, result, t: float):
         self.remaining -= 1
         self.engine._complete(self.pid, self.state, task, outcome, result, t)
 
-    def on_fn_done(self, worker: WorkerState, task, outcome: str, result: bytes,
+    def on_fn_done(self, worker: WorkerState, task, outcome: str, result,
                    t: float) -> bool:
         if self._done:
             return False
@@ -388,7 +402,7 @@ class _Overlay:
         if not master.workers:
             raise DispatchError(f"master {master.master_id} lost all workers")
         if task.task_id in self._redispatched:
-            self._complete(task, cm.FAILED, b"worker died twice", t)
+            self._complete(task, cm.FAILED, "worker died twice", t)
         else:
             self._redispatched.add(task.task_id)
             orphans.insert(0, task)
@@ -518,18 +532,18 @@ class _LocalBackend:
                 if self._stop.wait(_task_duration(task, self.engine.spec)):
                     return
             elif task.kind == "executable":
-                argv = json.loads(task.payload.decode() or "{}").get("argv")
+                argv = (task.payload or {}).get("argv")
                 if not argv:
-                    outcome, result = cm.FAILED, b"no argv"
+                    outcome, result = cm.FAILED, "no argv"
                 else:
                     proc = subprocess.run(argv, capture_output=True,
                                           timeout=self.engine.spec.resource.walltime_s)
                     outcome = cm.DONE if proc.returncode == 0 else cm.FAILED
-                    result = proc.stdout
+                    result = proc.stdout      # JSON bytes, decoded by campaign
             else:
-                outcome, result = cm.FAILED, b"function tasks need the overlay"
+                outcome, result = cm.FAILED, "function tasks need the overlay"
         except Exception as exc:  # pragma: no cover - defensive
-            outcome, result = cm.FAILED, str(exc).encode()
+            outcome, result = cm.FAILED, str(exc)
         self._queue.put((self.engine._finish, (task, outcome, result)))
 
     def run_function(self, overlay: _Overlay, worker: WorkerState, task, t: float):
@@ -544,7 +558,7 @@ class _LocalBackend:
             self._queue.put((overlay.on_death, (worker, task)))
             return
         except Exception as exc:
-            outcome, result = cm.FAILED, str(exc).encode()
+            outcome, result = cm.FAILED, str(exc)
         worker.busy_time_s += time.perf_counter() - start
         self._queue.put((overlay.on_fn_done, (worker, task, outcome, result)))
 

@@ -12,9 +12,8 @@ ML1 319674/1536 ligands/s/GPU.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -224,23 +223,7 @@ def synth_conformations(seed: int, ligand_id: str, true_score: float,
 
 
 # ---------------------------------------------------------------------------
-# stage materializers
-
-def _dump(doc) -> bytes:
-    return json.dumps(doc, separators=(",", ":")).encode()
-
-
-def _duration_from(params: dict) -> SampledDuration:
-    d = params["duration"]
-    return SampledDuration(d["stage_tag"], d["node_seconds"], d["nodes_per_task"],
-                           d["tail_kind"], tuple(d["tail_params"]))
-
-
-def _duration_dict(dur: SampledDuration, ligands: float = 1.0) -> dict:
-    return {"stage_tag": dur.stage_tag, "node_seconds": dur.node_seconds * ligands,
-            "nodes_per_task": dur.nodes_per_task, "tail_kind": dur.tail_kind,
-            "tail_params": list(dur.tail_params)}
-
+# stage materializers; payloads share the given items, which nobody mutates
 
 def _build_ligand_tasks(params: dict, items: list[dict]) -> list[TaskDescriptor]:
     tasks = []
@@ -252,8 +235,8 @@ def _build_ligand_tasks(params: dict, items: list[dict]) -> list[TaskDescriptor]
             cpus=int(params.get("cpus", 0)),
             gpus=int(params.get("gpus", 1)),
             nodes=1,
-            duration_model=_duration_from(params),
-            payload=_dump(item)))
+            duration_model=params["duration"],
+            payload=item))
     return tasks
 
 
@@ -270,31 +253,28 @@ def _build_cg_replica_tasks(params: dict, items: list[dict]) -> list[TaskDescrip
                 stage_tag=params["stage_tag"],
                 cpus=int(params.get("cpus", 0)), gpus=int(params.get("gpus", 1)),
                 nodes=1,
-                duration_model=_duration_from(params),
-                payload=_dump({"kind": "conformations", "items": confs})))
+                duration_model=params["duration"],
+                payload={"kind": "conformations", "items": confs}))
     return tasks
 
 
 def _build_gather_tasks(params: dict, items: list[dict]) -> list[TaskDescriptor]:
     n_ligands = len({it["ligand_id"] for it in items})
-    train_dur = _duration_from(params)
-    train_dur = SampledDuration(train_dur.stage_tag,
-                                train_dur.node_seconds * max(1, n_ligands),
-                                train_dur.nodes_per_task, train_dur.tail_kind,
-                                train_dur.tail_params)
+    dur = params["duration"]
+    train_dur = replace(dur, node_seconds=dur.node_seconds * max(1, n_ligands))
     agg = TaskDescriptor(
         task_id=f"{params['prefix']}.aggregate",
         kind="simulated", stage_tag=params["stage_tag"],
         cpus=int(params.get("agg_cpus", 4)), gpus=0, nodes=1,
         duration_model=SampledDuration(params["stage_tag"], 60.0, 1.0, "lognormal", (0.0,)),
-        payload=_dump({"kind": "conformation_set", "items": items}))
+        payload={"kind": "conformation_set", "items": items})
     train = TaskDescriptor(
         task_id=f"{params['prefix']}.train_proxy",
         kind=params.get("train_kind", "executable"), stage_tag=params["stage_tag"],
         cpus=int(params.get("train_cpus", 0)), gpus=int(params.get("train_gpus", 6)),
         nodes=int(params.get("train_nodes", 2)),
         duration_model=train_dur,
-        payload=_dump({"kind": "training_proxy", "items": []}))
+        payload={"kind": "training_proxy", "items": []})
     return [agg, train]
 
 
@@ -308,8 +288,8 @@ def _build_fg_replica_tasks(params: dict, items: list[dict]) -> list[TaskDescrip
                 stage_tag=params["stage_tag"],
                 cpus=int(params.get("cpus", 0)), gpus=int(params.get("gpus", 1)),
                 nodes=1,
-                duration_model=_duration_from(params),
-                payload=_dump({"kind": "fg_replica", "conformation": item, "replica": r})))
+                duration_model=params["duration"],
+                payload={"kind": "fg_replica", "conformation": item, "replica": r}))
     return tasks
 
 
@@ -351,12 +331,12 @@ def build_funnel_campaign(funnel: FunnelConfig,
     pred = surrogate_scores(true, funnel.noise_sigma, seed)
     # ML1's duration covers scoring the whole library; its payload holds
     # only the s1_count() ligands it passes on, best predicted score first.
-    ml1_payload = _dump({
+    ml1_payload = {
         "kind": "scored_library",
         "items": [{"ligand_id": ligand_id(i), "true_score": float(true[i]),
                    "predicted_score": float(pred[i])}
                   for i in select_top_fraction(pred, funnel.s1_fraction).tolist()],
-    })
+    }
     ml1_task = TaskDescriptor(
         task_id=f"{pipeline_id}.ML1.000000", kind="simulated", stage_tag="ML1",
         cpus=0, gpus=min(1, resource.gpus_per_node) or 0,
@@ -382,14 +362,14 @@ def build_funnel_campaign(funnel: FunnelConfig,
                   materialize=MaterializeSpec("ligand_tasks", {
                       "prefix": f"{pipeline_id}.S1", "stage_tag": "S1",
                       "kind": overlay_stage_kind, **one_gpu,
-                      "duration": _duration_dict(resolve_duration("S1", cost_model))})),
+                      "duration": resolve_duration("S1", cost_model)})),
         StageSpec("S3CG", [],
                   post_hook=HookSpec("identity"),
                   materialize=MaterializeSpec("cg_replica_tasks", {
                       "prefix": f"{pipeline_id}.S3CG", "stage_tag": "S3CG",
                       "replicas": CG_REPLICAS, "frames": funnel.frames_per_replica,
                       "seed": seed, **one_gpu,
-                      "duration": _duration_dict(resolve_duration("S3CG", cost_model))})),
+                      "duration": resolve_duration("S3CG", cost_model)})),
         StageSpec("S2", [],
                   post_hook=HookSpec("lof_outliers", {
                       "top_binders": funnel.top_binders,
@@ -401,12 +381,12 @@ def build_funnel_campaign(funnel: FunnelConfig,
                       "train_cpus": train_cpus,
                       "train_kind": "simulated" if resource.backend == "local" else "executable",
                       "agg_cpus": max(1, min(4, resource.cpus_per_node)),
-                      "duration": _duration_dict(resolve_duration("S2", cost_model))})),
+                      "duration": resolve_duration("S2", cost_model)})),
         StageSpec("S3FG", [],
                   materialize=MaterializeSpec("fg_replica_tasks", {
                       "prefix": f"{pipeline_id}.S3FG", "stage_tag": "S3FG",
                       "replicas": FG_REPLICAS, **one_gpu,
-                      "duration": _duration_dict(resolve_duration("S3FG", cost_model))})),
+                      "duration": resolve_duration("S3FG", cost_model)})),
     ]
     pipeline = PipelineSpec(pipeline_id, stages)
     return CampaignSpec(pipelines=[pipeline], resource=resource, seed=seed,
@@ -486,11 +466,11 @@ def register_function(name: str, fn) -> None:
     FUNCTIONS[name] = fn
 
 
-def call_function(payload: bytes) -> bytes:
+def call_function(payload: dict | None):
     """Run the registered function that a function task's payload
-    ``{"fn": name, "kwargs": {...}}`` names; returns its JSON result."""
-    doc = json.loads(payload.decode() or "{}")
-    fn = FUNCTIONS.get(doc.get("fn", ""))
+    ``{"fn": name, "kwargs": {...}}`` names; returns the function's value."""
+    payload = payload or {}
+    fn = FUNCTIONS.get(payload.get("fn", ""))
     if fn is None:
-        raise KeyError(f"unknown function {doc.get('fn')!r}")
-    return json.dumps(fn(**doc.get("kwargs", {}))).encode()
+        raise KeyError(f"unknown function {payload.get('fn')!r}")
+    return fn(**payload.get("kwargs", {}))

@@ -5,8 +5,8 @@ import pytest
 
 from funnelsim.campaign import (CampaignSpec, FixedDuration, HookSpec,
                                 MaterializeSpec, PipelineSpec, PipelineState,
-                                StageSpec, TaskDescriptor, apply_post_hook,
-                                replay_trace, validate_campaign)
+                                SampledDuration, StageSpec, TaskDescriptor,
+                                apply_post_hook, replay_trace, validate_campaign)
 from funnelsim.errors import OrderingError, StateError
 from funnelsim.pilot import PilotSpec
 
@@ -150,16 +150,14 @@ class TestOnTaskComplete:
         scores = rng.standard_normal(1000)
         tasks = []
         for i, s in enumerate(scores):
-            payload = json.dumps({"ligand_id": f"L{i:04d}", "predicted_score": float(s)}).encode()
+            payload = {"ligand_id": f"L{i:04d}", "predicted_score": float(s)}
             tasks.append(task(f"t{i:04d}", payload=payload))
         spec = PipelineSpec("p", [
             StageSpec("s0", tasks,
                       post_hook=HookSpec("select_top_fraction", {"fraction": 0.01})),
             StageSpec("s1", [], materialize=MaterializeSpec("ligand_tasks", {
                 "prefix": "p.s1", "stage_tag": "S1", "cpus": 1, "gpus": 0,
-                "duration": {"stage_tag": "S1", "node_seconds": 1.0,
-                             "nodes_per_task": 1.0, "tail_kind": "lognormal",
-                             "tail_params": [0.0]}})),
+                "duration": SampledDuration("S1", 1.0, 1.0, "lognormal", (0.0,))})),
         ])
         state = PipelineState(spec)
         last = None

@@ -284,7 +284,7 @@ class TestLocalOverlayFunctions:
         register_function("kill_once_test", kill_once)
 
         def payload(fn, **kwargs):
-            return json.dumps({"fn": fn, "kwargs": kwargs}).encode()
+            return {"fn": fn, "kwargs": kwargs}
 
         tasks = [TaskDescriptor(f"f{i}", kind="function", cpus=1,
                                 duration_model=FixedDuration(0.0),

@@ -2,6 +2,7 @@
 the local backend, and specs that a run leaves as they were."""
 import copy
 import json
+import sys
 
 import pytest
 from funnelsim.campaign import (CampaignSpec, FixedDuration, HookSpec,
@@ -105,7 +106,7 @@ class TestFailurePaths:
                       post_hook=HookSpec("select_top_k", {"k": 1})),
             StageSpec("s1", [task("bad.t1")]),
         ])
-        # payload b"" parses to zero items -> select_top_k returns [] ->
+        # payload None gives zero items -> select_top_k returns [] ->
         # next stage payload mismatch -> pipeline failed
         good = PipelineSpec("good", [StageSpec("s0", [task("good.t0", dur=3.0)])])
         spec = CampaignSpec([bad, good], pilot(), seed=0)
@@ -169,6 +170,24 @@ class TestOverlayStage:
                                                     bulk_size=4))
         assert all(s["status"] == "done" for s in r.final_states.values())
 
+    @pytest.mark.parametrize("a_cpus", [4, 2])
+    def test_overlay_waits_for_capacity(self, a_cpus):
+        # Task a.t0 holds all or half of the pilot until t=10; the overlay
+        # (3 cpus) waits for it instead of failing, holding no slots while
+        # it waits, then runs 4 x 1 s on 2 workers.
+        fn_tasks = [TaskDescriptor(f"b.t{i}", kind="function", cpus=1,
+                                   duration_model=FixedDuration(1.0))
+                    for i in range(4)]
+        spec = CampaignSpec(
+            [PipelineSpec("a", [StageSpec("s", [task("a.t0", dur=10.0, cpus=a_cpus)])]),
+             PipelineSpec("b", [StageSpec("s", fn_tasks)])],
+            pilot(nodes=1, cpus_per_node=4), seed=0)
+        r = run_campaign(spec, overlay=MasterConfig(n_masters=1, workers_per_master=2,
+                                                    bulk_size=2))
+        assert {pid: s["status"] for pid, s in r.final_states.items()} == \
+            {"a": "done", "b": "done"}
+        assert r.makespan == 12.0
+
 
 class TestSummaryShapes:
     def test_completion_stream_time_ordered(self):
@@ -187,9 +206,8 @@ class TestSummaryShapes:
 
 
 def sleep_fn(tid):
-    payload = json.dumps({"fn": "sleep_ms", "kwargs": {"ms": 1.0}}).encode()
-    return TaskDescriptor(tid, kind="function", cpus=1,
-                          duration_model=FixedDuration(0.0), payload=payload)
+    return TaskDescriptor(tid, kind="function", cpus=1, duration_model=FixedDuration(0.0),
+                          payload={"fn": "sleep_ms", "kwargs": {"ms": 1.0}})
 
 
 def local_pilot():
@@ -213,6 +231,19 @@ class TestLocalBackend:
         assert {pid: s["status"] for pid, s in r.final_states.items()} == \
             {p.pipeline_id: "done" for p in pipes}
 
+    def test_executable_stdout_feeds_the_next_stage(self):
+        # An executable's stdout is the one output that arrives as JSON bytes.
+        items = [{"id": f"x{i}", "true_score": float(-i)} for i in range(4)]
+        exe = TaskDescriptor("exe", kind="executable", cpus=1, payload={
+            "argv": [sys.executable, "-c", f"print({json.dumps({'items': items})!r})"]})
+        spec = CampaignSpec([PipelineSpec("p", [
+            StageSpec("s0", [exe], post_hook=HookSpec("select_top_k", {"k": 2})),
+            StageSpec("s1", [task("b0", dur=0.0), task("b1", dur=0.0)]),
+        ])], pilot(nodes=1, cpus_per_node=1, walltime_s=30.0, backend="local"), mode="local")
+        engine = Engine(spec)
+        assert engine.run().final_states["p"]["status"] == "done"
+        assert [t.payload for t in engine.states["p"].stage_tasks[1]] == [items[3], items[2]]
+
     def test_function_tasks_without_overlay_config_rejected(self):
         spec = CampaignSpec([PipelineSpec("p", [StageSpec("s", [sleep_fn("f")])])],
                             local_pilot(), mode="local")
@@ -222,7 +253,7 @@ class TestLocalBackend:
 
 def top_k_into_fixed_stage():
     items = [{"id": f"x{i}", "true_score": float(-i)} for i in range(4)]
-    first = [task(f"a{i}", payload=json.dumps(item).encode()) for i, item in enumerate(items)]
+    first = [task(f"a{i}", payload=item) for i, item in enumerate(items)]
     return CampaignSpec([PipelineSpec("p", [
         StageSpec("s0", first, post_hook=HookSpec("select_top_k", {"k": 2})),
         StageSpec("s1", [task("b0"), task("b1")]),
@@ -248,4 +279,4 @@ class TestSpecImmutability:
             traces.append((tmp_path / f"trace{i}.jsonl").read_bytes())
         assert spec == snapshot
         assert traces[0] == traces[1]
-        assert all(t.payload == b"" for t in spec.pipelines[0].stages[1].tasks)
+        assert all(t.payload is None for t in spec.pipelines[0].stages[1].tasks)

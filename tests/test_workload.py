@@ -1,5 +1,4 @@
 """Library generation, surrogate noise, duration models, and funnel wiring."""
-import json
 
 import numpy as np
 import pytest
@@ -185,7 +184,7 @@ class TestFunnel:
         pred = surrogate_scores(true, funnel.noise_sigma, funnel.seed)
         best = sorted(range(funnel.library_size),
                       key=lambda i: (pred[i], ligand_id(i)))[:funnel.s1_count()]
-        items = json.loads(ml1.tasks[0].payload)["items"]
+        items = ml1.tasks[0].payload["items"]
         assert items == [{"ligand_id": ligand_id(i), "true_score": float(true[i]),
                           "predicted_score": float(pred[i])} for i in best]
 
