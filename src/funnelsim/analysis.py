@@ -186,8 +186,7 @@ def lof(points, k_neighbors: int) -> np.ndarray:
     idx = np.arange(n)
     for i in range(n):
         row = dist[i]
-        others = np.sort(row[idx != i])
-        distinct = np.unique(others)
+        distinct = np.unique(row[idx != i])
         k_dist[i] = distinct[k_neighbors - 1] if len(distinct) >= k_neighbors else distinct[-1]
         nb = idx[(idx != i) & (row <= k_dist[i] + 0.0)]
         neighborhoods.append(nb)

@@ -222,8 +222,12 @@ def cmd_simulate(args) -> int:
         print(f"refusing to overwrite {trace_path} (use --force)", file=sys.stderr)
         return 2
     sink = TraceSink()
-    result = run_campaign(spec, overlay=overlay, sink=sink)
-    sink.save(trace_path)
+    try:
+        result = run_campaign(spec, overlay=overlay, sink=sink)
+    finally:
+        # A run that raises still leaves the events recorded so far.  The
+        # sink raises before it keeps an illegal event, so they are legal.
+        sink.save(trace_path)
     summary = write_summary(result, sink, out_dir, args.bucket_width)
     if not args.quiet:
         print(f"makespan_s: {summary['makespan_s']:.6g}")

@@ -14,7 +14,9 @@ the engine thread, and workers only post notices to a queue.
 from __future__ import annotations
 
 import heapq
+import os
 import queue as queue_mod
+import signal
 import subprocess
 import threading
 import time
@@ -499,7 +501,11 @@ class _LocalBackend:
     """Wall clock and a notification queue.  Simulated-kind tasks sleep
     for their sampled duration, executables run as subprocesses, and
     function tasks run on overlay worker threads.  Times in the trace are
-    wall-clock seconds since pilot acquisition."""
+    wall-clock seconds since pilot acquisition.
+
+    Each executable runs in its own process group.  When the loop ends,
+    at walltime or otherwise, the groups still live are killed and
+    reaped, so no executable outlives the run."""
 
     overlay_on_pilot = False
 
@@ -512,6 +518,8 @@ class _LocalBackend:
         self.engine = engine
         self._queue: queue_mod.Queue = queue_mod.Queue()
         self._stop = threading.Event()
+        self._procs: set[subprocess.Popen] = set()
+        self._procs_lock = threading.Lock()
         self._t0 = time.perf_counter()
 
     def now(self) -> float:
@@ -536,15 +544,36 @@ class _LocalBackend:
                 if not argv:
                     outcome, result = cm.FAILED, "no argv"
                 else:
-                    proc = subprocess.run(argv, capture_output=True,
-                                          timeout=self.engine.spec.resource.walltime_s)
-                    outcome = cm.DONE if proc.returncode == 0 else cm.FAILED
-                    result = proc.stdout      # JSON bytes, decoded by campaign
+                    ended = self._execute(argv)
+                    if ended is None:
+                        return
+                    outcome, result = ended   # stdout: JSON bytes, decoded by campaign
             else:
                 outcome, result = cm.FAILED, "function tasks need the overlay"
         except Exception as exc:  # pragma: no cover - defensive
             outcome, result = cm.FAILED, str(exc)
         self._queue.put((self.engine._finish, (task, outcome, result)))
+
+    def _execute(self, argv) -> tuple[str, bytes] | None:
+        """Run an executable until it exits: its outcome and stdout.  None
+        if the walltime or the run ends first; the engine then cancels it."""
+        with self._procs_lock:
+            if self._stop.is_set():
+                return None
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                    start_new_session=True)
+            self._procs.add(proc)
+        try:
+            remaining = self.engine.spec.resource.walltime_s - self.now()
+            stdout, _ = proc.communicate(timeout=max(remaining, 0.0))
+        except subprocess.TimeoutExpired:
+            _kill_group(proc)
+            proc.communicate()
+            return None
+        finally:
+            with self._procs_lock:
+                self._procs.discard(proc)
+        return (cm.DONE if proc.returncode == 0 else cm.FAILED), stdout
 
     def run_function(self, overlay: _Overlay, worker: WorkerState, task, t: float):
         # A worker runs one task at a time, so each call gets its own thread.
@@ -578,7 +607,19 @@ class _LocalBackend:
                 handler(*args, self.now())
                 engine._schedule_round(self.now())
         finally:
-            self._stop.set()
+            with self._procs_lock:
+                self._stop.set()
+                live = list(self._procs)
+            for proc in live:
+                _kill_group(proc)
+                proc.wait()
+
+
+def _kill_group(proc: subprocess.Popen):
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
 
 
 # ---------------------------------------------------------------------------

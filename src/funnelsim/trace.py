@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Optional
 
 from .errors import InputError, TraceError
@@ -64,6 +67,12 @@ LEGAL_GRAPHS = {
 
 TERMINAL_TASK_STATES = {"done", "failed", "canceled"}
 
+# Every legal (entity, previous transition, next transition), so that
+# recording an event checks legality with one set lookup.
+_LEGAL_STEPS = frozenset((entity, prev, nxt) for entity, graph in LEGAL_GRAPHS.items()
+                         for prev, nexts in graph.items() for nxt in nexts)
+_NEVER_SEEN = (-math.inf, None)
+
 
 @dataclass(slots=True)
 class TraceEvent:
@@ -78,19 +87,73 @@ class TraceEvent:
     pipeline: Optional[str] = None
 
     def to_json(self) -> str:
-        rec = {"t": self.t, "entity": self.entity, "id": self.entity_id,
-               "transition": self.transition}
-        if self.nodes is not None:
-            rec["nodes"] = self.nodes
-        if self.cpus is not None:
-            rec["cpus"] = self.cpus
-        if self.gpus is not None:
-            rec["gpus"] = self.gpus
-        if self.stage is not None:
-            rec["stage"] = self.stage
-        if self.pipeline is not None:
-            rec["pipeline"] = self.pipeline
-        return json.dumps(rec, separators=(",", ":"))
+        """The event's line in ``trace.jsonl``, without the newline: the
+        text of ``json.dumps`` with compact separators, keys in field order
+        and the optional keys that are None left out."""
+        return _encode(self, _QuotedStrings())
+
+
+# -- encoding ---------------------------------------------------------------
+#
+# The fast forms below are what json.dumps itself emits: ``repr`` of a
+# finite float or of an exact int, and json's own ASCII string quoting.
+# Any other value (a bool, a numpy scalar, a non-finite float, an int
+# time) goes through json.dumps.
+
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+_SAVE_BATCH = 4096      # lines per write in TraceSink.save
+
+
+class _QuotedStrings(dict):
+    """Maps a trace string to its JSON form, computing each one once."""
+
+    def __missing__(self, value):
+        if not isinstance(value, str):
+            return _dumps(value)
+        quoted = self[value] = _json_str(value)
+        return quoted
+
+
+def _encode(ev: TraceEvent, quoted: _QuotedStrings) -> str:
+    t, eid = ev.t, ev.entity_id
+    # t - t is 0.0 only when t is finite.
+    line = (f'{{"t":{repr(t) if type(t) is float and t - t == 0.0 else _dumps(t)},'
+            f'"entity":{quoted[ev.entity]},'
+            f'"id":{_json_str(eid) if isinstance(eid, str) else _dumps(eid)},'
+            f'"transition":{quoted[ev.transition]}')
+    n = ev.nodes
+    if n is not None:
+        line += f',"nodes":{repr(n) if type(n) is int else _dumps(n)}'
+    n = ev.cpus
+    if n is not None:
+        line += f',"cpus":{repr(n) if type(n) is int else _dumps(n)}'
+    n = ev.gpus
+    if n is not None:
+        line += f',"gpus":{repr(n) if type(n) is int else _dumps(n)}'
+    if ev.stage is not None:
+        line += f',"stage":{quoted[ev.stage]}'
+    if ev.pipeline is not None:
+        line += f',"pipeline":{quoted[ev.pipeline]}'
+    return line + "}"
+
+
+# -- decoding ---------------------------------------------------------------
+#
+# A line in the canonical form ``_encode`` writes is parsed by one regular
+# expression.  Its numbers follow JSON's grammar, a time always has a
+# fraction or an exponent (as ``repr`` of a float does) and a count is an
+# int of at most 18 digits, so ``float`` and ``int`` of the matched text
+# give what json.loads gives.  Its strings are printable ASCII without
+# ``"`` or ``\``, which JSON reads literally.  Every other line goes
+# through json.loads in ``event_from_json``.
+
+_STR = r'"([ !#-\[\]-~]*)"'
+_INT = r'(-?(?:0|[1-9][0-9]{0,17}))'
+_TIME = r'(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))'
+CANONICAL_LINE = re.compile(
+    rf'\{{"t":{_TIME},"entity":{_STR},"id":{_STR},"transition":{_STR}'
+    rf'(?:,"nodes":{_INT})?(?:,"cpus":{_INT})?(?:,"gpus":{_INT})?'
+    rf'(?:,"stage":{_STR})?(?:,"pipeline":{_STR})?\}}\n?')
 
 
 def event_from_json(line: str, lineno: int | None = None) -> TraceEvent:
@@ -127,19 +190,16 @@ class TraceSink:
         return iter(self.events)
 
     def record(self, event: TraceEvent) -> None:
-        graph = LEGAL_GRAPHS.get(event.entity)
-        if graph is None:
+        key = (event.entity, event.entity_id)
+        prev_t, prev_tr = self._last.get(key, _NEVER_SEEN)
+        if (event.entity, prev_tr, event.transition) in _LEGAL_STEPS and not event.t < prev_t:
+            self._last[key] = (event.t, event.transition)
+        elif event.entity not in LEGAL_GRAPHS:
             self._illegal(event, f"unknown entity kind {event.entity!r}")
+        elif event.t < prev_t:
+            self._illegal(event, f"event at t={event.t} before t={prev_t}")
         else:
-            key = (event.entity, event.entity_id)
-            prev = self._last.get(key)
-            prev_t, prev_tr = prev if prev else (-math.inf, None)
-            if event.t < prev_t:
-                self._illegal(event, f"event at t={event.t} before t={prev_t}")
-            elif event.transition not in graph.get(prev_tr, set()):
-                self._illegal(event, f"illegal transition {prev_tr} -> {event.transition}")
-            else:
-                self._last[key] = (event.t, event.transition)
+            self._illegal(event, f"illegal transition {prev_tr} -> {event.transition}")
         self.events.append(event)
 
     def _illegal(self, event: TraceEvent, why: str) -> None:
@@ -148,20 +208,41 @@ class TraceSink:
         self.flagged.append(event)
 
     def save(self, path) -> None:
+        """Write one line per event.  Lines go out in batches, so the
+        file's text is never held in memory whole."""
+        quoted = _QuotedStrings()
+        events = self.events
         with open(path, "w", encoding="utf-8") as fh:
-            for ev in self.events:
-                fh.write(ev.to_json())
-                fh.write("\n")
+            for i in range(0, len(events), _SAVE_BATCH):
+                fh.writelines([_encode(ev, quoted) + "\n"
+                               for ev in events[i:i + _SAVE_BATCH]])
 
 
 def load_trace(path) -> list[TraceEvent]:
+    """Read a trace written by ``TraceSink.save``, or any file with one
+    JSON object per line; blank lines are skipped.  Entity kinds,
+    transitions, stages and pipelines are interned, so a loaded trace
+    shares one copy of each."""
     events = []
+    append = events.append
+    match = CANONICAL_LINE.fullmatch
+    intern = sys.intern
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            m = match(line)
+            if m is None:
+                line = line.strip()
+                if line:
+                    append(event_from_json(line, lineno))
                 continue
-            events.append(event_from_json(line, lineno))
+            t, entity, eid, transition, nodes, cpus, gpus, stage, pipeline = m.groups()
+            append(TraceEvent(
+                float(t), intern(entity), eid, intern(transition),
+                None if nodes is None else int(nodes),
+                None if cpus is None else int(cpus),
+                None if gpus is None else int(gpus),
+                None if stage is None else intern(stage),
+                None if pipeline is None else intern(pipeline)))
     return events
 
 
@@ -208,9 +289,18 @@ def _pilot_totals(trace: list[TraceEvent]) -> int:
 
 
 def _span(trace: list[TraceEvent]) -> tuple[float, float]:
+    """(min, max) of the event times, with the comparisons min() and
+    max() make, in one pass."""
     if not trace:
         return 0.0, 0.0
-    return min(ev.t for ev in trace), max(ev.t for ev in trace)
+    lo = hi = trace[0].t
+    for ev in trace:
+        t = ev.t
+        if t < lo:
+            lo = t
+        if t > hi:
+            hi = t
+    return lo, hi
 
 
 def _node_busy_intervals(trace: list[TraceEvent], t_end: float):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from funnelsim.cli import main
+from funnelsim.engine import Engine
+from funnelsim.trace import load_trace
 
 
 def write_config(path, **overrides):
@@ -70,6 +72,26 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
         assert main(["simulate", "--config", str(cfg), "--out", str(out),
                      "--quiet", "--force"]) == 0
+
+    def test_failed_run_leaves_loadable_partial_trace(self, tmp_path, monkeypatch, capsys):
+        # The fifth task to finish records an illegal done -> running step.
+        before_fault = []
+        real_finish = Engine._finish
+
+        def finish_then_fault(self, task, outcome, result, t):
+            applied = real_finish(self, task, outcome, result, t)
+            if len(self.completions) == 5 and not before_fault:
+                before_fault.extend(self.sink.events)
+                self._task_ev(t, task, "running", self._pid_of[task.task_id])
+            return applied
+
+        monkeypatch.setattr(Engine, "_finish", finish_then_fault)
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert "illegal transition done -> running" in capsys.readouterr().err
+        assert len(before_fault) > 5
+        assert load_trace(out / "trace.jsonl") == before_fault
 
     def test_invalid_funnel_lists_violation(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json",

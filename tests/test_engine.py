@@ -2,7 +2,9 @@
 the local backend, and specs that a run leaves as they were."""
 import copy
 import json
+import os
 import sys
+import time
 
 import pytest
 from funnelsim.campaign import (CampaignSpec, FixedDuration, HookSpec,
@@ -243,6 +245,26 @@ class TestLocalBackend:
         engine = Engine(spec)
         assert engine.run().final_states["p"]["status"] == "done"
         assert [t.payload for t in engine.states["p"].stage_tasks[1]] == [items[3], items[2]]
+
+    def test_executable_killed_at_walltime(self, tmp_path):
+        # The executable starts at t=0.5 s and would sleep for 30 s; the
+        # 1.5 s walltime must kill it and reap it before run_campaign returns.
+        pid_file = tmp_path / "pid"
+        exe = TaskDescriptor("exe", kind="executable", cpus=1, payload={"argv": [
+            sys.executable, "-c",
+            "import os, sys, time; open(sys.argv[1], 'w').write(str(os.getpid())); "
+            "time.sleep(30)", str(pid_file)]})
+        spec = CampaignSpec([PipelineSpec("p", [
+            StageSpec("s0", [task("a", dur=0.5)]),
+            StageSpec("s1", [exe]),
+        ])], pilot(nodes=1, cpus_per_node=1, walltime_s=1.5, backend="local"), mode="local")
+        start = time.perf_counter()
+        r = run_campaign(spec)
+        assert time.perf_counter() - start < 5.0
+        assert r.walltime_hit
+        assert r.final_states["p"]["status"] == "canceled"
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid_file.read_text()), 0)
 
     def test_function_tasks_without_overlay_config_rejected(self):
         spec = CampaignSpec([PipelineSpec("p", [StageSpec("s", [sleep_fn("f")])])],

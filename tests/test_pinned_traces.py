@@ -11,6 +11,7 @@ import pytest
 
 from funnelsim.engine import run_campaign
 from funnelsim.overlay import MasterConfig
+from funnelsim.trace import CANONICAL_LINE
 from funnelsim.workload import FunnelConfig, build_funnel_campaign
 
 from test_properties import random_campaign
@@ -31,14 +32,29 @@ def trace_sha256(result, tmp_path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_overlay_funnel_trace_pinned(tmp_path):
+def run_overlay_funnel():
     # The funnel of test_engine.TestOverlayStage: 3,257 events.
     spec = build_funnel_campaign(FunnelConfig(library_size=5000, cg_count=20, seed=3),
                                  overlay_stage_kind="function")
-    r = run_campaign(spec, overlay=MasterConfig(n_masters=2, workers_per_master=12,
-                                                bulk_size=16))
+    return run_campaign(spec, overlay=MasterConfig(n_masters=2, workers_per_master=12,
+                                                   bulk_size=16))
+
+
+def test_overlay_funnel_trace_pinned(tmp_path):
+    r = run_overlay_funnel()
     assert len(r.sink.events) == 3257
     assert trace_sha256(r, tmp_path) == OVERLAY_FUNNEL_SHA256
+
+
+def test_saved_lines_take_the_loader_fast_path(tmp_path):
+    # load_trace parses a line that misses CANONICAL_LINE with json.loads,
+    # which is correct but slower; a format change must not make that the
+    # common case unnoticed.
+    path = tmp_path / "trace.jsonl"
+    run_overlay_funnel().sink.save(path)
+    with open(path, encoding="utf-8") as fh:
+        missed = [line for line in fh if not CANONICAL_LINE.fullmatch(line)]
+    assert missed == []
 
 
 @pytest.mark.parametrize("trial", range(5))

@@ -1,14 +1,17 @@
 """Trace recording, legality, persistence, and the derived metrics."""
+import json
+import math
+
 import numpy as np
 import pytest
 
 from funnelsim.campaign import FixedDuration, TaskDescriptor
 from funnelsim.engine import run_executor
-from funnelsim.errors import TraceError
+from funnelsim.errors import InputError, TraceError
 from funnelsim.pilot import PilotSpec
-from funnelsim.trace import (TraceEvent, TraceSink, busy_node_seconds,
-                             load_trace, merge_traces, overhead,
-                             stage_throughput, utilization)
+from funnelsim.trace import (LEGAL_GRAPHS, TraceEvent, TraceSink,
+                             busy_node_seconds, load_trace, merge_traces,
+                             overhead, stage_throughput, utilization)
 
 
 def ev(t, entity, eid, transition, **kw):
@@ -215,3 +218,236 @@ class TestJsonlFormat:
         import json
         doc = json.loads(ev(0.0, "pilot", "p", "released").to_json())
         assert set(doc) == {"t", "entity", "id", "transition"}
+
+
+# ---------------------------------------------------------------------------
+# The codec and the legality check against straightforward references: the
+# dict-and-json.dumps encoder, the per-line json.loads loader and the
+# graph-walking record that the trace module used before its fast paths.
+
+def reference_to_json(e):
+    rec = {"t": e.t, "entity": e.entity, "id": e.entity_id, "transition": e.transition}
+    for key in ("nodes", "cpus", "gpus", "stage", "pipeline"):
+        if getattr(e, key) is not None:
+            rec[key] = getattr(e, key)
+    return json.dumps(rec, separators=(",", ":"))
+
+
+def reference_load(path):
+    events = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                events.append(TraceEvent(
+                    t=float(rec["t"]), entity=str(rec["entity"]),
+                    entity_id=str(rec["id"]), transition=str(rec["transition"]),
+                    nodes=rec.get("nodes"), cpus=rec.get("cpus"), gpus=rec.get("gpus"),
+                    stage=rec.get("stage"), pipeline=rec.get("pipeline")))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise InputError(f"bad trace line {lineno}: {exc}", line=lineno) from exc
+    return events
+
+
+class ReferenceSink:
+    """Legality as a walk of LEGAL_GRAPHS; ``record`` returns the message
+    of an illegal event, or None."""
+
+    def __init__(self):
+        self._last = {}
+
+    def record(self, e):
+        graph = LEGAL_GRAPHS.get(e.entity)
+        if graph is None:
+            return f"{e.entity} {e.entity_id}: unknown entity kind {e.entity!r}"
+        key = (e.entity, e.entity_id)
+        prev = self._last.get(key)
+        prev_t, prev_tr = prev if prev else (-math.inf, None)
+        if e.t < prev_t:
+            return f"{e.entity} {e.entity_id}: event at t={e.t} before t={prev_t}"
+        if e.transition not in graph.get(prev_tr, set()):
+            return f"{e.entity} {e.entity_id}: illegal transition {prev_tr} -> {e.transition}"
+        self._last[key] = (e.t, e.transition)
+        return None
+
+
+ODD_STRINGS = ["", "plain", 'quo"te', "back\\slash", "tab\there", "nl\nx", "\x00\x1f\x7f",
+               "café", " sep", "astral \U0001F600", "\ud800", "/slash", "sp ace"]
+ODD_TIMES = [0.0, -0.0, 1e-300, 1e300, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3,
+             123456789.125, -2.5, math.inf, -math.inf, math.nan]
+ODD_COUNTS = [0, 1, 42, -3, 10**20, True, False, np.int64(3), np.int32(7)]
+NOT_STRINGS = [1, True, 1.0, 0, False, None]    # 1 == True == 1.0 as dict keys
+
+
+def random_event(rng):
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    def text():
+        r = rng.random()
+        if r < 0.03:
+            return pick(NOT_STRINGS)
+        return pick(ODD_STRINGS) if r < 0.3 else f"x{int(rng.integers(1000))}"
+
+    r = rng.random()
+    if r < 0.4:
+        t = pick(ODD_TIMES)
+    elif r < 0.5:
+        t = int(rng.integers(-5, 10**6))        # an int time goes through json.dumps
+    elif r < 0.55:
+        t = np.float64(rng.random())
+    else:
+        t = float(rng.random() * 10.0 ** int(rng.integers(-8, 12)))
+    opt = {}
+    for key in ("nodes", "cpus", "gpus"):
+        if rng.random() < 0.5:
+            opt[key] = pick(ODD_COUNTS) if rng.random() < 0.2 else int(rng.integers(64))
+    for key in ("stage", "pipeline"):
+        if rng.random() < 0.5:
+            opt[key] = text()
+    entity = pick(list(LEGAL_GRAPHS)) if rng.random() < 0.8 else text()
+    return TraceEvent(t, entity, text(), text(), **opt)
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+def loaded(fn, path):
+    got = outcome(fn, path)
+    # repr tells -0.0 from 0.0 and 1 from 1.0, and makes NaN equal to NaN.
+    return ("ok", [repr(e) for e in got[1]]) if got[0] == "ok" else got
+
+
+def random_events(n):
+    """Random events that the reference encoder accepts (numpy ints are
+    not JSON, so events that carry one are left out)."""
+    rng = np.random.default_rng(11)
+    events = [random_event(rng) for _ in range(n)]
+    return [e for e in events if outcome(reference_to_json, e)[0] == "ok"]
+
+
+class TestCodec:
+    def test_encoder_matches_json_dumps(self):
+        rng = np.random.default_rng(7)
+        for _ in range(4000):
+            e = random_event(rng)
+            assert outcome(e.to_json) == outcome(reference_to_json, e), repr(e)
+
+    def test_save_and_load_match_the_references(self, tmp_path):
+        # save shares one cache of quoted strings across all its events.
+        sink = TraceSink()
+        sink.events = random_events(3000)
+        path = tmp_path / "t.jsonl"
+        sink.save(path)
+        assert path.read_text(encoding="utf-8") == \
+            "".join(reference_to_json(e) + "\n" for e in sink.events)
+        assert loaded(load_trace, path) == loaded(reference_load, path)
+
+    @pytest.mark.parametrize("variant", [
+        "{canon}", " {canon}", "{canon}  ", "{canon}\r{canon}", "\t{canon}\t", "{canon}\r", "{canon}\r\r", "",
+        "   ", "\f", "{reordered}", "{canon_spaced}",
+        '{{"t":1,"entity":"task","id":"a","transition":"pending"}}',
+        '{{"t":-0,"entity":"task","id":"a","transition":"pending"}}',
+        '{{"t":01,"entity":"task","id":"a","transition":"pending"}}',
+        '{{"t":1.,"entity":"task","id":"a","transition":"pending"}}',
+        '{{"t":.5,"entity":"task","id":"a","transition":"pending"}}',
+        '{{"t":+1.5,"entity":"task","id":"a","transition":"pending"}}',
+        '{{"t":1e400,"entity":"task","id":"a","transition":"pending"}}',
+        '{{"t":1' + "0" * 400 + ',"entity":"task","id":"a","transition":"pending"}}',
+        '{{"t":1E+2,"entity":"task","id":"a","transition":"pending"}}',
+        '{{"t":"1.5","entity":"task","id":"a","transition":"pending"}}',
+        '{{"t":true,"entity":"task","id":"a","transition":"pending"}}',
+        '{{"t":NaN,"entity":"task","id":"a","transition":"pending"}}',
+        '{{"t":Infinity,"entity":"task","id":"a","transition":"pending"}}',
+        '{{"t":1.0,"entity":"task","id":"a","transition":"pending","nodes":1.0}}',
+        '{{"t":1.0,"entity":"task","id":"a","transition":"pending","nodes":01}}',
+        '{{"t":1.0,"entity":"task","id":"a","transition":"pending","nodes":-0}}',
+        '{{"t":1.0,"entity":"task","id":"a","transition":"pending","nodes":' + "9" * 30 + "}}",
+        '{{"t":1.0,"entity":"task","id":"a","transition":"pending","nodes":' + "9" * 5000 + "}}",
+        '{{"t":1.0,"entity":"task","id":"a","transition":"pending","nodes":null}}',
+        '{{"t":1.0,"entity":"task","id":"a","transition":"pending","stage":""}}',
+        '{{"t":1.0,"entity":"task","id":"a","transition":"pending","stage":7}}',
+        '{{"t":1.0,"entity":"task","id":"a","transition":"pending","extra":1}}',
+        '{{"t":1.0,"entity":"task","id":"a","transition":"pending","t":2.0}}',
+        '{{"t":1.0,"entity":"task","id":"a\\u00e9","transition":"pending"}}',
+        '{{"t":1.0,"entity":"task","id":"aé","transition":"pending"}}',
+        '{{"t":1.0,"entity":"task","id":"a\\"b","transition":"pending"}}',
+        '{{"t":1.0,"entity":"task","id":"a\x7f","transition":"pending"}}',
+        '{{"t":1.0,"entity":"task","id":"a\tb","transition":"pending"}}',
+        '{{"t":1.0,"entity":"task","transition":"pending"}}',
+        '{{"t":1.0,"entity":"task","id":"a","transition":"pending"}} x',
+        '[1.0,"task","a","pending"]',
+        "not json",
+    ])
+    def test_loader_matches_reference_on_hand_written_lines(self, variant, tmp_path):
+        canon = ev(2.5, "task", "p0.S1.t1", "running", nodes=1, cpus=2, gpus=0,
+                   stage="S1", pipeline="p0").to_json()
+        rec = json.loads(canon)
+        line = variant.format(
+            canon=canon,
+            reordered=json.dumps(dict(reversed(list(rec.items()))), separators=(",", ":")),
+            canon_spaced=json.dumps(rec))
+        other = ev(1.0, "node", "pilot-0/3", "busy").to_json()
+        path = tmp_path / "t.jsonl"
+        # Bytes, so that a \r reaches the reader as written.
+        path.write_bytes(f"{other}\n{line}\n{other}".encode("utf-8"))
+        assert loaded(load_trace, path) == loaded(reference_load, path)
+
+    def test_loaded_names_are_interned(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        sink = TraceSink()
+        for i in range(3):
+            sink.record(ev(float(i), "task", f"t{i}", "pending", stage="S1", pipeline="p0"))
+        sink.save(path)
+        a, b, _ = load_trace(path)
+        assert a.entity is b.entity and a.transition is b.transition
+        assert a.stage is b.stage and a.pipeline is b.pipeline
+
+
+class TestRecordAgainstReference:
+    TRANSITIONS = sorted({tr for graph in LEGAL_GRAPHS.values()
+                          for nexts in graph.values() for tr in nexts})
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_decisions_and_messages(self, seed):
+        rng = np.random.default_rng(seed)
+        ref, sink, flag = ReferenceSink(), TraceSink(), TraceSink(mode="flag")
+        expect_flagged = []
+        t = 0.0
+        for _ in range(3000):
+            r = rng.random()
+            entity = "bogus" if r < 0.03 else list(LEGAL_GRAPHS)[int(rng.integers(7))]
+            eid = f"e{int(rng.integers(6))}"
+            prev = ref._last.get((entity, eid), (None, None))[1]
+            legal = sorted(LEGAL_GRAPHS.get(entity, {}).get(prev, ()))
+            if legal and rng.random() < 0.7:
+                transition = legal[int(rng.integers(len(legal)))]
+            else:
+                transition = self.TRANSITIONS[int(rng.integers(len(self.TRANSITIONS)))]
+            r = rng.random()
+            if r < 0.05:
+                when = math.nan
+            elif r < 0.15:
+                when = t - float(rng.integers(1, 5))
+            else:
+                t += float(rng.integers(0, 2))
+                when = t
+            e = ev(when, entity, eid, transition)
+            why = ref.record(e)
+            try:
+                sink.record(e)
+                got = None
+            except TraceError as exc:
+                got = str(exc)
+            assert got == why, repr(e)
+            flag.record(e)
+            if why is not None:
+                expect_flagged.append(e)
+        assert flag.flagged == expect_flagged
