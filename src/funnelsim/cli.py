@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from .engine import run_campaign
 from .errors import ConfigError, FunnelsimError, InputError
 from .overlay import MasterConfig
 from .pilot import PilotSpec
-from .trace import TraceSink, load_trace, overhead, stage_throughput, utilization
+from .trace import TraceSink, load_trace, stage_throughput, timeline
 
 
 def _check_keys(doc: dict, allowed: set[str], where: str):
@@ -177,31 +178,36 @@ def funnel_counts_from_trace(events) -> dict:
     return out
 
 
-def write_summary(result, sink, out_dir: Path, bucket_width: float | None) -> dict:
-    events = sink.events
-    util = utilization(events, bucket_width)
-    ovh = overhead(events)
+def _trace_metrics(events, bucket_width: float | None):
+    """Utilization and overhead from one timeline, and each completed stage's throughput."""
+    run = timeline(events)
     stages = sorted({ev.stage for ev in events if ev.entity == "task" and ev.stage})
-    throughput = {}
-    for tag in stages:
-        rep = stage_throughput(events, tag)
-        if rep is not None:
-            throughput[tag] = rep.overall_per_s
+    reports = {tag: stage_throughput(events, tag) for tag in stages}
+    return (run.utilization(bucket_width), run.overhead(),
+            {tag: rep for tag, rep in reports.items() if rep is not None})
+
+
+def _write_utilization_csv(path: Path, util) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t0", "busy_node_fraction"])
+        for t0, frac in util.rows():
+            writer.writerow([f"{t0:.9g}", f"{frac:.9g}"])
+
+
+def write_summary(result, sink, out_dir: Path, bucket_width: float | None) -> dict:
+    util, ovh, reports = _trace_metrics(sink.events, bucket_width)
     summary = {
         "makespan_s": result.makespan,
         "walltime_hit": result.walltime_hit,
         "utilization_mean": util.mean(),
         "overhead_fraction": ovh.fraction_of_makespan,
         "overhead_per_task_ms": ovh.per_task_ms,
-        "stage_throughput_per_s": throughput,
-        "funnel": funnel_counts_from_trace(events),
+        "stage_throughput_per_s": {tag: rep.overall_per_s for tag, rep in reports.items()},
+        "funnel": funnel_counts_from_trace(sink.events),
         "pipelines": {pid: st["status"] for pid, st in result.final_states.items()},
     }
-    with open(out_dir / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t0", "busy_node_fraction"])
-        for t0, frac in util.rows():
-            writer.writerow([f"{t0:.9g}", f"{frac:.9g}"])
+    _write_utilization_csv(out_dir / "metrics.csv", util)
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return summary
@@ -307,24 +313,15 @@ def cmd_report(args) -> int:
     events = load_trace(args.trace)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    util = utilization(events, args.bucket_width)
-    with open(out_dir / "utilization.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t0", "busy_node_fraction"])
-        for t0, frac in util.rows():
-            writer.writerow([f"{t0:.9g}", f"{frac:.9g}"])
-    stages = sorted({ev.stage for ev in events if ev.entity == "task" and ev.stage})
+    util, ovh, reports = _trace_metrics(events, args.bucket_width)
+    _write_utilization_csv(out_dir / "utilization.csv", util)
     with open(out_dir / "throughput.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["stage", "window_t0", "completions_per_s"])
-        for tag in stages:
-            rep = stage_throughput(events, tag)
-            if rep is None:
-                continue
+        for tag, rep in reports.items():
             writer.writerow([tag, "overall", f"{rep.overall_per_s:.9g}"])
             for t0, rate in rep.windows:
                 writer.writerow([tag, f"{t0:.9g}", f"{rate:.9g}"])
-    ovh = overhead(events)
     (out_dir / "overhead.json").write_text(json.dumps({
         "total_node_s": ovh.total_s,
         "fraction_of_makespan": ovh.fraction_of_makespan,
@@ -384,6 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    width = getattr(args, "bucket_width", None)
+    if width is not None and not 0 < width < math.inf:
+        parser.error(f"argument --bucket-width: must be a positive finite number, got {width}")
     try:
         return args.func(args)
     except InputError as exc:

@@ -4,6 +4,14 @@ Every state transition in a run is recorded as a TraceEvent.  Metrics
 (utilization series, per-stage throughput, engine overhead) are pure
 functions of the trace, so a persisted trace can be re-analyzed at any
 time and merged traces from disjoint runs behave additively.
+
+Node and queue metrics (utilization, overhead, busy node-seconds, peak
+concurrency) are views of one Timeline: the busy nodes, queued tasks and
+running tasks over time, from one walk of the events.  A node is busy from
+its ``busy`` event until the next ``idle`` of the same id; a task is queued
+from ``pending`` and running from ``running`` until it ends.  An event that
+would put an entity back into a count it has reached changes nothing.  A
+given utilization bucket width must be a positive finite number.
 """
 from __future__ import annotations
 
@@ -14,6 +22,8 @@ import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .errors import InputError, TraceError
 
@@ -264,6 +274,11 @@ def merge_traces(traces: Iterable[list[TraceEvent]]) -> list[TraceEvent]:
 # ---------------------------------------------------------------------------
 # metrics
 
+# The Timeline count each transition moves its entity into (0 busy nodes,
+# 1 queued tasks, 2 running tasks), and those that take it out of its count.
+_ENTERS = {"node": {"busy": 0}, "task": {"pending": 1, "running": 2}}
+_LEAVES = {"node": {"idle"}, "task": TERMINAL_TASK_STATES}
+
 
 @dataclass
 class UtilizationSeries:
@@ -280,74 +295,145 @@ class UtilizationSeries:
         return list(zip(self.t0s, self.busy_node_fraction))
 
 
-def _pilot_totals(trace: list[TraceEvent]) -> int:
-    nodes = 0
+@dataclass
+class OverheadReport:
+    total_s: float                # idle node-seconds over the run window
+    fraction_of_makespan: float   # idle / (makespan * nodes)
+    per_task_ms: float            # scheduling-gap node-seconds per task
+    bootstrap_node_s: float
+    scheduling_node_s: float      # idle node-seconds while work was queued
+    makespan_s: float
+    n_tasks: int
+
+
+@dataclass
+class Timeline:
+    """A run as a step function: step i runs from ``times[i]`` to
+    ``times[i + 1]`` with ``busy[i]`` busy nodes, ``queued[i]`` queued tasks
+    and ``running[i]`` running tasks."""
+    t_start: float
+    total_nodes: int                # summed over acquired pilots
+    boot_start: Optional[float]     # first pilot acquired
+    boot_end: Optional[float]       # last pilot agent_ready
+    times: np.ndarray               # sorted change points, then the run's end
+    busy: np.ndarray
+    queued: np.ndarray
+    running: np.ndarray
+    n_tasks: int                    # terminal task events
+
+    def busy_node_seconds(self) -> float:
+        return float(self.busy @ np.diff(self.times))
+
+    def utilization(self, bucket_width_s: float | None = None) -> UtilizationSeries:
+        """Node-granularity utilization: a node counts busy while any of its
+        slots is occupied by a running task.  Each step is spread over the
+        buckets it covers; the default bucket width is makespan / 200."""
+        if bucket_width_s is not None and not 0 < bucket_width_s < math.inf:
+            raise ValueError(f"bucket width must be positive and finite: {bucket_width_s!r}")
+        t_start = self.t_start
+        span = float(self.times[-1]) - t_start
+        if self.total_nodes == 0 or span <= 0:
+            return UtilizationSeries(bucket_width_s or 0.0, [], [])
+        width = span / 200.0 if bucket_width_s is None else bucket_width_s
+        n_buckets = max(1, math.ceil(span / width - 1e-12))
+        # Neighbouring buckets share one computed edge.
+        edges = [t_start + b * width for b in range(n_buckets + 1)]
+        busy = [0.0] * n_buckets
+        # Steps apart only in queued or running tasks are spread as one.
+        runs = np.flatnonzero(np.diff(self.busy, prepend=-1))
+        bounds = np.append(self.times[runs], self.times[-1]).tolist()
+        for t0, t1, n in zip(bounds, bounds[1:], self.busy[runs].tolist()):
+            last = min(int((t1 - t_start) / width), n_buckets - 1)
+            for b in range(int((t0 - t_start) / width), last + 1):
+                busy[b] += n * max(0.0, min(t1, edges[b + 1]) - max(t0, edges[b]))
+        denom = self.total_nodes * width
+        fractions = [min(1.0, bs / denom) for bs in busy]
+        return UtilizationSeries(width, edges[:-1], fractions)
+
+    def overhead(self) -> OverheadReport:
+        """Engine overhead: node-seconds not covered by busy nodes.
+
+        Bootstrap (acquired to agent_ready, across all nodes) is measured
+        separately.  Scheduling overhead counts idle node-seconds only
+        while tasks were waiting to run; idle time with nothing queued is
+        workload shape, not engine overhead, and appears only in
+        ``total_s``.
+        """
+        nodes = self.total_nodes
+        makespan = float(self.times[-1]) - self.t_start
+        bootstrap = 0.0
+        if self.boot_start is not None and self.boot_end is not None:
+            bootstrap = max(0.0, self.boot_end - self.boot_start) * nodes
+        after_boot = self.boot_end if self.boot_end is not None else self.t_start
+        t1 = self.times[1:]
+        lo = np.maximum(self.times[:-1], after_boot)
+        waiting = (t1 > lo) & (self.queued > 0)
+        sched = float(((nodes - self.busy) * (t1 - lo))[waiting].sum())
+        total_node_s = makespan * nodes
+        idle = max(0.0, total_node_s - self.busy_node_seconds())
+        sched = min(sched, max(0.0, idle - bootstrap))
+        per_task_ms = 1000.0 * sched / self.n_tasks if self.n_tasks else 0.0
+        fraction = idle / total_node_s if total_node_s > 0 else 0.0
+        return OverheadReport(idle, fraction, per_task_ms, bootstrap, sched,
+                              makespan, self.n_tasks)
+
+
+def timeline(trace: list[TraceEvent]) -> Timeline:
+    """The trace's Timeline, from one walk over events in any order."""
+    enters, leaves = ([], [], []), ([], [], [])     # times, by count
+    members: dict[str, dict[str, int]] = {entity: {} for entity in _ENTERS}  # id -> its count
+    total_nodes = n_tasks = 0
+    acquired, ready = [], []            # pilot acquired and agent_ready times
+    t_start = t_end = trace[0].t if trace else 0.0
     for ev in trace:
-        if ev.entity == "pilot" and ev.transition == "acquired":
-            nodes += ev.nodes or 0
-    return nodes
-
-
-def _span(trace: list[TraceEvent]) -> tuple[float, float]:
-    """(min, max) of the event times, with the comparisons min() and
-    max() make, in one pass."""
-    if not trace:
-        return 0.0, 0.0
-    lo = hi = trace[0].t
-    for ev in trace:
-        t = ev.t
-        if t < lo:
-            lo = t
-        if t > hi:
-            hi = t
-    return lo, hi
-
-
-def _node_busy_intervals(trace: list[TraceEvent], t_end: float):
-    """Busy intervals per node, from node busy/idle transitions."""
-    open_at: dict[str, float] = {}
-    intervals: list[tuple[float, float]] = []
-    for ev in trace:
-        if ev.entity != "node":
-            continue
-        if ev.transition == "busy":
-            open_at[ev.entity_id] = ev.t
-        elif ev.transition == "idle":
-            start = open_at.pop(ev.entity_id, None)
-            if start is not None:
-                intervals.append((start, ev.t))
-    for start in open_at.values():
-        intervals.append((start, t_end))
-    return intervals
+        t, entity, transition = ev.t, ev.entity, ev.transition
+        if t < t_start:
+            t_start = t
+        if t > t_end:
+            t_end = t
+        moves = _ENTERS.get(entity)
+        if moves is not None:
+            ids, eid = members[entity], ev.entity_id
+            count, to = ids.get(eid), moves.get(transition)
+            if to is not None and (count is None or count < to):
+                ids[eid] = to
+                enters[to].append(t)
+                if count is not None:
+                    leaves[count].append(t)
+            elif transition in _LEAVES[entity]:
+                n_tasks += entity == "task"         # a terminal task event
+                if count is not None:
+                    del ids[eid]
+                    leaves[count].append(t)
+        elif entity == "pilot" and transition == "acquired":
+            total_nodes += ev.nodes or 0
+            acquired.append(t)
+        elif entity == "pilot" and transition == "agent_ready":
+            ready.append(t)
+    ins, outs = ([np.sort(np.array(ts, dtype=float)) for ts in side] for side in (enters, leaves))
+    times = np.unique(np.concatenate(ins + outs))
+    # A count after a change point: its entries up to then minus its exits.
+    counts = (np.searchsorted(i, times, "right") - np.searchsorted(o, times, "right")
+              for i, o in zip(ins, outs))
+    return Timeline(t_start, total_nodes, min(acquired, default=None),
+                    max(ready, default=None), np.append(times, t_end), *counts, n_tasks)
 
 
 def utilization(trace: list[TraceEvent], bucket_width_s: float | None = None) -> UtilizationSeries:
-    """Node-granularity utilization: a node counts busy while any of its
-    slots is occupied by a running task.
+    return timeline(trace).utilization(bucket_width_s)
 
-    Default bucket width is makespan / 200.
-    """
-    total_nodes = _pilot_totals(trace)
-    t_start, t_end = _span(trace)
-    span = t_end - t_start
-    if total_nodes == 0 or span <= 0:
-        return UtilizationSeries(bucket_width_s or 0.0, [], [])
-    if bucket_width_s is None:
-        bucket_width_s = span / 200.0
-    n_buckets = max(1, math.ceil(span / bucket_width_s - 1e-12))
-    busy = [0.0] * n_buckets
-    for start, end in _node_busy_intervals(trace, t_end):
-        b0 = int((start - t_start) / bucket_width_s)
-        b1 = int((end - t_start) / bucket_width_s)
-        b1 = min(b1, n_buckets - 1)
-        for b in range(b0, b1 + 1):
-            lo = t_start + b * bucket_width_s
-            hi = lo + bucket_width_s
-            busy[b] += max(0.0, min(end, hi) - max(start, lo))
-    denom = total_nodes * bucket_width_s
-    t0s = [t_start + b * bucket_width_s for b in range(n_buckets)]
-    fractions = [min(1.0, bs / denom) for bs in busy]
-    return UtilizationSeries(bucket_width_s, t0s, fractions)
+
+def overhead(trace: list[TraceEvent]) -> OverheadReport:
+    return timeline(trace).overhead()
+
+
+def busy_node_seconds(trace: list[TraceEvent]) -> float:
+    return timeline(trace).busy_node_seconds()
+
+
+def peak_concurrency(trace: list[TraceEvent]) -> int:
+    """Maximum number of simultaneously running tasks."""
+    return int(timeline(trace).running.max(initial=0))
 
 
 @dataclass
@@ -392,106 +478,6 @@ def stage_throughput(trace: list[TraceEvent], stage_tag: str,
             counts[b] += 1
         windows = [(t0 + i * window_s, c / window_s) for i, c in enumerate(counts)]
     return ThroughputReport(stage_tag, len(dones), overall, window_s, windows)
-
-
-@dataclass
-class OverheadReport:
-    total_s: float                # idle node-seconds over the run window
-    fraction_of_makespan: float   # idle / (makespan * nodes)
-    per_task_ms: float            # scheduling-gap node-seconds per task
-    bootstrap_node_s: float
-    scheduling_node_s: float      # idle node-seconds while work was queued
-    makespan_s: float
-    n_tasks: int
-
-
-def overhead(trace: list[TraceEvent]) -> OverheadReport:
-    """Engine overhead: node-seconds not covered by busy nodes.
-
-    Bootstrap (acquired to agent_ready, across all nodes) is measured
-    separately.  Scheduling overhead counts idle node-seconds only while
-    tasks were waiting to run; idle time with nothing queued is workload
-    shape, not engine overhead, and appears only in ``total_s``.
-    """
-    total_nodes = _pilot_totals(trace)
-    t_start, t_end = _span(trace)
-    makespan = t_end - t_start
-    boot_start = boot_end = None
-    for ev in trace:
-        if ev.entity == "pilot" and ev.transition == "acquired":
-            boot_start = ev.t if boot_start is None else min(boot_start, ev.t)
-        if ev.entity == "pilot" and ev.transition == "agent_ready":
-            boot_end = ev.t if boot_end is None else max(boot_end, ev.t)
-    bootstrap = 0.0
-    if boot_start is not None and boot_end is not None:
-        bootstrap = max(0.0, boot_end - boot_start) * total_nodes
-    busy = sum(e - s for s, e in _node_busy_intervals(trace, t_end))
-    n_tasks = sum(1 for ev in trace
-                  if ev.entity == "task" and ev.transition in TERMINAL_TASK_STATES)
-
-    # Sweep: accumulate idle node-seconds over intervals with queued work
-    # (a task counts as queued from its pending event until it runs or is
-    # canceled without ever running).
-    deltas: dict[float, list[int]] = {}
-
-    def bump(t, busy_nodes=0, queued=0):
-        d = deltas.setdefault(t, [0, 0])
-        d[0] += busy_nodes
-        d[1] += queued
-
-    in_queue: dict[str, bool] = {}
-    for ev in trace:
-        if ev.entity == "node":
-            bump(ev.t, busy_nodes=1 if ev.transition == "busy" else -1)
-        elif ev.entity == "task":
-            if ev.transition == "pending":
-                in_queue[ev.entity_id] = True
-                bump(ev.t, queued=1)
-            elif ev.transition in ("running", "canceled"):
-                if in_queue.pop(ev.entity_id, False):
-                    bump(ev.t, queued=-1)
-    sched = 0.0
-    busy_nodes = queued = 0
-    after_boot = boot_end if boot_end is not None else t_start
-    times = sorted(deltas)
-    for i, t in enumerate(times):
-        nxt = times[i + 1] if i + 1 < len(times) else t_end
-        busy_nodes += deltas[t][0]
-        queued += deltas[t][1]
-        lo = max(t, after_boot)
-        if nxt > lo and queued > 0:
-            sched += (total_nodes - busy_nodes) * (nxt - lo)
-
-    total_node_s = makespan * total_nodes
-    idle = max(0.0, total_node_s - busy)
-    sched = min(sched, max(0.0, idle - bootstrap))
-    per_task_ms = 1000.0 * sched / n_tasks if n_tasks else 0.0
-    fraction = idle / total_node_s if total_node_s > 0 else 0.0
-    return OverheadReport(idle, fraction, per_task_ms, bootstrap, sched,
-                          makespan, n_tasks)
-
-
-def peak_concurrency(trace: list[TraceEvent]) -> int:
-    """Maximum number of simultaneously running tasks."""
-    deltas: list[tuple[float, int]] = []
-    for ev in trace:
-        if ev.entity != "task":
-            continue
-        if ev.transition == "running":
-            deltas.append((ev.t, 1))
-        elif ev.transition in TERMINAL_TASK_STATES:
-            deltas.append((ev.t, -1))
-    deltas.sort(key=lambda d: (d[0], d[1]))
-    peak = cur = 0
-    for _, d in deltas:
-        cur += d
-        peak = max(peak, cur)
-    return peak
-
-
-def busy_node_seconds(trace: list[TraceEvent]) -> float:
-    _, t_end = _span(trace)
-    return sum(e - s for s, e in _node_busy_intervals(trace, t_end))
 
 
 def stage_node_seconds(trace: list[TraceEvent]) -> dict[str, float]:

@@ -205,21 +205,29 @@ def duration_uniforms(seed: int, task_id: str) -> tuple[float, float]:
 def synth_conformations(seed: int, ligand_id: str, true_score: float,
                         replica: int, frames: int,
                         energy_sigma: float = 0.25) -> list[dict]:
-    center_rng = _rng(seed, _STREAM_CONF, _hash_key(ligand_id))
-    center = center_rng.standard_normal(3) * 4.0
-    rng = _rng(seed, _STREAM_CONF, _hash_key(ligand_id), replica + 1)
-    records = []
-    for f in range(frames):
-        point = center + rng.standard_normal(3)
-        energy = true_score + float(rng.standard_normal()) * energy_sigma
-        records.append({
-            "ligand_id": ligand_id,
-            "replica": replica,
-            "frame": f,
-            "energy": energy,
-            "point": [float(x) for x in point],
-        })
-    return records
+    return next(_ligand_conformations(seed, ligand_id, true_score, [replica], frames,
+                                      energy_sigma))
+
+
+def _ligand_conformations(seed: int, ligand_id: str, true_score: float,
+                          replicas, frames: int, energy_sigma: float = 0.25):
+    """Yields each given replica's conformations, around one center per ligand."""
+    key = _hash_key(ligand_id)
+    center = _rng(seed, _STREAM_CONF, key).standard_normal(3) * 4.0
+    for replica in replicas:
+        rng = _rng(seed, _STREAM_CONF, key, replica + 1)
+        records = []
+        for f in range(frames):
+            point = center + rng.standard_normal(3)
+            energy = true_score + float(rng.standard_normal()) * energy_sigma
+            records.append({
+                "ligand_id": ligand_id,
+                "replica": replica,
+                "frame": f,
+                "energy": energy,
+                "point": [float(x) for x in point],
+            })
+        yield records
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +251,11 @@ def _build_ligand_tasks(params: dict, items: list[dict]) -> list[TaskDescriptor]
 def _build_cg_replica_tasks(params: dict, items: list[dict]) -> list[TaskDescriptor]:
     tasks = []
     frames = int(params.get("frames", 8))
+    replicas = range(int(params.get("replicas", CG_REPLICAS)))
     for item in items:
-        for r in range(int(params.get("replicas", CG_REPLICAS))):
-            confs = synth_conformations(int(params["seed"]), item["ligand_id"],
-                                        float(item["true_score"]), r, frames)
+        per_replica = _ligand_conformations(int(params["seed"]), item["ligand_id"],
+                                            float(item["true_score"]), replicas, frames)
+        for r, confs in enumerate(per_replica):
             tasks.append(TaskDescriptor(
                 task_id=f"{params['prefix']}.{item['ligand_id']}.r{r:02d}",
                 kind="simulated",

@@ -243,6 +243,41 @@ class TestReport:
         assert um == pytest.approx(u1)
 
 
+class TestBucketWidth:
+    BAD = ["0", "-5", "nan", "inf"]
+
+    def assert_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --bucket-width" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("width", BAD)
+    @pytest.mark.parametrize("command", ["simulate", "run-local"])
+    def test_campaign_commands_reject_before_running(self, command, width, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        self.assert_rejected([command, "--config", str(cfg), "--out", str(out),
+                              "--bucket-width", width], capsys)
+        assert not (out / "trace.jsonl").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("width", BAD)
+    def test_report_rejects(self, width, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        trace.write_text('{"t":0.0,"entity":"pilot","id":"p","transition":"acquired","nodes":1}\n'
+                         '{"t":4.0,"entity":"pilot","id":"p","transition":"released"}\n')
+        out = tmp_path / "rep"
+        self.assert_rejected(["report", "--trace", str(trace), "--out", str(out),
+                              "--bucket-width", width], capsys)
+        assert not out.exists()
+        assert main(["report", "--trace", str(trace), "--out", str(out),
+                     "--bucket-width", "0.5", "--quiet"]) == 0
+        assert len((out / "utilization.csv").read_text().splitlines()) == 1 + 8
+
+
 class TestRunLocal:
     def local_config(self, path, **funnel_overrides):
         funnel = {"library_size": 200, "s1_fraction": 0.02, "cg_count": 2,

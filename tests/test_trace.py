@@ -1,17 +1,24 @@
 """Trace recording, legality, persistence, and the derived metrics."""
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from funnelsim.campaign import FixedDuration, TaskDescriptor
-from funnelsim.engine import run_executor
+from funnelsim.cli import load_config
+from funnelsim.engine import run_campaign, run_executor
 from funnelsim.errors import InputError, TraceError
 from funnelsim.pilot import PilotSpec
-from funnelsim.trace import (LEGAL_GRAPHS, TraceEvent, TraceSink,
-                             busy_node_seconds, load_trace, merge_traces,
-                             overhead, stage_throughput, utilization)
+from funnelsim.trace import (LEGAL_GRAPHS, TERMINAL_TASK_STATES, OverheadReport,
+                             TraceEvent, TraceSink, UtilizationSeries,
+                             busy_node_seconds, load_trace, merge_traces, overhead,
+                             peak_concurrency, stage_throughput, timeline, utilization)
+from funnelsim.workload import FunnelConfig, build_funnel_campaign
+
+from test_pinned_traces import run_overlay_funnel
+from test_properties import random_campaign
 
 
 def ev(t, entity, eid, transition, **kw):
@@ -451,3 +458,340 @@ class TestRecordAgainstReference:
             if why is not None:
                 expect_flagged.append(e)
         assert flag.flagged == expect_flagged
+
+
+# ---------------------------------------------------------------------------
+# The node and queue metrics against the code the trace module had before
+# the Timeline, copied as it was: a separate walk of the trace per metric,
+# with busy intervals built twice, once as (start, end) pairs and once as a
+# dict of deltas.
+
+def _ref_pilot_totals(trace: list[TraceEvent]) -> int:
+    nodes = 0
+    for ev in trace:
+        if ev.entity == "pilot" and ev.transition == "acquired":
+            nodes += ev.nodes or 0
+    return nodes
+
+
+def _ref_span(trace: list[TraceEvent]) -> tuple[float, float]:
+    """(min, max) of the event times, with the comparisons min() and
+    max() make, in one pass."""
+    if not trace:
+        return 0.0, 0.0
+    lo = hi = trace[0].t
+    for ev in trace:
+        t = ev.t
+        if t < lo:
+            lo = t
+        if t > hi:
+            hi = t
+    return lo, hi
+
+
+def _ref_node_busy_intervals(trace: list[TraceEvent], t_end: float):
+    """Busy intervals per node, from node busy/idle transitions."""
+    open_at: dict[str, float] = {}
+    intervals: list[tuple[float, float]] = []
+    for ev in trace:
+        if ev.entity != "node":
+            continue
+        if ev.transition == "busy":
+            open_at[ev.entity_id] = ev.t
+        elif ev.transition == "idle":
+            start = open_at.pop(ev.entity_id, None)
+            if start is not None:
+                intervals.append((start, ev.t))
+    for start in open_at.values():
+        intervals.append((start, t_end))
+    return intervals
+
+
+def ref_utilization(trace: list[TraceEvent], bucket_width_s: float | None = None) -> UtilizationSeries:
+    total_nodes = _ref_pilot_totals(trace)
+    t_start, t_end = _ref_span(trace)
+    span = t_end - t_start
+    if total_nodes == 0 or span <= 0:
+        return UtilizationSeries(bucket_width_s or 0.0, [], [])
+    if bucket_width_s is None:
+        bucket_width_s = span / 200.0
+    n_buckets = max(1, math.ceil(span / bucket_width_s - 1e-12))
+    busy = [0.0] * n_buckets
+    for start, end in _ref_node_busy_intervals(trace, t_end):
+        b0 = int((start - t_start) / bucket_width_s)
+        b1 = int((end - t_start) / bucket_width_s)
+        b1 = min(b1, n_buckets - 1)
+        for b in range(b0, b1 + 1):
+            lo = t_start + b * bucket_width_s
+            hi = lo + bucket_width_s
+            busy[b] += max(0.0, min(end, hi) - max(start, lo))
+    denom = total_nodes * bucket_width_s
+    t0s = [t_start + b * bucket_width_s for b in range(n_buckets)]
+    fractions = [min(1.0, bs / denom) for bs in busy]
+    return UtilizationSeries(bucket_width_s, t0s, fractions)
+
+
+def ref_overhead(trace: list[TraceEvent]) -> OverheadReport:
+    total_nodes = _ref_pilot_totals(trace)
+    t_start, t_end = _ref_span(trace)
+    makespan = t_end - t_start
+    boot_start = boot_end = None
+    for ev in trace:
+        if ev.entity == "pilot" and ev.transition == "acquired":
+            boot_start = ev.t if boot_start is None else min(boot_start, ev.t)
+        if ev.entity == "pilot" and ev.transition == "agent_ready":
+            boot_end = ev.t if boot_end is None else max(boot_end, ev.t)
+    bootstrap = 0.0
+    if boot_start is not None and boot_end is not None:
+        bootstrap = max(0.0, boot_end - boot_start) * total_nodes
+    busy = sum(e - s for s, e in _ref_node_busy_intervals(trace, t_end))
+    n_tasks = sum(1 for ev in trace
+                  if ev.entity == "task" and ev.transition in TERMINAL_TASK_STATES)
+
+    # Sweep: accumulate idle node-seconds over intervals with queued work
+    # (a task counts as queued from its pending event until it runs or is
+    # canceled without ever running).
+    deltas: dict[float, list[int]] = {}
+
+    def bump(t, busy_nodes=0, queued=0):
+        d = deltas.setdefault(t, [0, 0])
+        d[0] += busy_nodes
+        d[1] += queued
+
+    in_queue: dict[str, bool] = {}
+    for ev in trace:
+        if ev.entity == "node":
+            bump(ev.t, busy_nodes=1 if ev.transition == "busy" else -1)
+        elif ev.entity == "task":
+            if ev.transition == "pending":
+                in_queue[ev.entity_id] = True
+                bump(ev.t, queued=1)
+            elif ev.transition in ("running", "canceled"):
+                if in_queue.pop(ev.entity_id, False):
+                    bump(ev.t, queued=-1)
+    sched = 0.0
+    busy_nodes = queued = 0
+    after_boot = boot_end if boot_end is not None else t_start
+    times = sorted(deltas)
+    for i, t in enumerate(times):
+        nxt = times[i + 1] if i + 1 < len(times) else t_end
+        busy_nodes += deltas[t][0]
+        queued += deltas[t][1]
+        lo = max(t, after_boot)
+        if nxt > lo and queued > 0:
+            sched += (total_nodes - busy_nodes) * (nxt - lo)
+
+    total_node_s = makespan * total_nodes
+    idle = max(0.0, total_node_s - busy)
+    sched = min(sched, max(0.0, idle - bootstrap))
+    per_task_ms = 1000.0 * sched / n_tasks if n_tasks else 0.0
+    fraction = idle / total_node_s if total_node_s > 0 else 0.0
+    return OverheadReport(idle, fraction, per_task_ms, bootstrap, sched,
+                          makespan, n_tasks)
+
+
+def ref_peak_concurrency(trace: list[TraceEvent]) -> int:
+    deltas: list[tuple[float, int]] = []
+    for ev in trace:
+        if ev.entity != "task":
+            continue
+        if ev.transition == "running":
+            deltas.append((ev.t, 1))
+        elif ev.transition in TERMINAL_TASK_STATES:
+            deltas.append((ev.t, -1))
+    deltas.sort(key=lambda d: (d[0], d[1]))
+    peak = cur = 0
+    for _, d in deltas:
+        cur += d
+        peak = max(peak, cur)
+    return peak
+
+
+def ref_busy_node_seconds(trace: list[TraceEvent]) -> float:
+    _, t_end = _ref_span(trace)
+    return sum(e - s for s, e in _ref_node_busy_intervals(trace, t_end))
+
+
+def close(a, b):
+    return a == pytest.approx(b, rel=1e-9)
+
+
+def assert_metrics_match_reference(events):
+    for width in (None, 0.37, 5.0):
+        got, ref = utilization(events, width), ref_utilization(events, width)
+        assert got.bucket_width_s == ref.bucket_width_s
+        assert got.t0s == ref.t0s
+        assert close(got.busy_node_fraction, ref.busy_node_fraction)
+        assert close(got.mean(), ref.mean())
+    got, ref = overhead(events), ref_overhead(events)
+    for field in ("total_s", "fraction_of_makespan", "per_task_ms", "bootstrap_node_s",
+                  "scheduling_node_s", "makespan_s", "n_tasks"):
+        assert close(getattr(got, field), getattr(ref, field)), field
+    assert close(busy_node_seconds(events), ref_busy_node_seconds(events))
+    assert peak_concurrency(events) == ref_peak_concurrency(events)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def desk_funnel_events():
+    spec, overlay, _ = load_config(str(CONFIGS / "desk_funnel.json"), seed_override=42)
+    return run_campaign(spec, overlay=overlay).sink.events
+
+
+def walltime_cut_events():
+    # Cut during S1, at 1% of the uncut makespan: running tasks and tasks
+    # still waiting for a slot are canceled at the cut.
+    funnel = FunnelConfig(library_size=2000, cg_count=10, top_binders=2,
+                          outliers_per_binder=2, seed=3)
+    full = run_campaign(build_funnel_campaign(funnel)).makespan
+    spec = build_funnel_campaign(funnel)
+    spec.resource.walltime_s = full / 100
+    r = run_campaign(spec)
+    ran = {e.entity_id for e in r.sink.events if e.transition == "running"}
+    canceled = {e.entity_id for e in r.sink.events if e.transition == "canceled"}
+    assert r.walltime_hit and canceled & ran and canceled - ran
+    return r.sink.events
+
+
+@pytest.fixture(scope="module")
+def run_traces():
+    desk = desk_funnel_events()
+    trials = [run_campaign(random_campaign(np.random.default_rng(trial), seed=trial)).sink.events
+              for trial in range(5)]
+    return {
+        "desk_funnel_42": desk,
+        # The partial trace a run that raises leaves: open busy intervals
+        # and tasks still queued at its end.
+        "desk_funnel_42_cut": desk[:len(desk) // 2],
+        "walltime_cut": walltime_cut_events(),
+        "overlay": run_overlay_funnel().sink.events,
+        "merged": merge_traces([trials[0], trials[1], desk]),
+        **{f"property_trial_{i}": events for i, events in enumerate(trials)},
+    }
+
+
+RUN_TRACES = ["desk_funnel_42", "desk_funnel_42_cut", "walltime_cut", "overlay", "merged",
+              *(f"property_trial_{i}" for i in range(5))]
+
+
+def pilot(t=0.0, nodes=2, pid="p"):
+    return ev(t, "pilot", pid, "acquired", nodes=nodes, cpus=1, gpus=0)
+
+
+def task_events(tid, pending, running=None, end=None, outcome="done"):
+    out = [ev(pending, "task", tid, "pending"), ev(pending, "task", tid, "scheduled")]
+    if running is not None:
+        out.append(ev(running, "task", tid, "running"))
+    if end is not None:
+        out.append(ev(end, "task", tid, outcome))
+    return out
+
+
+HAND_MADE = {
+    "empty": [],
+    "no_pilot": [ev(0.0, "node", "p/0", "busy"), *task_events("t", 0.0, 0.0, 4.0),
+                 ev(4.0, "node", "p/0", "idle")],
+    "zero_span": [pilot(), ev(0.0, "node", "p/0", "busy"), *task_events("t", 0.0, 0.0, 0.0),
+                  ev(0.0, "node", "p/0", "idle"), ev(0.0, "pilot", "p", "released")],
+    # One node idles and goes busy again at t=2, as a task ends and the
+    # next one starts on it.
+    "idle_and_busy_at_once": [
+        pilot(), ev(1.0, "pilot", "p", "agent_ready"),
+        *task_events("a", 0.0), *task_events("b", 0.0),
+        ev(1.0, "task", "a", "running"), ev(1.0, "node", "p/0", "busy"),
+        ev(2.0, "task", "a", "done"), ev(2.0, "node", "p/0", "idle"),
+        ev(2.0, "task", "b", "running"), ev(2.0, "node", "p/0", "busy"),
+        ev(3.5, "task", "b", "done"), ev(3.5, "node", "p/0", "idle"),
+        ev(4.0, "pilot", "p", "released")],
+    # Work queues from t=0; the agent is ready at t=3.
+    "queued_during_bootstrap": [
+        pilot(nodes=3), *task_events("a", 0.0), *task_events("b", 0.5), *task_events("c", 1.0),
+        ev(3.0, "pilot", "p", "agent_ready"),
+        ev(3.0, "task", "a", "running"), ev(3.0, "node", "p/0", "busy"),
+        ev(3.0, "task", "b", "running"), ev(3.0, "node", "p/1", "busy"),
+        ev(5.0, "task", "a", "done"), ev(5.0, "node", "p/0", "idle"),
+        ev(5.0, "task", "c", "running"), ev(5.0, "node", "p/0", "busy"),
+        ev(6.0, "task", "b", "canceled"), ev(6.0, "node", "p/1", "idle"),
+        ev(7.5, "task", "c", "done"), ev(7.5, "node", "p/0", "idle"),
+        ev(8.0, "pilot", "p", "released")],
+    # Each entity's events in time order, but not the trace's.
+    "out_of_time_order": [
+        pilot(), *task_events("a", 0.0, 1.0, 4.0),
+        ev(1.0, "node", "p/0", "busy"), ev(4.0, "node", "p/0", "idle"),
+        *task_events("b", 0.0, 0.5, 2.0),
+        ev(0.5, "node", "p/1", "busy"), ev(2.0, "node", "p/1", "idle"),
+        ev(5.0, "pilot", "p", "released")],
+}
+
+
+class TestMetricsAgainstReference:
+    @pytest.mark.parametrize("name", RUN_TRACES)
+    def test_run_traces(self, name, run_traces):
+        assert_metrics_match_reference(run_traces[name])
+
+    @pytest.mark.parametrize("name", sorted(HAND_MADE))
+    def test_hand_made_traces(self, name):
+        sink = TraceSink()
+        for e in HAND_MADE[name]:
+            sink.record(e)
+        assert_metrics_match_reference(sink.events)
+
+    def test_utilization_and_overhead_count_the_same_busy_time_in_flag_mode(self):
+        # Node p/0 goes busy twice before it idles, and p/1 idles without
+        # being busy; a task waits for the whole run.  The node is busy
+        # from its first busy event, so 5 + 1 node-seconds are busy.
+        sink = TraceSink(mode="flag")
+        for e in [pilot(), *task_events("t", 0.0),
+                  ev(1.0, "node", "p/0", "busy"), ev(1.5, "node", "p/1", "idle"),
+                  ev(3.0, "node", "p/0", "busy"), ev(6.0, "node", "p/0", "idle"),
+                  ev(7.0, "node", "p/1", "busy"), ev(8.0, "node", "p/1", "idle"),
+                  ev(10.0, "pilot", "p", "released")]:
+            sink.record(e)
+        assert len(sink.flagged) == 2
+        events = sink.events
+        series = utilization(events, 1.0)
+        util_busy = sum(series.busy_node_fraction) * series.bucket_width_s * 2
+        rep = overhead(events)
+        assert busy_node_seconds(events) == util_busy == 6.0
+        assert rep.total_s == 20.0 - 6.0
+        # Work was queued throughout, so every idle node-second counts.
+        assert rep.scheduling_node_s == rep.total_s
+        # Before, utilization dropped the first busy span and the
+        # scheduling sweep counted p/0 twice and p/1 below zero.
+        ref = ref_overhead(events)
+        ref_series = ref_utilization(events, 1.0)
+        assert sum(ref_series.busy_node_fraction) * 2 == 4.0
+        assert ref.scheduling_node_s != ref.total_s
+
+    def test_a_repeated_task_event_changes_no_count(self):
+        # A second pending and a second running, recorded in flag mode,
+        # neither requeue the running task nor start it again.
+        sink = TraceSink(mode="flag")
+        for e in [pilot(), *task_events("t", 0.0, 1.0), ev(2.0, "task", "t", "pending"),
+                  ev(3.0, "task", "t", "running"), ev(4.0, "task", "t", "done"),
+                  ev(5.0, "pilot", "p", "released")]:
+            sink.record(e)
+        assert len(sink.flagged) == 2
+        run = timeline(sink.events)
+        assert run.times.tolist() == [0.0, 1.0, 4.0, 5.0]
+        assert [run.busy.tolist(), run.queued.tolist(), run.running.tolist()] == \
+            [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+
+    def test_a_task_canceled_before_it_runs_does_not_lower_the_peak(self):
+        # Task a waits and is canceled at t=1; b and c then run together.
+        # The old sort took a's canceled event off the running count.
+        events = [pilot(), *task_events("a", 0.0, end=1.0, outcome="canceled"),
+                  *task_events("b", 0.0, 2.0, 3.0), *task_events("c", 0.0, 2.5, 4.0),
+                  ev(5.0, "pilot", "p", "released")]
+        sink = TraceSink()
+        for e in events:
+            sink.record(e)
+        assert peak_concurrency(events) == 2
+        assert ref_peak_concurrency(events) == 1
+
+    @pytest.mark.parametrize("width", [0.0, -5.0, math.nan, math.inf, -math.inf])
+    def test_bad_bucket_width_rejected(self, width):
+        events = [pilot(), ev(1.0, "pilot", "p", "released")]
+        with pytest.raises(ValueError, match="bucket width"):
+            utilization(events, width)
