@@ -188,16 +188,8 @@ def _validate_task(task: TaskDescriptor, pilot: PilotSpec, pipeline_id: str) -> 
     if task.nodes > 1 and task.kind != "executable":
         out.append(Violation("multi_node_kind", task.task_id,
                              f"multi-node tasks must be kind=executable, got {task.kind}"))
-    cpus_eff = pilot.effective_cpus(task.cpus, task.gpus)
-    if task.nodes > pilot.nodes:
-        out.append(Violation("capacity", task.task_id,
-                             f"needs {task.nodes} nodes, pilot has {pilot.nodes}"))
-    if cpus_eff > pilot.cpus_per_node:
-        out.append(Violation("capacity", task.task_id,
-                             f"needs {cpus_eff} cpus/node, pilot has {pilot.cpus_per_node}"))
-    if task.gpus > pilot.gpus_per_node:
-        out.append(Violation("capacity", task.task_id,
-                             f"needs {task.gpus} gpus/node, pilot has {pilot.gpus_per_node}"))
+    for why in pilot.unfit(task):
+        out.append(Violation("capacity", task.task_id, why))
     return out
 
 
@@ -324,7 +316,6 @@ class AdvanceResult:
     """What happened when a task completion was applied."""
     kind: str                       # none | stage_advanced | pipeline_done | pipeline_failed
     stage_index: int = -1
-    new_tasks: list[TaskDescriptor] = field(default_factory=list)
     canceled: list[str] = field(default_factory=list)
 
 
@@ -358,7 +349,7 @@ class PipelineState:
     def pipeline_id(self) -> str:
         return self.spec.pipeline_id
 
-    def _register_stage(self, index: int) -> list[TaskDescriptor]:
+    def _register_stage(self, index: int) -> None:
         tasks = self.stage_tasks[index]
         for task in tasks:
             if task.task_id in self.task_states:
@@ -366,7 +357,6 @@ class PipelineState:
             self.task_states[task.task_id] = PENDING
             self._stage_of[task.task_id] = index
         self._open_in_stage = len(tasks)
-        return tasks
 
     def current_stage(self) -> StageSpec:
         return self.spec.stages[self.current_stage_index]
@@ -473,8 +463,8 @@ class PipelineState:
             return AdvanceResult("pipeline_failed", self.current_stage_index)
 
         self.current_stage_index = next_index
-        new_tasks = self._register_stage(next_index)
-        return AdvanceResult("stage_advanced", next_index, new_tasks=new_tasks)
+        self._register_stage(next_index)
+        return AdvanceResult("stage_advanced", next_index)
 
     def resize_stage(self, stage_index: int, new_tasks: list[TaskDescriptor]) -> None:
         """Replace a future stage's task list; current and past stages

@@ -347,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--quiet", action="store_true")
-        p.add_argument("--verbose", action="store_true")
 
     helps = {"simulate": "run a simulated campaign from a JSON config",
              "run-local": "run a campaign on this host from a JSON config"}

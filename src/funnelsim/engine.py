@@ -101,19 +101,21 @@ class Engine:
                  cpus=task.cpus if with_resources else None,
                  gpus=task.gpus if with_resources else None,
                  stage=task.stage_tag, pipeline=pid)
+        if transition in cm.TERMINAL:
+            self.completions.append(Completion(t, task.task_id, transition))
 
     # -- node busy accounting ---------------------------------------------
 
     def _occupy(self, placement, t):
-        for i, n in enumerate(placement.node_indices):
-            cnt = len(placement.cpu_slot_indices[i]) + len(placement.gpu_slot_indices[i])
+        cnt = placement.cpus + placement.gpus
+        for n in placement.node_indices:
             if self._running_slots[n] == 0 and cnt > 0:
                 self._ev(t, "node", f"{self.pilot.pilot_id}/{n}", "busy")
             self._running_slots[n] += cnt
 
     def _vacate(self, placement, t):
-        for i, n in enumerate(placement.node_indices):
-            cnt = len(placement.cpu_slot_indices[i]) + len(placement.gpu_slot_indices[i])
+        cnt = placement.cpus + placement.gpus
+        for n in placement.node_indices:
             self._running_slots[n] -= cnt
             if self._running_slots[n] == 0 and cnt > 0:
                 self._ev(t, "node", f"{self.pilot.pilot_id}/{n}", "idle")
@@ -193,9 +195,7 @@ class Engine:
         config = self.overlay_cfg
         prefix = f"ovl.{pid}.{state.current_stage().stage_id}"
         n_workers = config.n_masters * config.workers_per_master
-        w_cpus, w_gpus = config.worker_cpus, config.worker_gpus
-        if w_cpus is None or w_gpus is None:
-            w_cpus, w_gpus = (0, 1) if any(tk.gpus > 0 for tk in tasks) else (1, 0)
+        w_cpus, w_gpus = (0, 1) if any(tk.gpus > 0 for tk in tasks) else (1, 0)
         demands = deque(cm.TaskDescriptor(f"{prefix}.m{m:02d}", cpus=1, gpus=0)
                         for m in range(config.n_masters))
         demands.extend(cm.TaskDescriptor(f"{prefix}.w{w:04d}", cpus=w_cpus, gpus=w_gpus)
@@ -235,7 +235,6 @@ class Engine:
     def _complete(self, pid: str, state: cm.PipelineState, task, outcome: str,
                   result, t: float):
         self._task_ev(t, task, outcome, pid)
-        self.completions.append(Completion(t, task.task_id, outcome))
         adv = state.on_task_complete(task.task_id, outcome, result=result)
         self._apply_advance(pid, state, adv, t)
 
@@ -249,7 +248,6 @@ class Engine:
         for pl in placed:
             tid = pl.task_id
             self._task_ev(t, self._task_of[tid], "canceled", self._pid_of[tid])
-            self.completions.append(Completion(t, tid, "canceled"))
             self.pilot.release(pl)
             self._vacate(pl, t)
         placed_ids = {pl.task_id for pl in placed}
@@ -458,9 +456,7 @@ class _SimulatedBackend:
         return self.t
 
     def launch(self, pid: str, task, pl, t: float):
-        start = t + self.engine.spec.resource.sched_gap_s
-        pl.start_time = start
-        self._push(start, self._on_start, (pid, task, pl))
+        self._push(t + self.engine.spec.resource.sched_gap_s, self._on_start, (pid, task, pl))
 
     def _on_start(self, pid: str, task, pl, t: float) -> bool:
         if self.engine.states[pid].task_states.get(task.task_id) != cm.SCHEDULED:

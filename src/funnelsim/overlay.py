@@ -23,8 +23,6 @@ class MasterConfig:
     rebalance_policy: str = "least_outstanding"   # or round_robin (baseline)
     # A master feeds its next bulk once some worker is this close to idle.
     low_water: int = 1
-    worker_cpus: Optional[int] = None
-    worker_gpus: Optional[int] = None
 
     def validate(self) -> list[str]:
         out = []

@@ -1,15 +1,15 @@
 """Pilot resource abstraction: acquire a block of nodes once, then place
-tasks onto per-node cpu/gpu slots without re-entering any batch system.
+tasks onto them without re-entering any batch system.  A node's slots
+are two counts, its free cpus and its free gpus.
 
 Scheduling is first-fit in submission order: each task takes the
-lowest-indexed nodes and slots that satisfy its demand; tasks that do
-not currently fit stay queued in order.  A task that can never fit the
-pilot at all is rejected as unsatisfiable, which is a different thing
-from being queued.
+lowest-indexed nodes with enough free cpus and gpus for its demand;
+tasks that do not currently fit stay queued in order.  A task that can
+never fit the pilot at all is rejected as unsatisfiable, which is a
+different thing from being queued.
 """
 from __future__ import annotations
 
-import heapq
 import os
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -57,103 +57,62 @@ class PilotSpec:
             return max(cpus, 1)
         return cpus
 
+    def unfit(self, task) -> list[str]:
+        """Why ``task`` can never fit this pilot, even when it is idle;
+        empty when it can."""
+        cpus = self.effective_cpus(task.cpus, task.gpus)
+        out = []
+        if task.nodes > self.nodes:
+            out.append(f"needs {task.nodes} nodes, pilot has {self.nodes}")
+        if cpus > self.cpus_per_node:
+            out.append(f"needs {cpus} cpus/node, pilot has {self.cpus_per_node}")
+        if task.gpus > self.gpus_per_node:
+            out.append(f"needs {task.gpus} gpus/node, pilot has {self.gpus_per_node}")
+        return out
+
 
 @dataclass
 class Placement:
     task_id: str
     node_indices: list[int]
-    cpu_slot_indices: list[list[int]]   # per node
-    gpu_slot_indices: list[list[int]]   # per node
-    start_time: float = 0.0
-
-
-class SlotMap:
-    """Per-node cpu and gpu slot occupancy."""
-
-    def __init__(self, nodes: int, cpus_per_node: int, gpus_per_node: int):
-        self.nodes = nodes
-        self.cpus_per_node = cpus_per_node
-        self.gpus_per_node = gpus_per_node
-        self.free_cpus = np.full(nodes, cpus_per_node, dtype=np.int64)
-        self.free_gpus = np.full(nodes, gpus_per_node, dtype=np.int64)
-        self._cpu_heaps = [list(range(cpus_per_node)) for _ in range(nodes)]
-        self._gpu_heaps = [list(range(gpus_per_node)) for _ in range(nodes)]
-
-    def total_free(self) -> tuple[int, int]:
-        return int(self.free_cpus.sum()), int(self.free_gpus.sum())
-
-    def total_busy(self) -> tuple[int, int]:
-        total_c = self.nodes * self.cpus_per_node
-        total_g = self.nodes * self.gpus_per_node
-        free_c, free_g = self.total_free()
-        return total_c - free_c, total_g - free_g
-
-    def find_nodes(self, cpus: int, gpus: int, nodes: int) -> list[int] | None:
-        """Lowest-indexed set of nodes able to host ``cpus``/``gpus`` each."""
-        ok = (self.free_cpus >= cpus) & (self.free_gpus >= gpus)
-        idx = np.nonzero(ok)[0]
-        if len(idx) < nodes:
-            return None
-        return [int(i) for i in idx[:nodes]]
-
-    def allocate(self, task_id: str, node_indices: list[int], cpus: int, gpus: int) -> Placement:
-        cpu_slots, gpu_slots = [], []
-        for n in node_indices:
-            cpu_slots.append([heapq.heappop(self._cpu_heaps[n]) for _ in range(cpus)])
-            gpu_slots.append([heapq.heappop(self._gpu_heaps[n]) for _ in range(gpus)])
-            self.free_cpus[n] -= cpus
-            self.free_gpus[n] -= gpus
-        return Placement(task_id, list(node_indices), cpu_slots, gpu_slots)
-
-    def free(self, placement: Placement) -> None:
-        for n, cs, gs in zip(placement.node_indices,
-                             placement.cpu_slot_indices, placement.gpu_slot_indices):
-            for s in cs:
-                heapq.heappush(self._cpu_heaps[n], s)
-            for s in gs:
-                heapq.heappush(self._gpu_heaps[n], s)
-            self.free_cpus[n] += len(cs)
-            self.free_gpus[n] += len(gs)
+    cpus: int   # per node, after the gpu host-cpu rule
+    gpus: int   # per node
 
 
 class Pilot:
-    """A granted allocation: owns the SlotMap and the live placements."""
+    """A granted allocation: the free cpu and gpu count of each node, and
+    the live placements."""
 
     def __init__(self, spec: PilotSpec, pilot_id: str = "pilot-0"):
         self.spec = spec
         self.pilot_id = pilot_id
-        self.slots = SlotMap(spec.nodes, spec.cpus_per_node, spec.gpus_per_node)
+        self.free_cpus = np.full(spec.nodes, spec.cpus_per_node, dtype=np.int64)
+        self.free_gpus = np.full(spec.nodes, spec.gpus_per_node, dtype=np.int64)
         self.live: dict[str, Placement] = {}
-
-    def check_unsatisfiable(self, task) -> str | None:
-        cpus_eff = self.spec.effective_cpus(task.cpus, task.gpus)
-        if task.nodes > self.spec.nodes:
-            return f"task {task.task_id} needs {task.nodes} nodes, pilot has {self.spec.nodes}"
-        if cpus_eff > self.spec.cpus_per_node:
-            return f"task {task.task_id} needs {cpus_eff} cpus/node, pilot has {self.spec.cpus_per_node}"
-        if task.gpus > self.spec.gpus_per_node:
-            return f"task {task.task_id} needs {task.gpus} gpus/node, pilot has {self.spec.gpus_per_node}"
-        return None
 
     def task_shape(self, task) -> tuple[int, int, int]:
         return (self.spec.effective_cpus(task.cpus, task.gpus), task.gpus, task.nodes)
 
     def place_one(self, task) -> Placement | None:
-        """Place one task on the lowest-indexed feasible nodes/slots, or
-        return None if it does not currently fit.
+        """Place one task on the lowest-indexed nodes with enough free
+        cpus and gpus, or return None if it does not currently fit.
 
         Raises UnsatisfiableError when it can never fit this pilot.
         """
-        why = self.check_unsatisfiable(task)
-        if why is not None:
-            raise UnsatisfiableError(why)
+        reasons = self.spec.unfit(task)
+        if reasons:
+            raise UnsatisfiableError(f"task {task.task_id} {reasons[0]}")
         if task.task_id in self.live:
             raise StateError(f"task {task.task_id} already placed")
         cpus, gpus, n_nodes = self.task_shape(task)
-        nodes = self.slots.find_nodes(cpus, gpus, n_nodes)
-        if nodes is None:
+        fit = np.flatnonzero((self.free_cpus >= cpus) & (self.free_gpus >= gpus))
+        if len(fit) < n_nodes:
             return None
-        pl = self.slots.allocate(task.task_id, nodes, cpus, gpus)
+        nodes = fit[:n_nodes].tolist()
+        for n in nodes:
+            self.free_cpus[n] -= cpus
+            self.free_gpus[n] -= gpus
+        pl = Placement(task.task_id, nodes, cpus, gpus)
         self.live[task.task_id] = pl
         return pl
 
@@ -198,7 +157,9 @@ class Pilot:
         if self.live.get(placement.task_id) is not placement:
             raise StateError(f"placement for {placement.task_id} is not live")
         del self.live[placement.task_id]
-        self.slots.free(placement)
+        for n in placement.node_indices:
+            self.free_cpus[n] += placement.cpus
+            self.free_gpus[n] += placement.gpus
 
 
 def acquire_pilot(spec: PilotSpec, pilot_id: str = "pilot-0") -> Pilot:

@@ -164,10 +164,10 @@ class TestOnTaskComplete:
         for t in tasks:
             last = drive(state, t.task_id, result=t.payload)
         assert last.kind == "stage_advanced"
-        assert len(last.new_tasks) == 10
+        assert len(state.current_tasks()) == 10
         expected = sorted(range(1000), key=lambda i: (scores[i], f"L{i:04d}"))[:10]
         expected_ids = [f"p.s1.L{i:04d}" for i in expected]
-        assert [t.task_id for t in last.new_tasks] == expected_ids
+        assert [t.task_id for t in state.current_tasks()] == expected_ids
 
     def test_unknown_task_rejected(self):
         state = PipelineState(PipelineSpec("p", [StageSpec("s0", [task("a")])]))

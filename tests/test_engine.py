@@ -266,6 +266,22 @@ class TestLocalBackend:
         with pytest.raises(ProcessLookupError):
             os.kill(int(pid_file.read_text()), 0)
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two host cores")
+    def test_completions_match_terminal_trace_events(self):
+        # "bad" fails the pipeline while "slow" still runs; "slow" is
+        # canceled, and that cancel is a completion like any other.
+        def exe(tid, code):
+            return TaskDescriptor(tid, kind="executable", cpus=1,
+                                  payload={"argv": [sys.executable, "-c", code]})
+        spec = CampaignSpec([PipelineSpec("p", [StageSpec("s0", [
+            exe("bad", "raise SystemExit(1)"), exe("slow", "import time; time.sleep(3)")])])],
+            pilot(nodes=1, cpus_per_node=2, walltime_s=30.0, backend="local"), mode="local")
+        r = run_campaign(spec)
+        terminal = [(ev.entity_id, ev.transition) for ev in r.sink.events
+                    if ev.entity == "task" and ev.transition in ("done", "failed", "canceled")]
+        assert [(c.task_id, c.outcome) for c in r.completions] == terminal
+        assert terminal == [("bad", "failed"), ("slow", "canceled")]
+
     def test_function_tasks_without_overlay_config_rejected(self):
         spec = CampaignSpec([PipelineSpec("p", [StageSpec("s", [sleep_fn("f")])])],
                             local_pilot(), mode="local")

@@ -1,5 +1,7 @@
-"""Slot map arithmetic, first-fit placement, and executor timing."""
+"""Free-slot counts, first-fit placement, and executor timing."""
+import heapq
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import funnelsim as fs
 from funnelsim.campaign import FixedDuration, TaskDescriptor
 from funnelsim.engine import run_executor
 from funnelsim.errors import CapacityError, StateError, UnsatisfiableError
-from funnelsim.pilot import PilotSpec, acquire_pilot
+from funnelsim.pilot import Pilot, PilotSpec, acquire_pilot
 from funnelsim.trace import busy_node_seconds, peak_concurrency
 
 
@@ -28,8 +30,7 @@ class TestAcquire:
     def test_slot_totals(self):
         pilot = acquire_pilot(PilotSpec(nodes=2, cpus_per_node=42, gpus_per_node=6,
                                         walltime_s=10.0))
-        free_c, free_g = pilot.slots.total_free()
-        assert (free_c, free_g) == (84, 12)
+        assert (pilot.free_cpus.sum(), pilot.free_gpus.sum()) == (84, 12)
 
     def test_nonpositive_walltime_rejected(self):
         with pytest.raises(CapacityError):
@@ -79,15 +80,16 @@ class TestSchedule:
         assert schedule(pilot, []) == ([], [])
 
     def test_gpu_slots_filled_lowest_first(self):
-        pilot = acquire_pilot(PilotSpec(nodes=1, cpus_per_node=2, gpus_per_node=2,
+        pilot = acquire_pilot(PilotSpec(nodes=2, cpus_per_node=2, gpus_per_node=2,
                                         walltime_s=1.0))
         placements, queued = schedule(pilot, [
             task("g1", cpus=0, gpus=1), task("g2", cpus=0, gpus=1),
-            task("g3", cpus=0, gpus=1)])
-        assert [p.task_id for p in placements] == ["g1", "g2"]
-        assert placements[0].gpu_slot_indices == [[0]]
-        assert placements[1].gpu_slot_indices == [[1]]
-        assert queued == ["g3"]
+            task("g3", cpus=0, gpus=1), task("g4", cpus=0, gpus=1),
+            task("g5", cpus=0, gpus=1)])
+        assert [p.task_id for p in placements] == ["g1", "g2", "g3", "g4"]
+        assert [p.node_indices for p in placements] == [[0], [0], [1], [1]]
+        assert [(p.cpus, p.gpus) for p in placements] == [(1, 1)] * 4
+        assert queued == ["g5"]
 
     def test_first_fit_takes_lowest_indexed_nodes(self):
         pilot = acquire_pilot(PilotSpec(nodes=4, cpus_per_node=2, gpus_per_node=0,
@@ -128,11 +130,14 @@ class TestRelease:
     def test_place_release_restores_slotmap(self):
         pilot = acquire_pilot(PilotSpec(nodes=2, cpus_per_node=3, gpus_per_node=2,
                                         walltime_s=1.0))
-        before = pilot.slots.total_free()
+        def total_free():
+            return int(pilot.free_cpus.sum()), int(pilot.free_gpus.sum())
+
+        before = total_free()
         placements, _ = schedule(pilot, [task("t", cpus=2, gpus=1)])
-        assert pilot.slots.total_free() != before
+        assert total_free() != before
         pilot.release(placements[0])
-        assert pilot.slots.total_free() == before
+        assert total_free() == before
 
     def test_double_release_is_state_error(self):
         pilot = acquire_pilot(PilotSpec(nodes=1, cpus_per_node=1, gpus_per_node=0,
@@ -169,11 +174,155 @@ class TestRelease:
                     live[f"t{i}"] = (placements[0], (eff_c, g))
                     expect_busy_c += eff_c
                     expect_busy_g += g
-            busy_c, busy_g = pilot.slots.total_busy()
-            assert (busy_c, busy_g) == (expect_busy_c, expect_busy_g)
-            free_c, free_g = pilot.slots.total_free()
-            assert free_c + busy_c == total_c
-            assert free_g + busy_g == total_g
+            free_c, free_g = int(pilot.free_cpus.sum()), int(pilot.free_gpus.sum())
+            assert (total_c - free_c, total_g - free_g) == (expect_busy_c, expect_busy_g)
+            assert (pilot.free_cpus >= 0).all() and (pilot.free_gpus >= 0).all()
+
+
+
+class SlotMap:
+    """The earlier per-node occupancy: a heap of free slot numbers per
+    node, kept as the reference for the free-count pilot."""
+
+    def __init__(self, nodes: int, cpus_per_node: int, gpus_per_node: int):
+        self.nodes = nodes
+        self.cpus_per_node = cpus_per_node
+        self.gpus_per_node = gpus_per_node
+        self.free_cpus = np.full(nodes, cpus_per_node, dtype=np.int64)
+        self.free_gpus = np.full(nodes, gpus_per_node, dtype=np.int64)
+        self._cpu_heaps = [list(range(cpus_per_node)) for _ in range(nodes)]
+        self._gpu_heaps = [list(range(gpus_per_node)) for _ in range(nodes)]
+
+    def find_nodes(self, cpus: int, gpus: int, nodes: int):
+        ok = (self.free_cpus >= cpus) & (self.free_gpus >= gpus)
+        idx = np.nonzero(ok)[0]
+        if len(idx) < nodes:
+            return None
+        return [int(i) for i in idx[:nodes]]
+
+    def allocate(self, task_id, node_indices, cpus, gpus):
+        cpu_slots, gpu_slots = [], []
+        for n in node_indices:
+            cpu_slots.append([heapq.heappop(self._cpu_heaps[n]) for _ in range(cpus)])
+            gpu_slots.append([heapq.heappop(self._gpu_heaps[n]) for _ in range(gpus)])
+            self.free_cpus[n] -= cpus
+            self.free_gpus[n] -= gpus
+        return RefPlacement(task_id, list(node_indices), cpu_slots, gpu_slots)
+
+    def free(self, placement) -> None:
+        for n, cs, gs in zip(placement.node_indices,
+                             placement.cpu_slot_indices, placement.gpu_slot_indices):
+            for s in cs:
+                heapq.heappush(self._cpu_heaps[n], s)
+            for s in gs:
+                heapq.heappush(self._gpu_heaps[n], s)
+            self.free_cpus[n] += len(cs)
+            self.free_gpus[n] += len(gs)
+
+
+@dataclass
+class RefPlacement:
+    task_id: str
+    node_indices: list[int]
+    cpu_slot_indices: list[list[int]]   # per node
+    gpu_slot_indices: list[list[int]]   # per node
+
+
+class RefPilot(Pilot):
+    """``Pilot`` with the earlier SlotMap placement and capacity check;
+    ``schedule`` is the shared first-fit round."""
+
+    def __init__(self, spec: PilotSpec):
+        super().__init__(spec)
+        self.slots = SlotMap(spec.nodes, spec.cpus_per_node, spec.gpus_per_node)
+
+    def check_unsatisfiable(self, task):
+        cpus_eff = self.spec.effective_cpus(task.cpus, task.gpus)
+        if task.nodes > self.spec.nodes:
+            return f"task {task.task_id} needs {task.nodes} nodes, pilot has {self.spec.nodes}"
+        if cpus_eff > self.spec.cpus_per_node:
+            return f"task {task.task_id} needs {cpus_eff} cpus/node, pilot has {self.spec.cpus_per_node}"
+        if task.gpus > self.spec.gpus_per_node:
+            return f"task {task.task_id} needs {task.gpus} gpus/node, pilot has {self.spec.gpus_per_node}"
+        return None
+
+    def place_one(self, task):
+        why = self.check_unsatisfiable(task)
+        if why is not None:
+            raise UnsatisfiableError(why)
+        if task.task_id in self.live:
+            raise StateError(f"task {task.task_id} already placed")
+        cpus, gpus, n_nodes = self.task_shape(task)
+        nodes = self.slots.find_nodes(cpus, gpus, n_nodes)
+        if nodes is None:
+            return None
+        pl = self.slots.allocate(task.task_id, nodes, cpus, gpus)
+        self.live[task.task_id] = pl
+        return pl
+
+    def release(self, placement):
+        if self.live.get(placement.task_id) is not placement:
+            raise StateError(f"placement for {placement.task_id} is not live")
+        del self.live[placement.task_id]
+        self.slots.free(placement)
+
+
+class TestAgainstSlotMap:
+    """Random schedule/release sequences give the same placements, queues,
+    free counts and errors as the SlotMap pilot."""
+
+    @pytest.mark.parametrize("trial", range(40))
+    def test_same_steps(self, trial):
+        rng = np.random.default_rng(trial)
+        cpn, gpn = int(rng.integers(0, 7)), int(rng.integers(0, 5))
+        if cpn + gpn == 0:
+            cpn = 1
+        spec = PilotSpec(nodes=int(rng.integers(1, 9)), cpus_per_node=cpn, gpus_per_node=gpn,
+                         walltime_s=1.0, gpu_host_cpu=bool(trial % 2))
+        pilot, ref = acquire_pilot(spec), RefPilot(spec)
+        pool, ref_pool = deque(), deque()
+        errors = 0
+        for step in range(60):
+            if pilot.live and rng.random() < 0.4:
+                for tid in sorted(pilot.live)[:int(rng.integers(1, 4))]:
+                    pilot.release(pilot.live[tid])
+                    ref.release(ref.live[tid])
+            else:
+                for i in range(int(rng.integers(1, 6))):
+                    # One task in ten may ask for more than the pilot has.
+                    big = int(rng.random() < 0.1)
+                    c = int(rng.integers(0, cpn + 1 + big))
+                    g = int(rng.integers(0, gpn + 1 + big))
+                    if c + g == 0:
+                        c = 1
+                    nodes = int(rng.integers(1, spec.nodes + 1 + big)) if rng.random() < 0.3 else 1
+                    new = task(f"s{step}.t{i}", cpus=c, gpus=g, nodes=nodes)
+                    pool.append(new)
+                    ref_pool.append(new)
+                while True:
+                    try:
+                        placed = pilot.schedule(pool)
+                    except UnsatisfiableError as exc:
+                        with pytest.raises(UnsatisfiableError) as ref_exc:
+                            ref.schedule(ref_pool)
+                        assert str(exc) == str(ref_exc.value)
+                        errors += 1
+                        bad = str(exc).split()[1]
+                        for q in (pool, ref_pool):
+                            q.remove(next(t for t in q if t.task_id == bad))
+                        continue
+                    ref_placed = ref.schedule(ref_pool)
+                    assert [(p.task_id, p.node_indices) for p in placed] == \
+                        [(p.task_id, p.node_indices) for p in ref_placed]
+                    for p, r in zip(placed, ref_placed):
+                        assert [p.cpus] * len(p.node_indices) == [len(s) for s in r.cpu_slot_indices]
+                        assert [p.gpus] * len(p.node_indices) == [len(s) for s in r.gpu_slot_indices]
+                    break
+            assert [t.task_id for t in pool] == [t.task_id for t in ref_pool]
+            assert sorted(pilot.live) == sorted(ref.live)
+            assert pilot.free_cpus.tolist() == ref.slots.free_cpus.tolist()
+            assert pilot.free_gpus.tolist() == ref.slots.free_gpus.tolist()
+        assert errors > 0
 
 
 class TestExecutor:

@@ -1,14 +1,16 @@
-"""Pinned sha256 digests of saved traces for two cheap campaigns.
+"""Pinned sha256 digests of saved traces for cheap campaigns.
 
 Comparing two runs of the same commit cannot catch a change that moves
 trace bytes on every run alike; these pins can.  A change that alters
 traces on purpose updates the pins and says why in CHANGES.md.
 """
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from funnelsim.cli import load_config
 from funnelsim.engine import run_campaign
 from funnelsim.overlay import MasterConfig
 from funnelsim.trace import CANONICAL_LINE
@@ -16,6 +18,12 @@ from funnelsim.workload import FunnelConfig, build_funnel_campaign
 
 from test_properties import random_campaign
 
+DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk_funnel.json"
+DESK_FUNNEL_SHA256 = {
+    42: "67e05646033cf875f2bbf98b9ae52a1c02c0a31f6bc5815b99371fab269551d4",
+    0: "88729ea456c50293479d8c6cb26b3bfb0f667adff6a5b30aba99ff9a015b4567",
+    1: "fdee17a5359bb6d4cfda468305fa8c0e7716acf6152922544fdde37ea5e9e31a",
+}
 OVERLAY_FUNNEL_SHA256 = "eb7ffed374bdd4996d20d8b470ffb027663cb7db84bdb8e46fd0f9093d7eb91a"
 PROPERTY_TRIAL_SHA256 = [
     "793d058eb158cd9cffb817d72157caa53372875d362f9e208f50e2a8771794eb",
@@ -61,3 +69,10 @@ def test_saved_lines_take_the_loader_fast_path(tmp_path):
 def test_property_trial_trace_pinned(trial, tmp_path):
     r = run_campaign(random_campaign(np.random.default_rng(trial), seed=trial))
     assert trace_sha256(r, tmp_path) == PROPERTY_TRIAL_SHA256[trial]
+
+
+@pytest.mark.parametrize("seed", DESK_FUNNEL_SHA256)
+def test_desk_funnel_trace_pinned(seed, tmp_path):
+    spec, overlay, _ = load_config(str(DESK_CONFIG), seed)
+    r = run_campaign(spec, overlay=overlay)
+    assert trace_sha256(r, tmp_path) == DESK_FUNNEL_SHA256[seed]
