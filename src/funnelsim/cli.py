@@ -34,7 +34,7 @@ from .engine import run_campaign
 from .errors import ConfigError, FunnelsimError, InputError
 from .overlay import MasterConfig
 from .pilot import PilotSpec
-from .trace import TraceSink, load_trace, stage_throughput, timeline
+from .trace import TraceSink, load_trace, throughput_from_times, timeline
 
 
 def _check_keys(doc: dict, allowed: set[str], where: str):
@@ -159,32 +159,37 @@ def load_config(path: str, seed_override: int | None = None,
     return spec, overlay, funnel
 
 
-def funnel_counts_from_trace(events) -> dict:
-    """Per-stage task counts and distinct selected conformations, read
-    back from task birth events."""
-    counts: dict[str, int] = {}
+def _trace_metrics(events, bucket_width: float | None):
+    """Utilization and overhead from one timeline; each completed stage's
+    throughput and the funnel counts (per-stage task births and distinct
+    selected conformations) from one more walk."""
+    run = timeline(events)
+    born: dict[str, int] = {}
+    starts: dict[str, list[float]] = {}
+    dones: dict[str, list[float]] = {}
     confs = set()
     for ev in events:
-        if ev.entity == "task" and ev.transition == "pending" and ev.stage:
-            counts[ev.stage] = counts.get(ev.stage, 0) + 1
-            if ev.stage == "S3FG":
+        stage = ev.stage
+        if ev.entity != "task" or not stage:
+            continue
+        transition = ev.transition
+        if transition == "running":
+            starts.setdefault(stage, []).append(ev.t)
+        elif transition == "done":
+            dones.setdefault(stage, []).append(ev.t)
+        elif transition == "pending":
+            born[stage] = born.get(stage, 0) + 1
+            if stage == "S3FG":
                 parts = ev.entity_id.split(".")
                 conf = next((p for p in parts if p.startswith("c") and p[1:].isdigit()), None)
                 if conf:
                     confs.add(conf)
-    out = {f"{stage}_tasks": n for stage, n in sorted(counts.items())}
+    reports = {tag: throughput_from_times(tag, starts[tag], dones[tag])
+               for tag in sorted(dones) if tag in starts}
+    funnel = {f"{stage}_tasks": n for stage, n in sorted(born.items())}
     if confs:
-        out["selected_conformations"] = len(confs)
-    return out
-
-
-def _trace_metrics(events, bucket_width: float | None):
-    """Utilization and overhead from one timeline, and each completed stage's throughput."""
-    run = timeline(events)
-    stages = sorted({ev.stage for ev in events if ev.entity == "task" and ev.stage})
-    reports = {tag: stage_throughput(events, tag) for tag in stages}
-    return (run.utilization(bucket_width), run.overhead(),
-            {tag: rep for tag, rep in reports.items() if rep is not None})
+        funnel["selected_conformations"] = len(confs)
+    return run.utilization(bucket_width), run.overhead(), reports, funnel
 
 
 def _write_utilization_csv(path: Path, util) -> None:
@@ -196,7 +201,7 @@ def _write_utilization_csv(path: Path, util) -> None:
 
 
 def write_summary(result, sink, out_dir: Path, bucket_width: float | None) -> dict:
-    util, ovh, reports = _trace_metrics(sink.events, bucket_width)
+    util, ovh, reports, funnel = _trace_metrics(sink.events, bucket_width)
     summary = {
         "makespan_s": result.makespan,
         "walltime_hit": result.walltime_hit,
@@ -204,7 +209,7 @@ def write_summary(result, sink, out_dir: Path, bucket_width: float | None) -> di
         "overhead_fraction": ovh.fraction_of_makespan,
         "overhead_per_task_ms": ovh.per_task_ms,
         "stage_throughput_per_s": {tag: rep.overall_per_s for tag, rep in reports.items()},
-        "funnel": funnel_counts_from_trace(sink.events),
+        "funnel": funnel,
         "pipelines": {pid: st["status"] for pid, st in result.final_states.items()},
     }
     _write_utilization_csv(out_dir / "metrics.csv", util)
@@ -313,7 +318,7 @@ def cmd_report(args) -> int:
     events = load_trace(args.trace)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    util, ovh, reports = _trace_metrics(events, args.bucket_width)
+    util, ovh, reports, _funnel = _trace_metrics(events, args.bucket_width)
     _write_utilization_csv(out_dir / "utilization.csv", util)
     with open(out_dir / "throughput.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -27,7 +27,7 @@ from . import campaign as cm
 from .errors import ConfigError, DispatchError, StateError, WorkerKilled
 from .overlay import Bulk, Master, MasterConfig, WorkerState, partition_bulks, round_robin_assign
 from .pilot import PilotSpec, acquire_pilot
-from .trace import TraceEvent, TraceSink
+from .trace import TraceEvent, TraceSink, gc_paused
 from .workload import call_function, duration_uniforms
 
 
@@ -473,24 +473,27 @@ class _SimulatedBackend:
         self._push(t + dur, overlay.on_fn_done, (worker, task, cm.DONE, task.payload))
 
     def loop(self):
+        # The loop allocates events and heap entries in bulk and frees
+        # next to no cycles, so the cyclic collector is paused.
         heap = self._heap
         walltime = self.engine.spec.resource.walltime_s
-        while heap:
-            t = heap[0][0]
-            if t > walltime:
-                self.t = walltime
-                self.engine._expire(walltime)
-                return
-            batch = []
-            while heap and heap[0][0] == t:
-                batch.append(heapq.heappop(heap))
-            self.t = t
-            progressed = False
-            for (_, _, handler, args) in batch:
-                if handler(*args, t):
-                    progressed = True
-            if progressed:
-                self.engine._schedule_round(t)
+        with gc_paused():
+            while heap:
+                t = heap[0][0]
+                if t > walltime:
+                    self.t = walltime
+                    self.engine._expire(walltime)
+                    return
+                batch = []
+                while heap and heap[0][0] == t:
+                    batch.append(heapq.heappop(heap))
+                self.t = t
+                progressed = False
+                for (_, _, handler, args) in batch:
+                    if handler(*args, t):
+                        progressed = True
+                if progressed:
+                    self.engine._schedule_round(t)
 
 
 class _LocalBackend:

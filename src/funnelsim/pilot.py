@@ -125,32 +125,37 @@ class Pilot:
         still queued is known not to fit this round.
 
         Raises UnsatisfiableError for tasks that exceed the whole pilot.
+        A round that raises is undone first: the pool, ``shapes`` and the
+        free counts are as they were before the call.
         """
         if shapes is None:
             shapes = Counter(map(self.task_shape, pool))
         placements: list[Placement] = []
         blocked: set[tuple[int, int, int]] = set()
-        kept: list = []
+        taken: list = []        # (task, its placement or None), in pool order
         try:
             while pool and len(blocked) < len(shapes):
                 task = pool[0]
                 shape = self.task_shape(task)
-                if shape in blocked:
-                    kept.append(pool.popleft())
-                    continue
-                pl = self.place_one(task)
+                pl = None if shape in blocked else self.place_one(task)
                 if pl is None:
                     # A same-shaped later task cannot fit either this round.
                     blocked.add(shape)
-                    kept.append(pool.popleft())
-                    continue
-                pool.popleft()
-                shapes[shape] -= 1
-                if shapes[shape] == 0:
-                    del shapes[shape]
-                placements.append(pl)
-        finally:
-            pool.extendleft(reversed(kept))
+                else:
+                    shapes[shape] -= 1
+                    if shapes[shape] == 0:
+                        del shapes[shape]
+                    placements.append(pl)
+                taken.append((pool.popleft(), pl))
+        except BaseException:
+            for task, pl in taken:
+                if pl is not None:
+                    self.release(pl)
+                    shape = self.task_shape(task)
+                    shapes[shape] = shapes.get(shape, 0) + 1
+            pool.extendleft(reversed([task for task, _ in taken]))
+            raise
+        pool.extendleft(reversed([task for task, pl in taken if pl is None]))
         return placements
 
     def release(self, placement: Placement) -> None:

@@ -12,13 +12,22 @@ its ``busy`` event until the next ``idle`` of the same id; a task is queued
 from ``pending`` and running from ``running`` until it ends.  An event that
 would put an entity back into a count it has reached changes nothing.  A
 given utilization bucket width must be a positive finite number.
+
+``load_trace`` and the simulated event loop allocate an object per event
+by the hundred thousand, and almost none of them become garbage; each
+pauses CPython's cyclic collector while it runs (``gc_paused``), because
+a collection would only walk the growing heap and free nothing.  A saved
+trace repeats few distinct line endings (transition, counts, stage and
+pipeline), so ``save`` encodes and ``load_trace`` parses each one once.
 """
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Optional
@@ -84,6 +93,19 @@ _LEGAL_STEPS = frozenset((entity, prev, nxt) for entity, graph in LEGAL_GRAPHS.i
 _NEVER_SEEN = (-math.inf, None)
 
 
+@contextmanager
+def gc_paused():
+    """Turn CPython's cyclic garbage collector off for the body, and back
+    on afterwards, also when the body raises, if it was on before."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 @dataclass(slots=True)
 class TraceEvent:
     t: float
@@ -127,30 +149,65 @@ class _QuotedStrings(dict):
 def _encode(ev: TraceEvent, quoted: _QuotedStrings) -> str:
     t, eid = ev.t, ev.entity_id
     # t - t is 0.0 only when t is finite.
-    line = (f'{{"t":{repr(t) if type(t) is float and t - t == 0.0 else _dumps(t)},'
+    return (f'{{"t":{repr(t) if type(t) is float and t - t == 0.0 else _dumps(t)},'
             f'"entity":{quoted[ev.entity]},'
-            f'"id":{_json_str(eid) if isinstance(eid, str) else _dumps(eid)},'
-            f'"transition":{quoted[ev.transition]}')
-    n = ev.nodes
-    if n is not None:
-        line += f',"nodes":{repr(n) if type(n) is int else _dumps(n)}'
-    n = ev.cpus
-    if n is not None:
-        line += f',"cpus":{repr(n) if type(n) is int else _dumps(n)}'
-    n = ev.gpus
-    if n is not None:
-        line += f',"gpus":{repr(n) if type(n) is int else _dumps(n)}'
-    if ev.stage is not None:
-        line += f',"stage":{quoted[ev.stage]}'
-    if ev.pipeline is not None:
-        line += f',"pipeline":{quoted[ev.pipeline]}'
+            f'"id":{_json_str(eid) if isinstance(eid, str) else _dumps(eid)}'
+            + _encode_tail(quoted, ev.transition, ev.nodes, ev.cpus, ev.gpus,
+                           ev.stage, ev.pipeline))
+
+
+def _encode_tail(quoted: _QuotedStrings, transition, nodes, cpus, gpus, stage,
+                 pipeline) -> str:
+    """The line from ``,"transition":`` on, closing brace included."""
+    line = f',"transition":{quoted[transition]}'
+    if nodes is not None:
+        line += f',"nodes":{repr(nodes) if type(nodes) is int else _dumps(nodes)}'
+    if cpus is not None:
+        line += f',"cpus":{repr(cpus) if type(cpus) is int else _dumps(cpus)}'
+    if gpus is not None:
+        line += f',"gpus":{repr(gpus) if type(gpus) is int else _dumps(gpus)}'
+    if stage is not None:
+        line += f',"stage":{quoted[stage]}'
+    if pipeline is not None:
+        line += f',"pipeline":{quoted[pipeline]}'
     return line + "}"
+
+
+class _EncodedTails(dict):
+    """Maps (transition, nodes, cpus, gpus, stage, pipeline) to the line's
+    text after the id, newline included, computing each one once."""
+
+    def __init__(self, quoted: _QuotedStrings):
+        super().__init__()
+        self.quoted = quoted
+
+    def __missing__(self, key):
+        tail = self[key] = _encode_tail(self.quoted, *key) + "\n"
+        return tail
+
+
+def _line(ev: TraceEvent, quoted: _QuotedStrings, tails: _EncodedTails) -> str:
+    """The event's line, newline included.  The cached tail serves only
+    events whose keyed values have exact types (int or None counts, str or
+    None names), with a finite float time and a str id: True, 1, 1.0 and
+    np.int64(1) are equal as dict keys, but json writes them apart or not
+    at all."""
+    t, eid, transition, stage, pipeline = ev.t, ev.entity_id, ev.transition, ev.stage, ev.pipeline
+    nodes, cpus, gpus = ev.nodes, ev.cpus, ev.gpus
+    if (type(t) is float and t - t == 0.0 and type(eid) is str and type(transition) is str
+            and (nodes is None or type(nodes) is int) and (cpus is None or type(cpus) is int)
+            and (gpus is None or type(gpus) is int) and (stage is None or type(stage) is str)
+            and (pipeline is None or type(pipeline) is str)):
+        return (f'{{"t":{t!r},"entity":{quoted[ev.entity]},"id":{_json_str(eid)}'
+                + tails[transition, nodes, cpus, gpus, stage, pipeline])
+    return _encode(ev, quoted) + "\n"
 
 
 # -- decoding ---------------------------------------------------------------
 #
-# A line in the canonical form ``_encode`` writes is parsed by one regular
-# expression.  Its numbers follow JSON's grammar, a time always has a
+# A line in the canonical form ``_encode`` writes is parsed by two regular
+# expressions: one for its head, up to ``,"transition":``, and one for the
+# rest, its tail.  Its numbers follow JSON's grammar, a time always has a
 # fraction or an exponent (as ``repr`` of a float does) and a count is an
 # int of at most 18 digits, so ``float`` and ``int`` of the matched text
 # give what json.loads gives.  Its strings are printable ASCII without
@@ -160,10 +217,32 @@ def _encode(ev: TraceEvent, quoted: _QuotedStrings) -> str:
 _STR = r'"([ !#-\[\]-~]*)"'
 _INT = r'(-?(?:0|[1-9][0-9]{0,17}))'
 _TIME = r'(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))'
-CANONICAL_LINE = re.compile(
-    rf'\{{"t":{_TIME},"entity":{_STR},"id":{_STR},"transition":{_STR}'
-    rf'(?:,"nodes":{_INT})?(?:,"cpus":{_INT})?(?:,"gpus":{_INT})?'
-    rf'(?:,"stage":{_STR})?(?:,"pipeline":{_STR})?\}}\n?')
+_HEAD = re.compile(rf'\{{"t":{_TIME},"entity":{_STR},"id":{_STR},"transition":')
+_TAIL = re.compile(rf'{_STR}(?:,"nodes":{_INT})?(?:,"cpus":{_INT})?(?:,"gpus":{_INT})?'
+                   rf'(?:,"stage":{_STR})?(?:,"pipeline":{_STR})?\}}\n?')
+# A head's strings hold no '"', so a line is canonical exactly when its
+# head matches and the rest of it is a tail.
+CANONICAL_LINE = re.compile(_HEAD.pattern + _TAIL.pattern)
+
+
+class _ParsedTails(dict):
+    """Maps a line's tail to its TraceEvent fields (transition, nodes,
+    cpus, gpus, stage, pipeline), parsing each one once; None for a tail
+    not in the canonical form."""
+
+    def __missing__(self, tail):
+        m = _TAIL.fullmatch(tail)
+        fields = None
+        if m is not None:
+            transition, nodes, cpus, gpus, stage, pipeline = m.groups()
+            fields = (sys.intern(transition),
+                      None if nodes is None else int(nodes),
+                      None if cpus is None else int(cpus),
+                      None if gpus is None else int(gpus),
+                      None if stage is None else sys.intern(stage),
+                      None if pipeline is None else sys.intern(pipeline))
+        self[tail] = fields
+        return fields
 
 
 def event_from_json(line: str, lineno: int | None = None) -> TraceEvent:
@@ -221,11 +300,11 @@ class TraceSink:
         """Write one line per event.  Lines go out in batches, so the
         file's text is never held in memory whole."""
         quoted = _QuotedStrings()
+        tails = _EncodedTails(quoted)
         events = self.events
         with open(path, "w", encoding="utf-8") as fh:
             for i in range(0, len(events), _SAVE_BATCH):
-                fh.writelines([_encode(ev, quoted) + "\n"
-                               for ev in events[i:i + _SAVE_BATCH]])
+                fh.writelines([_line(ev, quoted, tails) for ev in events[i:i + _SAVE_BATCH]])
 
 
 def load_trace(path) -> list[TraceEvent]:
@@ -235,24 +314,20 @@ def load_trace(path) -> list[TraceEvent]:
     shares one copy of each."""
     events = []
     append = events.append
-    match = CANONICAL_LINE.fullmatch
+    head = _HEAD.match
+    tails = _ParsedTails()
     intern = sys.intern
-    with open(path, encoding="utf-8") as fh:
+    with gc_paused(), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            m = match(line)
-            if m is None:
+            m = head(line)
+            fields = None if m is None else tails[line[m.end():]]
+            if fields is None:
                 line = line.strip()
                 if line:
                     append(event_from_json(line, lineno))
                 continue
-            t, entity, eid, transition, nodes, cpus, gpus, stage, pipeline = m.groups()
-            append(TraceEvent(
-                float(t), intern(entity), eid, intern(transition),
-                None if nodes is None else int(nodes),
-                None if cpus is None else int(cpus),
-                None if gpus is None else int(gpus),
-                None if stage is None else intern(stage),
-                None if pipeline is None else intern(pipeline)))
+            t, entity, eid = m.groups()
+            append(TraceEvent(float(t), intern(entity), eid, *fields))
     return events
 
 
@@ -461,6 +536,12 @@ def stage_throughput(trace: list[TraceEvent], stage_tag: str,
             starts.append(ev.t)
         elif ev.transition == "done":
             dones.append(ev.t)
+    return throughput_from_times(stage_tag, starts, dones, window_s)
+
+
+def throughput_from_times(stage_tag: str, starts: list[float], dones: list[float],
+                          window_s: float | None = None) -> Optional[ThroughputReport]:
+    """``stage_throughput`` from a stage's task start and done times."""
     if not dones or not starts:
         return None
     t0 = min(starts)

@@ -1,13 +1,16 @@
 """Command-line behavior: artifacts, determinism, exit codes, local runs."""
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from funnelsim.cli import main
-from funnelsim.engine import Engine
-from funnelsim.trace import load_trace
+from funnelsim.cli import _trace_metrics, load_config, main
+from funnelsim.engine import Engine, run_campaign
+from funnelsim.trace import TraceEvent, TraceSink, load_trace, stage_throughput
+
+from test_pinned_traces import run_overlay_funnel
 
 
 def write_config(path, **overrides):
@@ -241,6 +244,82 @@ class TestReport:
         um = utilization(merged, 1.0).mean()
         u1 = utilization(events, 1.0).mean()
         assert um == pytest.approx(u1)
+
+
+def funnel_counts_from_trace(events) -> dict:
+    """The summary's funnel counts from a walk of their own, as the CLI
+    read them before its stage figures came from one walk."""
+    counts: dict[str, int] = {}
+    confs = set()
+    for ev in events:
+        if ev.entity == "task" and ev.transition == "pending" and ev.stage:
+            counts[ev.stage] = counts.get(ev.stage, 0) + 1
+            if ev.stage == "S3FG":
+                parts = ev.entity_id.split(".")
+                conf = next((p for p in parts if p.startswith("c") and p[1:].isdigit()), None)
+                if conf:
+                    confs.add(conf)
+    out = {f"{stage}_tasks": n for stage, n in sorted(counts.items())}
+    if confs:
+        out["selected_conformations"] = len(confs)
+    return out
+
+
+def desk_funnel_events():
+    config = Path(__file__).resolve().parents[1] / "configs" / "desk_funnel.json"
+    spec, overlay, _ = load_config(str(config), seed_override=42)
+    return run_campaign(spec, overlay=overlay).sink.events
+
+
+def flag_mode_events():
+    """A trace with illegal steps: tasks that run before they are born,
+    end twice or never run, a stage that never completes a task, a stage
+    whose tasks all end at one time, an empty stage tag, and worker and
+    pipeline events that name a stage."""
+    sink = TraceSink(mode="flag")
+    steps = [
+        (0.0, "task", "p0.S3FG.c0003.r0", "pending", "S3FG"),
+        (0.0, "task", "p0.S3FG.c0003.r1", "pending", "S3FG"),
+        (0.0, "task", "p0.S3FG.c0007.r0", "pending", "S3FG"),
+        (0.0, "task", "p0.S3FG.r2", "pending", "S3FG"),
+        (1.0, "task", "p0.S3FG.c0003.r0", "running", "S3FG"),
+        (1.0, "task", "p0.S3FG.c0007.r0", "running", "S3FG"),
+        (2.0, "task", "p0.S3FG.c0003.r0", "done", "S3FG"),
+        (2.5, "task", "p0.S3FG.c0003.r0", "done", "S3FG"),
+        (4.0, "task", "p0.S3FG.c0007.r0", "done", "S3FG"),
+        (1.0, "task", "x0", "done", "X"),
+        (1.0, "task", "y0", "pending", "Y"),
+        (2.0, "task", "y0", "running", "Y"),
+        (1.0, "task", "z0", "running", "Z"),
+        (1.0, "task", "z0", "done", "Z"),
+        (3.0, "task", "e0", "pending", ""),
+        (3.5, "task", "e0", "running", ""),
+        (4.0, "task", "e0", "done", ""),
+        (2.0, "worker", "w0", "busy", "S1"),
+        (3.0, "worker", "w0", "done", "S3FG"),
+        (3.0, "pipeline", "p0", "pending", "S3FG"),
+    ]
+    for t, entity, eid, transition, stage in steps:
+        sink.record(TraceEvent(t, entity, eid, transition, stage=stage, pipeline="p0"))
+    assert sink.flagged
+    return sink.events
+
+
+class TestTraceMetricsOneWalk:
+    """The summary's stage figures come from one walk; they equal a
+    stage_throughput walk per stage and the funnel counts' own walk."""
+
+    @pytest.mark.parametrize("make", [desk_funnel_events, lambda: run_overlay_funnel().sink.events,
+                                      flag_mode_events],
+                             ids=["desk_funnel_42", "overlay_funnel", "flag_mode"])
+    def test_same_reports_and_counts_as_separate_walks(self, make):
+        events = make()
+        _util, _ovh, reports, funnel = _trace_metrics(events, None)
+        stages = sorted({ev.stage for ev in events if ev.entity == "task" and ev.stage})
+        want = [(tag, stage_throughput(events, tag)) for tag in stages]
+        assert list(reports.items()) == [(tag, rep) for tag, rep in want if rep is not None]
+        assert len(reports) >= 2
+        assert funnel == funnel_counts_from_trace(events)
 
 
 class TestBucketWidth:

@@ -1,6 +1,6 @@
 """Free-slot counts, first-fit placement, and executor timing."""
 import heapq
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +111,23 @@ class TestSchedule:
             schedule(pilot, [task("giant", cpus=5)])
         with pytest.raises(UnsatisfiableError):
             schedule(pilot, [task("wide", cpus=1, nodes=3)])
+
+    @pytest.mark.parametrize("pool_ids", [["a", "huge"], ["a", "b", "c", "huge", "d"]])
+    def test_round_that_raises_is_undone(self, pool_ids):
+        # A task placed earlier in a round must not keep its slots when a
+        # later one is unsatisfiable: the caller never sees its placement.
+        pilot = acquire_pilot(PilotSpec(nodes=1, cpus_per_node=2, gpus_per_node=0,
+                                        walltime_s=1.0))
+        cpus = {"a": 1, "b": 2, "c": 1, "d": 1, "huge": 3}
+        pool = deque(task(tid, cpus=cpus[tid]) for tid in pool_ids)
+        shapes = Counter(map(pilot.task_shape, pool))
+        before = dict(shapes)
+        with pytest.raises(UnsatisfiableError, match="task huge needs 3 cpus/node"):
+            pilot.schedule(pool, shapes)
+        assert pilot.live == {}
+        assert pilot.free_cpus.tolist() == [2]
+        assert [t.task_id for t in pool] == pool_ids
+        assert dict(shapes) == before
 
     def test_gpu_task_consumes_host_cpu_slot(self):
         pilot = acquire_pilot(PilotSpec(nodes=1, cpus_per_node=1, gpus_per_node=2,
@@ -300,12 +317,16 @@ class TestAgainstSlotMap:
                     pool.append(new)
                     ref_pool.append(new)
                 while True:
+                    held = sorted(pilot.live), pilot.free_cpus.tolist(), pilot.free_gpus.tolist()
                     try:
                         placed = pilot.schedule(pool)
                     except UnsatisfiableError as exc:
                         with pytest.raises(UnsatisfiableError) as ref_exc:
                             ref.schedule(ref_pool)
                         assert str(exc) == str(ref_exc.value)
+                        # The round was undone: nothing stays placed.
+                        assert (sorted(pilot.live), pilot.free_cpus.tolist(),
+                                pilot.free_gpus.tolist()) == held
                         errors += 1
                         bad = str(exc).split()[1]
                         for q in (pool, ref_pool):

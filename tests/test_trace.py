@@ -1,4 +1,5 @@
 """Trace recording, legality, persistence, and the derived metrics."""
+import gc
 import json
 import math
 from pathlib import Path
@@ -416,6 +417,174 @@ class TestCodec:
         a, b, _ = load_trace(path)
         assert a.entity is b.entity and a.transition is b.transition
         assert a.stage is b.stage and a.pipeline is b.pipeline
+
+
+def trace_event(**fields):
+    """A task event with every optional key, some of them replaced."""
+    plain = dict(t=2.5, entity="task", entity_id="a", transition="running",
+                 nodes=1, cpus=1, gpus=1, stage="S1", pipeline="p0")
+    return TraceEvent(**{**plain, **fields})
+
+
+SEP = ',"transition":'
+GOOD_HEADS = ['{"t":1.0,"entity":"task","id":"a"', '{"t":2.5e-05,"entity":"node","id":"pilot-0/3"',
+              '{"t":-0.0,"entity":"stage","id":""', '{"t":3.0,"entity":"task","id":"p0.S1.t2"']
+# Heads json.loads reads but the canonical pattern does not.
+BAD_HEADS = ['{"t":1,"entity":"task","id":"a"', '{"t":1.0,"entity":"task","id":"a\\"b"',
+             ' {"t":1.0,"entity":"task","id":"a"', '{"t": 1.0,"entity":"task","id":"a"',
+             '{"t":1.0,"entity":"task","id":"a\\u00e9"', '{"t":1.0,"entity":"task","id":"é"']
+GOOD_TAILS = ['"pending","stage":"S1","pipeline":"p0"}', '"busy"}',
+              '"running","nodes":1,"cpus":2,"gpus":0,"stage":"S1","pipeline":"p0"}']
+BAD_TAILS = ['"running","nodes":1.0}', '"running","nodes":-0}', '"pending","stage":"S\\u00e9"}',
+             '"pending","stage":"é"}', '"pending", "stage":"S1"}',
+             '"pending","pipeline":"p0","stage":"S1"}', '"pending"} ']
+
+
+def write_lines(path, lines, ending="\n"):
+    # Bytes, so that a \r reaches the reader as written.
+    path.write_bytes("".join(line + ending for line in lines).encode("utf-8"))
+
+
+class TestCodecCaches:
+    """``save`` encodes each distinct line tail once and ``load_trace``
+    parses each one once.  Equal keys of other types, and one tail after
+    other heads, must still give what the references give."""
+
+    # Values equal as dict keys to the plain event's (1 == True == 1.0 ==
+    # np.int64(1)) or of another type; json writes each apart, or not at all.
+    ODD = [("nodes", True), ("cpus", 1.0), ("gpus", np.int64(1)), ("nodes", False),
+           ("cpus", 0.0), ("gpus", np.int32(0)), ("stage", 1), ("stage", True),
+           ("stage", "1"), ("pipeline", 1.0), ("transition", 1), ("transition", True),
+           ("entity", True), ("entity", 1), ("t", 2), ("t", True), ("t", np.float64(2.5)),
+           ("entity_id", 1), ("entity_id", True)]
+
+    def test_save_keeps_equal_keys_of_other_types_apart(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        sink = TraceSink()
+        events = []
+        for field, value in self.ODD:
+            plain, odd = trace_event(), trace_event(**{field: value})
+            events += [plain, odd, trace_event(t=3.0), odd]
+        sink.events = [e for e in events if outcome(reference_to_json, e)[0] == "ok"]
+        assert len(sink.events) < len(events)
+        sink.save(path)
+        assert path.read_text(encoding="utf-8") == \
+            "".join(reference_to_json(e) + "\n" for e in sink.events)
+        assert loaded(load_trace, path) == loaded(reference_load, path)
+        for e in events:
+            # An event json cannot write fails the save, also after an equal
+            # key went into the cache.
+            sink.events = [trace_event(), e]
+            want = outcome(reference_to_json, e)
+            if want[0] != "ok":
+                assert outcome(sink.save, path)[:2] == want[:2], repr(e)
+
+    def test_one_tail_after_many_heads(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_lines(path, [head + SEP + tail for tail in GOOD_TAILS + BAD_TAILS
+                           for head in GOOD_HEADS + BAD_HEADS])
+        got = loaded(load_trace, path)
+        assert got[0] == "ok"
+        assert got == loaded(reference_load, path)
+
+    def test_good_tail_after_bad_head_and_bad_tail_after_good_head(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        good, bad = GOOD_TAILS[2], BAD_TAILS[0]
+        write_lines(path, [BAD_HEADS[1] + SEP + good, GOOD_HEADS[0] + SEP + good,
+                           GOOD_HEADS[0] + SEP + bad, GOOD_HEADS[3] + SEP + bad,
+                           BAD_HEADS[0] + SEP + good, GOOD_HEADS[1] + SEP + good])
+        got = loaded(load_trace, path)
+        assert got[0] == "ok"
+        assert got == loaded(reference_load, path)
+
+    @pytest.mark.parametrize("ending", ["\r", "\r\n", "\r\r\n", "\n\r"])
+    def test_carriage_returns_on_repeated_tails(self, ending, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_lines(path, [head + SEP + tail for tail in GOOD_TAILS for head in GOOD_HEADS * 2],
+                    ending)
+        got = loaded(load_trace, path)
+        assert got[0] == "ok"
+        assert got == loaded(reference_load, path)
+
+    def test_random_mix_of_heads_tails_and_endings(self, tmp_path):
+        rng = np.random.default_rng(5)
+        heads, tails = GOOD_HEADS + BAD_HEADS, GOOD_TAILS + BAD_TAILS
+        endings = ["\n", "\n", "\r\n", "\r", "\n\n"]
+        text = "".join(heads[int(rng.integers(len(heads)))] + SEP
+                       + tails[int(rng.integers(len(tails)))]
+                       + endings[int(rng.integers(len(endings)))] for _ in range(1000))
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        got = loaded(load_trace, path)
+        assert got[0] == "ok"
+        assert got == loaded(reference_load, path)
+
+    @pytest.mark.parametrize("first", [GOOD_TAILS[0], BAD_TAILS[0]])
+    def test_unreadable_line_after_a_cached_tail_names_its_line(self, first, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_lines(path, [GOOD_HEADS[0] + SEP + first, GOOD_HEADS[1] + SEP + first,
+                           GOOD_HEADS[2] + SEP + '"running","nodes":01}'])
+        got = loaded(load_trace, path)
+        assert got[:1] == ("InputError",) and got[2] == 3
+        assert got == loaded(reference_load, path)
+
+
+class TestCollectorPaused:
+    """load_trace and the simulated event loop pause the cyclic collector
+    and leave it as they found it, also when they raise."""
+
+    @pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])
+    def collector(self, request):
+        was_enabled = gc.isenabled()
+        if request.param:
+            gc.enable()
+        else:
+            gc.disable()
+        yield request.param
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def small_run(self, sink=None):
+        res = PilotSpec(nodes=2, cpus_per_node=1, gpus_per_node=0, walltime_s=100.0)
+        tasks = [TaskDescriptor(f"t{i}", duration_model=FixedDuration(1.0)) for i in range(4)]
+        return run_executor(res, tasks, sink=sink)
+
+    def test_load_trace(self, collector, tmp_path):
+        path = tmp_path / "t.jsonl"
+        self.small_run().sink.save(path)
+        assert len(load_trace(path)) > 0
+        assert gc.isenabled() is collector
+
+    def test_load_trace_that_raises(self, collector, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(trace_event().to_json() + "\nnot json\n", encoding="utf-8")
+        with pytest.raises(InputError):
+            load_trace(path)
+        assert gc.isenabled() is collector
+
+    def test_simulated_run(self, collector):
+        seen = []
+
+        class WatchingSink(TraceSink):
+            def record(self, event):
+                seen.append(gc.isenabled())
+                super().record(event)
+
+        self.small_run(WatchingSink())
+        assert gc.isenabled() is collector
+        # Paused inside the loop; before it, as the caller left it.
+        assert seen[0] is collector and False in seen
+
+    def test_simulated_run_that_raises(self, collector):
+        sink = TraceSink()
+        # Node 0 is busy already, so the loop's first task start records an
+        # illegal busy -> busy.
+        sink.record(ev(0.0, "node", "pilot-0/0", "busy"))
+        with pytest.raises(TraceError, match="busy -> busy"):
+            self.small_run(sink)
+        assert gc.isenabled() is collector
 
 
 class TestRecordAgainstReference:
