@@ -34,7 +34,7 @@ from .engine import run_campaign
 from .errors import ConfigError, FunnelsimError, InputError
 from .overlay import MasterConfig
 from .pilot import PilotSpec
-from .trace import TraceSink, load_trace, throughput_from_times, timeline
+from .trace import TraceColumns, TraceSink, load_trace, throughput_from_times, timeline
 
 
 def _check_keys(doc: dict, allowed: set[str], where: str):
@@ -159,37 +159,33 @@ def load_config(path: str, seed_override: int | None = None,
     return spec, overlay, funnel
 
 
-def _trace_metrics(events, bucket_width: float | None):
+def _trace_metrics(trace, bucket_width: float | None):
     """Utilization and overhead from one timeline; each completed stage's
     throughput and the funnel counts (per-stage task births and distinct
-    selected conformations) from one more walk."""
-    run = timeline(events)
-    born: dict[str, int] = {}
-    starts: dict[str, list[float]] = {}
-    dones: dict[str, list[float]] = {}
-    confs = set()
-    for ev in events:
-        stage = ev.stage
-        if ev.entity != "task" or not stage:
-            continue
-        transition = ev.transition
-        if transition == "running":
-            starts.setdefault(stage, []).append(ev.t)
-        elif transition == "done":
-            dones.setdefault(stage, []).append(ev.t)
-        elif transition == "pending":
-            born[stage] = born.get(stage, 0) + 1
-            if stage == "S3FG":
-                parts = ev.entity_id.split(".")
-                conf = next((p for p in parts if p.startswith("c") and p[1:].isdigit()), None)
+    selected conformations) from masks on the trace's columns."""
+    run = timeline(trace)
+    cols = TraceColumns.of(trace)
+    reports, born, confs = {}, {}, set()
+    for stage in {tail[4] for tail in cols.tails if tail[4]}:
+        starts = cols.t[cols.task_rows("running", stage)].tolist()
+        dones = cols.t[cols.task_rows("done", stage)].tolist()
+        if starts and dones:
+            reports[stage] = throughput_from_times(stage, starts, dones)
+        pending = cols.task_rows("pending", stage)
+        if len(pending):
+            born[stage] = len(pending)
+        if stage == "S3FG":
+            ids = {cols.ids[i] for i in pending.tolist()}
+            # Only an id with a part that starts with "c" can name a conformation.
+            for eid in (eid for eid in ids if eid.startswith("c") or ".c" in eid):
+                conf = next((p for p in eid.split(".") if p.startswith("c") and p[1:].isdigit()),
+                            None)
                 if conf:
                     confs.add(conf)
-    reports = {tag: throughput_from_times(tag, starts[tag], dones[tag])
-               for tag in sorted(dones) if tag in starts}
     funnel = {f"{stage}_tasks": n for stage, n in sorted(born.items())}
     if confs:
         funnel["selected_conformations"] = len(confs)
-    return run.utilization(bucket_width), run.overhead(), reports, funnel
+    return run.utilization(bucket_width), run.overhead(), dict(sorted(reports.items())), funnel
 
 
 def _write_utilization_csv(path: Path, util) -> None:
@@ -201,7 +197,7 @@ def _write_utilization_csv(path: Path, util) -> None:
 
 
 def write_summary(result, sink, out_dir: Path, bucket_width: float | None) -> dict:
-    util, ovh, reports, funnel = _trace_metrics(sink.events, bucket_width)
+    util, ovh, reports, funnel = _trace_metrics(sink, bucket_width)
     summary = {
         "makespan_s": result.makespan,
         "walltime_hit": result.walltime_hit,

@@ -21,6 +21,7 @@ import subprocess
 import threading
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from . import campaign as cm
@@ -92,8 +93,8 @@ class Engine:
 
     def _ev(self, t, entity, entity_id, transition, nodes=None, cpus=None,
             gpus=None, stage=None, pipeline=None):
-        self.sink.record(TraceEvent(t, entity, entity_id, transition, nodes=nodes,
-                                    cpus=cpus, gpus=gpus, stage=stage, pipeline=pipeline))
+        self.sink.record(TraceEvent(t, entity, entity_id, transition, nodes, cpus, gpus,
+                                    stage, pipeline))
 
     def _task_ev(self, t, task, transition, pid, with_resources=False):
         self._ev(t, "task", task.task_id, transition,
@@ -265,11 +266,12 @@ class Engine:
                  nodes=res.nodes, cpus=res.cpus_per_node, gpus=res.gpus_per_node)
         t0 = self.backend.start()
         self._ev(t0, "pilot", self.pilot.pilot_id, "agent_ready")
-        for pid in self._pipeline_order:
-            self._ev(t0, "pipeline", pid, "started", pipeline=pid)
-            self._start_stage(pid, self.states[pid], t0)
-        self._schedule_round(t0)
-        self.backend.loop()
+        with self.backend.bulk_allocation():
+            for pid in self._pipeline_order:
+                self._ev(t0, "pipeline", pid, "started", pipeline=pid)
+                self._start_stage(pid, self.states[pid], t0)
+            self._schedule_round(t0)
+            self.backend.loop()
         if not self._walltime_hit:
             stuck = [pid for pid, st in self.states.items() if st.status == cm.RUNNING]
             if stuck:
@@ -437,6 +439,10 @@ class _SimulatedBackend:
     duration, starting ``sched_gap_s`` after its scheduling decision."""
 
     overlay_on_pilot = True
+    # From the first stage start on, the run allocates tasks' events, pool
+    # entries and heap entries in bulk and frees next to no cycles, so the
+    # cyclic collector is paused.
+    bulk_allocation = staticmethod(gc_paused)
 
     def __init__(self, engine: Engine):
         self.engine = engine
@@ -473,27 +479,24 @@ class _SimulatedBackend:
         self._push(t + dur, overlay.on_fn_done, (worker, task, cm.DONE, task.payload))
 
     def loop(self):
-        # The loop allocates events and heap entries in bulk and frees
-        # next to no cycles, so the cyclic collector is paused.
         heap = self._heap
         walltime = self.engine.spec.resource.walltime_s
-        with gc_paused():
-            while heap:
-                t = heap[0][0]
-                if t > walltime:
-                    self.t = walltime
-                    self.engine._expire(walltime)
-                    return
-                batch = []
-                while heap and heap[0][0] == t:
-                    batch.append(heapq.heappop(heap))
-                self.t = t
-                progressed = False
-                for (_, _, handler, args) in batch:
-                    if handler(*args, t):
-                        progressed = True
-                if progressed:
-                    self.engine._schedule_round(t)
+        while heap:
+            t = heap[0][0]
+            if t > walltime:
+                self.t = walltime
+                self.engine._expire(walltime)
+                return
+            batch = []
+            while heap and heap[0][0] == t:
+                batch.append(heapq.heappop(heap))
+            self.t = t
+            progressed = False
+            for (_, _, handler, args) in batch:
+                if handler(*args, t):
+                    progressed = True
+            if progressed:
+                self.engine._schedule_round(t)
 
 
 class _LocalBackend:
@@ -507,6 +510,8 @@ class _LocalBackend:
     reaped, so no executable outlives the run."""
 
     overlay_on_pilot = False
+    # Threads and user code run alongside; the collector stays as it is.
+    bulk_allocation = staticmethod(nullcontext)
 
     def __init__(self, engine: Engine):
         tasks = [t for pipe in engine.spec.pipelines for st in pipe.stages for t in st.tasks]

@@ -97,16 +97,20 @@ class Pilot:
         """Place one task on the lowest-indexed nodes with enough free
         cpus and gpus, or return None if it does not currently fit.
 
-        Raises UnsatisfiableError when it can never fit this pilot.
+        Raises UnsatisfiableError when it can never fit this pilot.  A
+        task of at least one node that can never fit also misses the scan,
+        so the capacity rule is checked only on a miss, or for a task of
+        fewer nodes.
         """
-        reasons = self.spec.unfit(task)
-        if reasons:
-            raise UnsatisfiableError(f"task {task.task_id} {reasons[0]}")
+        if task.nodes < 1:
+            self._check_fit(task)
         if task.task_id in self.live:
+            self._check_fit(task)       # a capacity error comes first
             raise StateError(f"task {task.task_id} already placed")
         cpus, gpus, n_nodes = self.task_shape(task)
         fit = np.flatnonzero((self.free_cpus >= cpus) & (self.free_gpus >= gpus))
         if len(fit) < n_nodes:
+            self._check_fit(task)
             return None
         nodes = fit[:n_nodes].tolist()
         for n in nodes:
@@ -115,6 +119,11 @@ class Pilot:
         pl = Placement(task.task_id, nodes, cpus, gpus)
         self.live[task.task_id] = pl
         return pl
+
+    def _check_fit(self, task) -> None:
+        reasons = self.spec.unfit(task)
+        if reasons:
+            raise UnsatisfiableError(f"task {task.task_id} {reasons[0]}")
 
     def schedule(self, pool: deque, shapes: dict | None = None) -> list[Placement]:
         """First-fit over a queue of tasks, in queue order.

@@ -5,20 +5,21 @@ Every state transition in a run is recorded as a TraceEvent.  Metrics
 functions of the trace, so a persisted trace can be re-analyzed at any
 time and merged traces from disjoint runs behave additively.
 
-Node and queue metrics (utilization, overhead, busy node-seconds, peak
-concurrency) are views of one Timeline: the busy nodes, queued tasks and
-running tasks over time, from one walk of the events.  A node is busy from
-its ``busy`` event until the next ``idle`` of the same id; a task is queued
-from ``pending`` and running from ``running`` until it ends.  An event that
-would put an entity back into a count it has reached changes nothing.  A
-given utilization bucket width must be a positive finite number.
+A TraceSink keeps columns, not events: per event its time, entity, id,
+an instance code per distinct (entity, id) and a tail code per distinct
+(transition, nodes, cpus, gpus, stage, pipeline).  ``save`` encodes each
+run of equal times, each instance's entity and id and each tail once.
 
-``load_trace`` and the simulated event loop allocate an object per event
-by the hundred thousand, and almost none of them become garbage; each
-pauses CPython's cyclic collector while it runs (``gc_paused``), because
-a collection would only walk the growing heap and free nothing.  A saved
-trace repeats few distinct line endings (transition, counts, stage and
-pipeline), so ``save`` encodes and ``load_trace`` parses each one once.
+Node and queue metrics (utilization, overhead, busy node-seconds, peak
+concurrency) are views of one Timeline, from one walk over a sink's
+columns or a list's events.  A node is busy from its ``busy`` event until
+the next ``idle`` of the same id; a task is queued from ``pending`` and
+running from ``running`` until it ends.  An event that would put an entity
+back into a count it has reached changes nothing.
+
+``load_trace`` and the simulated run allocate objects by the hundred
+thousand and free almost none, so each pauses CPython's cyclic collector
+(``gc_paused``).  ``load_trace`` parses each distinct line tail once.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import math
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Optional
 
@@ -38,56 +39,23 @@ from .errors import InputError, TraceError
 
 # Legal transition graphs, per entity kind.  ``None`` keys are the legal
 # birth transitions for that entity.
-_TASK_GRAPH = {
-    None: {"pending"},
-    "pending": {"scheduled", "canceled"},
-    "scheduled": {"running", "canceled"},
-    "running": {"done", "failed", "canceled"},
-}
-_PILOT_GRAPH = {
-    None: {"acquired"},
-    "acquired": {"agent_ready", "released"},
-    "agent_ready": {"released"},
-}
-_NODE_GRAPH = {
-    None: {"busy"},
-    "busy": {"idle"},
-    "idle": {"busy"},
-}
-_PIPELINE_GRAPH = {
-    None: {"started"},
-    "started": {"done", "failed", "canceled"},
-}
-_STAGE_GRAPH = {
-    None: {"started"},
-    "started": {"completed", "failed"},
-}
-_WORKER_GRAPH = {
-    None: {"ready"},
-    "ready": {"busy", "stopped"},
-    "busy": {"idle", "stopped"},
-    "idle": {"busy", "stopped"},
-}
-_MASTER_GRAPH = {
-    None: {"ready"},
-    "ready": {"bulk_created", "stopped"},
-    "bulk_created": {"bulk_created", "stopped"},
-}
-
 LEGAL_GRAPHS = {
-    "task": _TASK_GRAPH,
-    "pilot": _PILOT_GRAPH,
-    "node": _NODE_GRAPH,
-    "pipeline": _PIPELINE_GRAPH,
-    "stage": _STAGE_GRAPH,
-    "worker": _WORKER_GRAPH,
-    "master": _MASTER_GRAPH,
+    "task": {None: {"pending"}, "pending": {"scheduled", "canceled"},
+             "scheduled": {"running", "canceled"}, "running": {"done", "failed", "canceled"}},
+    "pilot": {None: {"acquired"}, "acquired": {"agent_ready", "released"},
+              "agent_ready": {"released"}},
+    "node": {None: {"busy"}, "busy": {"idle"}, "idle": {"busy"}},
+    "pipeline": {None: {"started"}, "started": {"done", "failed", "canceled"}},
+    "stage": {None: {"started"}, "started": {"completed", "failed"}},
+    "worker": {None: {"ready"}, "ready": {"busy", "stopped"}, "busy": {"idle", "stopped"},
+               "idle": {"busy", "stopped"}},
+    "master": {None: {"ready"}, "ready": {"bulk_created", "stopped"},
+               "bulk_created": {"bulk_created", "stopped"}},
 }
 
 TERMINAL_TASK_STATES = {"done", "failed", "canceled"}
 
-# Every legal (entity, previous transition, next transition), so that
-# recording an event checks legality with one set lookup.
+# Every legal (entity, previous, next transition): legality is one set lookup.
 _LEGAL_STEPS = frozenset((entity, prev, nxt) for entity, graph in LEGAL_GRAPHS.items()
                          for prev, nexts in graph.items() for nxt in nexts)
 _NEVER_SEEN = (-math.inf, None)
@@ -95,8 +63,7 @@ _NEVER_SEEN = (-math.inf, None)
 
 @contextmanager
 def gc_paused():
-    """Turn CPython's cyclic garbage collector off for the body, and back
-    on afterwards, also when the body raises, if it was on before."""
+    """Pause the cyclic collector for the body; turn it back on after, if it was on."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -119,100 +86,43 @@ class TraceEvent:
     pipeline: Optional[str] = None
 
     def to_json(self) -> str:
-        """The event's line in ``trace.jsonl``, without the newline: the
-        text of ``json.dumps`` with compact separators, keys in field order
-        and the optional keys that are None left out."""
-        return _encode(self, _QuotedStrings())
+        """The event's line in ``trace.jsonl``, without the newline."""
+        return _encode(self)
 
 
 # -- encoding ---------------------------------------------------------------
 #
-# The fast forms below are what json.dumps itself emits: ``repr`` of a
-# finite float or of an exact int, and json's own ASCII string quoting.
-# Any other value (a bool, a numpy scalar, a non-finite float, an int
-# time) goes through json.dumps.
+# A line is the text json.dumps writes with compact separators; ``save``
+# writes a finite float's ``repr`` and json's ASCII string quoting itself.
 
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 _SAVE_BATCH = 4096      # lines per write in TraceSink.save
+_TAIL_KEYS = ("nodes", "cpus", "gpus", "stage", "pipeline")
 
 
-class _QuotedStrings(dict):
-    """Maps a trace string to its JSON form, computing each one once."""
-
-    def __missing__(self, value):
-        if not isinstance(value, str):
-            return _dumps(value)
-        quoted = self[value] = _json_str(value)
-        return quoted
+def _json(value) -> str:
+    return _json_str(value) if type(value) is str else _dumps(value)
 
 
-def _encode(ev: TraceEvent, quoted: _QuotedStrings) -> str:
-    t, eid = ev.t, ev.entity_id
-    # t - t is 0.0 only when t is finite.
-    return (f'{{"t":{repr(t) if type(t) is float and t - t == 0.0 else _dumps(t)},'
-            f'"entity":{quoted[ev.entity]},'
-            f'"id":{_json_str(eid) if isinstance(eid, str) else _dumps(eid)}'
-            + _encode_tail(quoted, ev.transition, ev.nodes, ev.cpus, ev.gpus,
-                           ev.stage, ev.pipeline))
+def _encode(ev: TraceEvent) -> str:
+    return (f'{{"t":{_dumps(ev.t)},"entity":{_json(ev.entity)},"id":{_json(ev.entity_id)}'
+            + _encode_tail(ev.transition, ev.nodes, ev.cpus, ev.gpus, ev.stage, ev.pipeline))
 
 
-def _encode_tail(quoted: _QuotedStrings, transition, nodes, cpus, gpus, stage,
-                 pipeline) -> str:
+def _encode_tail(transition, *values) -> str:
     """The line from ``,"transition":`` on, closing brace included."""
-    line = f',"transition":{quoted[transition]}'
-    if nodes is not None:
-        line += f',"nodes":{repr(nodes) if type(nodes) is int else _dumps(nodes)}'
-    if cpus is not None:
-        line += f',"cpus":{repr(cpus) if type(cpus) is int else _dumps(cpus)}'
-    if gpus is not None:
-        line += f',"gpus":{repr(gpus) if type(gpus) is int else _dumps(gpus)}'
-    if stage is not None:
-        line += f',"stage":{quoted[stage]}'
-    if pipeline is not None:
-        line += f',"pipeline":{quoted[pipeline]}'
-    return line + "}"
-
-
-class _EncodedTails(dict):
-    """Maps (transition, nodes, cpus, gpus, stage, pipeline) to the line's
-    text after the id, newline included, computing each one once."""
-
-    def __init__(self, quoted: _QuotedStrings):
-        super().__init__()
-        self.quoted = quoted
-
-    def __missing__(self, key):
-        tail = self[key] = _encode_tail(self.quoted, *key) + "\n"
-        return tail
-
-
-def _line(ev: TraceEvent, quoted: _QuotedStrings, tails: _EncodedTails) -> str:
-    """The event's line, newline included.  The cached tail serves only
-    events whose keyed values have exact types (int or None counts, str or
-    None names), with a finite float time and a str id: True, 1, 1.0 and
-    np.int64(1) are equal as dict keys, but json writes them apart or not
-    at all."""
-    t, eid, transition, stage, pipeline = ev.t, ev.entity_id, ev.transition, ev.stage, ev.pipeline
-    nodes, cpus, gpus = ev.nodes, ev.cpus, ev.gpus
-    if (type(t) is float and t - t == 0.0 and type(eid) is str and type(transition) is str
-            and (nodes is None or type(nodes) is int) and (cpus is None or type(cpus) is int)
-            and (gpus is None or type(gpus) is int) and (stage is None or type(stage) is str)
-            and (pipeline is None or type(pipeline) is str)):
-        return (f'{{"t":{t!r},"entity":{quoted[ev.entity]},"id":{_json_str(eid)}'
-                + tails[transition, nodes, cpus, gpus, stage, pipeline])
-    return _encode(ev, quoted) + "\n"
+    fields = "".join(f',"{key}":{_json(value)}'
+                     for key, value in zip(_TAIL_KEYS, values) if value is not None)
+    return f',"transition":{_json(transition)}{fields}}}'
 
 
 # -- decoding ---------------------------------------------------------------
 #
-# A line in the canonical form ``_encode`` writes is parsed by two regular
-# expressions: one for its head, up to ``,"transition":``, and one for the
-# rest, its tail.  Its numbers follow JSON's grammar, a time always has a
-# fraction or an exponent (as ``repr`` of a float does) and a count is an
-# int of at most 18 digits, so ``float`` and ``int`` of the matched text
-# give what json.loads gives.  Its strings are printable ASCII without
-# ``"`` or ``\``, which JSON reads literally.  Every other line goes
-# through json.loads in ``event_from_json``.
+# A canonical line is a head up to ``,"transition":`` and a tail, each parsed
+# by one regular expression.  Its numbers follow JSON's grammar (a time has a
+# fraction or an exponent, a count at most 18 digits) and its strings are
+# printable ASCII without ``"`` or ``\``, so the parse gives what json.loads
+# gives.  Every other line goes through json.loads (``event_from_json``).
 
 _STR = r'"([ !#-\[\]-~]*)"'
 _INT = r'(-?(?:0|[1-9][0-9]{0,17}))'
@@ -257,54 +167,115 @@ def event_from_json(line: str, lineno: int | None = None) -> TraceEvent:
         raise InputError(f"bad trace line {lineno}: {exc}", line=lineno) from exc
 
 
-class TraceSink:
-    """Collects TraceEvents, validating legality as they are recorded.
+class _Codes(dict):
+    """Maps a key to its code, the number of keys that came before it."""
 
-    ``mode`` is "reject" (raise TraceError on an illegal transition) or
-    "flag" (record the event and remember it in ``flagged``).
-    """
+    def __missing__(self, key):
+        code = self[key] = len(self)
+        return code
+
+
+class TraceSink:
+    """Collects a run's events as columns, checking legality as they are
+    recorded: mode "reject" raises TraceError on an illegal transition,
+    mode "flag" records the event and keeps it in ``flagged`` too."""
 
     def __init__(self, mode: str = "reject"):
         if mode not in ("reject", "flag"):
             raise ValueError(f"unknown sink mode {mode!r}")
         self.mode = mode
-        self.events: list[TraceEvent] = []
         self.flagged: list[TraceEvent] = []
-        self._last: dict[tuple[str, str], tuple[float, str]] = {}
+        # (entity, id) -> its last legal time and transition, its instance code
+        self._last: dict[tuple, tuple[float, str, int]] = {}
+        self._tails = _Codes()      # (transition, nodes, cpus, gpus, stage, pipeline) -> code
+        self.events = []
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._t)
 
     def __iter__(self):
         return iter(self.events)
 
-    def record(self, event: TraceEvent) -> None:
-        key = (event.entity, event.entity_id)
-        prev_t, prev_tr = self._last.get(key, _NEVER_SEEN)
-        if (event.entity, prev_tr, event.transition) in _LEGAL_STEPS and not event.t < prev_t:
-            self._last[key] = (event.t, event.transition)
-        elif event.entity not in LEGAL_GRAPHS:
-            self._illegal(event, f"unknown entity kind {event.entity!r}")
-        elif event.t < prev_t:
-            self._illegal(event, f"event at t={event.t} before t={prev_t}")
-        else:
-            self._illegal(event, f"illegal transition {prev_tr} -> {event.transition}")
-        self.events.append(event)
+    @property
+    def events(self) -> list[TraceEvent]:
+        """The recorded events, built from the columns."""
+        tails, odd = list(self._tails), self._odd
+        return [TraceEvent(t, entity, eid, *tails[code]) if code >= 0 else odd[~code]
+                for t, entity, eid, code in zip(self._t, self._entity, self._id, self._tail)]
 
-    def _illegal(self, event: TraceEvent, why: str) -> None:
-        if self.mode == "reject":
-            raise TraceError(f"{event.entity} {event.entity_id}: {why}")
-        self.flagged.append(event)
+    @events.setter
+    def events(self, events: Iterable[TraceEvent]) -> None:
+        """Replace the recorded events, without checking them."""
+        # Per event: time, entity, id, instance and tail code (odd event ~code).
+        self._t, self._entity, self._id, self._inst, self._tail = [], [], [], [], []
+        self._odd: list[TraceEvent] = []
+        last = self._last
+        for ev in events:
+            seen = last.setdefault((ev.entity, ev.entity_id), (*_NEVER_SEEN, len(last)))
+            self._keep(ev, seen[2])
+
+    def record(self, event: TraceEvent) -> None:
+        entity, t, transition = event.entity, event.t, event.transition
+        key = (entity, event.entity_id)
+        last = self._last.get(key)
+        prev_t, prev_tr, inst = (*_NEVER_SEEN, len(self._last)) if last is None else last
+        if (entity, prev_tr, transition) in _LEGAL_STEPS and not t < prev_t:
+            self._last[key] = (t, transition, inst)
+        else:
+            why = (f"unknown entity kind {entity!r}" if entity not in LEGAL_GRAPHS
+                   else f"event at t={t} before t={prev_t}" if t < prev_t
+                   else f"illegal transition {prev_tr} -> {transition}")
+            if self.mode == "reject":
+                raise TraceError(f"{entity} {event.entity_id}: {why}")
+            self.flagged.append(event)
+            if last is None:
+                self._last[key] = (prev_t, prev_tr, inst)
+        self._keep(event, inst)
+
+    def _keep(self, ev: TraceEvent, inst: int) -> None:
+        t, entity, eid, transition = ev.t, ev.entity, ev.entity_id, ev.transition
+        nodes, cpus, gpus, stage, pipeline = ev.nodes, ev.cpus, ev.gpus, ev.stage, ev.pipeline
+        # True, 1, 1.0 and np.int64(1) are equal as dict keys, but json
+        # writes them apart or not at all: only exactly typed events, with
+        # a finite time (t - t is 0.0), share a tail code.
+        if (type(t) is float and t - t == 0.0 and type(entity) is str and type(eid) is str
+                and type(transition) is str and (nodes is None or type(nodes) is int)
+                and (cpus is None or type(cpus) is int) and (gpus is None or type(gpus) is int)
+                and (stage is None or type(stage) is str)
+                and (pipeline is None or type(pipeline) is str)):
+            code = self._tails[transition, nodes, cpus, gpus, stage, pipeline]
+        else:
+            code = ~len(self._odd)
+            self._odd.append(ev)
+        self._t.append(t)
+        self._entity.append(entity)
+        self._id.append(eid)
+        self._inst.append(inst)
+        self._tail.append(code)
 
     def save(self, path) -> None:
-        """Write one line per event.  Lines go out in batches, so the
-        file's text is never held in memory whole."""
-        quoted = _QuotedStrings()
-        tails = _EncodedTails(quoted)
-        events = self.events
+        """Write one line per event, in batches, so the file's text is
+        never held in memory whole.  A time is encoded once per run of
+        equal times, an entity and id once per instance, a tail once."""
+        tails = [_encode_tail(*tail) + "\n" for tail in self._tails]
+        heads: list[str | None] = [None] * len(self._last)
+        columns = (self._t, self._entity, self._id, self._inst, self._tail)
+        prev = time = None
         with open(path, "w", encoding="utf-8") as fh:
-            for i in range(0, len(events), _SAVE_BATCH):
-                fh.writelines([_line(ev, quoted, tails) for ev in events[i:i + _SAVE_BATCH]])
+            for i in range(0, len(self._t), _SAVE_BATCH):
+                j = i + _SAVE_BATCH
+                pieces = []
+                for t, entity, eid, inst, code in zip(*(col[i:j] for col in columns)):
+                    if code < 0:
+                        pieces.append(_encode(self._odd[~code]) + "\n")
+                        continue
+                    if t != prev or t == 0.0:       # 0.0 == -0.0, but repr tells them apart
+                        prev, time = t, f'{{"t":{t!r},"entity":'
+                    head = heads[inst]
+                    if head is None:
+                        head = heads[inst] = f'{_json_str(entity)},"id":{_json_str(eid)}'
+                    pieces += (time, head, tails[code])
+                fh.write("".join(pieces))
 
 
 def load_trace(path) -> list[TraceEvent]:
@@ -334,16 +305,10 @@ def load_trace(path) -> list[TraceEvent]:
 def merge_traces(traces: Iterable[list[TraceEvent]]) -> list[TraceEvent]:
     """Merge traces from disjoint runs, namespacing colliding entity ids."""
     traces = list(traces)
-    merged: list[TraceEvent] = []
-    for i, events in enumerate(traces):
-        prefix = f"r{i}:" if len(traces) > 1 else ""
-        for ev in events:
-            merged.append(TraceEvent(
-                t=ev.t, entity=ev.entity, entity_id=prefix + ev.entity_id,
-                transition=ev.transition, nodes=ev.nodes, cpus=ev.cpus,
-                gpus=ev.gpus, stage=ev.stage, pipeline=ev.pipeline))
-    merged.sort(key=lambda ev: ev.t)
-    return merged
+    prefixes = [f"r{i}:" if len(traces) > 1 else "" for i in range(len(traces))]
+    return sorted((replace(ev, entity_id=prefix + ev.entity_id)
+                   for prefix, events in zip(prefixes, traces) for ev in events),
+                  key=lambda ev: ev.t)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +320,40 @@ _ENTERS = {"node": {"busy": 0}, "task": {"pending": 1, "running": 2}}
 _LEAVES = {"node": {"idle"}, "task": TERMINAL_TASK_STATES}
 
 
+def _tail_table(sink: TraceSink) -> list[tuple]:
+    """The sink's tails by code, then the odd events' tails in reverse, so
+    that tail code ~i, a negative index, finds odd event i's tail."""
+    return list(sink._tails) + [(ev.transition, ev.nodes, ev.cpus, ev.gpus, ev.stage,
+                                 ev.pipeline) for ev in reversed(sink._odd)]
+
+
+@dataclass
+class TraceColumns:
+    """A trace as columns for masks: each event's time, tail code (a row
+    of ``tails``), whether it is a task's, and its id."""
+    t: np.ndarray
+    tail: np.ndarray
+    tails: list[tuple]
+    is_task: np.ndarray
+    ids: list
+
+    @classmethod
+    def of(cls, trace) -> TraceColumns:
+        """The columns of a TraceSink, or of a list of TraceEvents loaded into one."""
+        if not isinstance(trace, TraceSink):
+            events, trace = trace, TraceSink()
+            trace.events = events
+        return cls(np.array(trace._t, dtype=float), np.array(trace._tail, dtype=np.int32),
+                   _tail_table(trace), np.array([e == "task" for e in trace._entity], dtype=bool),
+                   trace._id)
+
+    def task_rows(self, transition: str, stage) -> np.ndarray:
+        """Indices, in trace order, of task events with ``transition`` and ``stage``."""
+        hit = np.array([tail[0] == transition and tail[4] == stage for tail in self.tails],
+                       dtype=bool)
+        return np.flatnonzero(hit[self.tail] & self.is_task)
+
+
 @dataclass
 class UtilizationSeries:
     bucket_width_s: float
@@ -362,9 +361,8 @@ class UtilizationSeries:
     busy_node_fraction: list[float]
 
     def mean(self) -> float:
-        if not self.busy_node_fraction:
-            return 0.0
-        return sum(self.busy_node_fraction) / len(self.busy_node_fraction)
+        fractions = self.busy_node_fraction
+        return sum(fractions) / len(fractions) if fractions else 0.0
 
     def rows(self):
         return list(zip(self.t0s, self.busy_node_fraction))
@@ -427,18 +425,14 @@ class Timeline:
 
     def overhead(self) -> OverheadReport:
         """Engine overhead: node-seconds not covered by busy nodes.
-
         Bootstrap (acquired to agent_ready, across all nodes) is measured
-        separately.  Scheduling overhead counts idle node-seconds only
-        while tasks were waiting to run; idle time with nothing queued is
-        workload shape, not engine overhead, and appears only in
-        ``total_s``.
-        """
+        apart.  Scheduling overhead counts idle node-seconds only while
+        tasks waited to run; idle time with nothing queued is workload
+        shape, not engine overhead, and appears only in ``total_s``."""
         nodes = self.total_nodes
         makespan = float(self.times[-1]) - self.t_start
-        bootstrap = 0.0
-        if self.boot_start is not None and self.boot_end is not None:
-            bootstrap = max(0.0, self.boot_end - self.boot_start) * nodes
+        bootstrap = (max(0.0, self.boot_end - self.boot_start) * nodes
+                     if self.boot_start is not None and self.boot_end is not None else 0.0)
         after_boot = self.boot_end if self.boot_end is not None else self.t_start
         t1 = self.times[1:]
         lo = np.maximum(self.times[:-1], after_boot)
@@ -453,22 +447,35 @@ class Timeline:
                               makespan, self.n_tasks)
 
 
-def timeline(trace: list[TraceEvent]) -> Timeline:
-    """The trace's Timeline, from one walk over events in any order."""
+def _rows(trace):
+    """Each event's (t, entity, id, transition, nodes): a TraceSink's from
+    its columns, a list's from its TraceEvents."""
+    if not isinstance(trace, TraceSink):
+        return ((ev.t, ev.entity, ev.entity_id, ev.transition, ev.nodes) for ev in trace)
+    tails = _tail_table(trace)
+    transitions, nodes = [tail[0] for tail in tails], [tail[1] for tail in tails]
+    return zip(trace._t, trace._entity, trace._id, [transitions[code] for code in trace._tail],
+               [nodes[code] for code in trace._tail])
+
+
+def timeline(trace) -> Timeline:
+    """The Timeline of a TraceSink or a list of TraceEvents in any order, from
+    one walk; a list is walked as it is, which costs less than coding it."""
     enters, leaves = ([], [], []), ([], [], [])     # times, by count
     members: dict[str, dict[str, int]] = {entity: {} for entity in _ENTERS}  # id -> its count
     total_nodes = n_tasks = 0
     acquired, ready = [], []            # pilot acquired and agent_ready times
-    t_start = t_end = trace[0].t if trace else 0.0
-    for ev in trace:
-        t, entity, transition = ev.t, ev.entity, ev.transition
+    t_start = t_end = None
+    for t, entity, eid, transition, nodes in _rows(trace):
+        if t_start is None:
+            t_start = t_end = t
         if t < t_start:
             t_start = t
         if t > t_end:
             t_end = t
         moves = _ENTERS.get(entity)
         if moves is not None:
-            ids, eid = members[entity], ev.entity_id
+            ids = members[entity]
             count, to = ids.get(eid), moves.get(transition)
             if to is not None and (count is None or count < to):
                 ids[eid] = to
@@ -481,7 +488,7 @@ def timeline(trace: list[TraceEvent]) -> Timeline:
                     del ids[eid]
                     leaves[count].append(t)
         elif entity == "pilot" and transition == "acquired":
-            total_nodes += ev.nodes or 0
+            total_nodes += nodes or 0
             acquired.append(t)
         elif entity == "pilot" and transition == "agent_ready":
             ready.append(t)
@@ -490,6 +497,8 @@ def timeline(trace: list[TraceEvent]) -> Timeline:
     # A count after a change point: its entries up to then minus its exits.
     counts = (np.searchsorted(i, times, "right") - np.searchsorted(o, times, "right")
               for i, o in zip(ins, outs))
+    if t_start is None:
+        t_start = t_end = 0.0
     return Timeline(t_start, total_nodes, min(acquired, default=None),
                     max(ready, default=None), np.append(times, t_end), *counts, n_tasks)
 
@@ -522,12 +531,9 @@ class ThroughputReport:
 
 def stage_throughput(trace: list[TraceEvent], stage_tag: str,
                      window_s: float | None = None) -> Optional[ThroughputReport]:
-    """Completions per second for one stage: overall rate over the span
-    from the stage's first task start to its last completion, plus a
-    windowed series for sustained-rate checks.
-
-    Returns None (absent, not zero) when the stage has no completions.
-    """
+    """Completions per second for one stage over the span from its first
+    task start to its last completion, plus a windowed series for
+    sustained-rate checks; None (absent, not zero) with no completions."""
     starts, dones = [], []
     for ev in trace:
         if ev.entity != "task" or ev.stage != stage_tag:
@@ -545,8 +551,7 @@ def throughput_from_times(stage_tag: str, starts: list[float], dones: list[float
     if not dones or not starts:
         return None
     t0 = min(starts)
-    t1 = max(dones)
-    span = t1 - t0
+    span = max(dones) - t0
     overall = len(dones) / span if span > 0 else math.inf
     if window_s is None:
         window_s = span / 10 if span > 0 else 1.0
@@ -564,23 +569,17 @@ def throughput_from_times(stage_tag: str, starts: list[float], dones: list[float
 def stage_node_seconds(trace: list[TraceEvent]) -> dict[str, float]:
     """Modeled node-seconds charged per stage: task duration times its
     node-equivalent span (a 1-of-6 gpu task counts as 1/6 node)."""
-    cpn = gpn = 0
+    pilots = [ev for ev in trace if ev.entity == "pilot" and ev.transition == "acquired"]
+    cpn = max([0] + [ev.cpus or 0 for ev in pilots])
+    gpn = max([0] + [ev.gpus or 0 for ev in pilots])
+    started, totals = {}, {}
     for ev in trace:
-        if ev.entity == "pilot" and ev.transition == "acquired":
-            cpn = max(cpn, ev.cpus or 0)
-            gpn = max(gpn, ev.gpus or 0)
-    started: dict[str, TraceEvent] = {}
-    totals: dict[str, float] = {}
-    for ev in trace:
-        if ev.entity != "task":
-            continue
-        if ev.transition == "running":
+        if ev.entity == "task" and ev.transition == "running":
             started[ev.entity_id] = ev
-        elif ev.transition == "done" and ev.entity_id in started:
+        elif ev.entity == "task" and ev.transition == "done" and ev.entity_id in started:
             start = started.pop(ev.entity_id)
             cpu_frac = (start.cpus or 0) / cpn if cpn else 0.0
             gpu_frac = (start.gpus or 0) / gpn if gpn else 0.0
-            node_equiv = (start.nodes or 1) * max(cpu_frac, gpu_frac, 0.0)
-            stage = start.stage or "other"
-            totals[stage] = totals.get(stage, 0.0) + (ev.t - start.t) * node_equiv
+            node_s = (ev.t - start.t) * ((start.nodes or 1) * max(cpu_frac, gpu_frac, 0.0))
+            totals[start.stage or "other"] = totals.get(start.stage or "other", 0.0) + node_s
     return totals

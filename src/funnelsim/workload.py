@@ -155,8 +155,19 @@ def select_top_fraction(scores: np.ndarray, fraction: float) -> np.ndarray:
     ties go to the lower index (ligand-id order for n <= 10**7)."""
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    scores = np.asarray(scores)
     keep = math.ceil(fraction * len(scores))
-    return np.argsort(scores, kind="stable")[:keep]
+    if keep == 0:       # no scores
+        return np.argsort(scores, kind="stable")
+    # Partition to the cut, widen it to every score equal to the score
+    # there, stable-sort that slice and cut again: the same indices as a
+    # stable sort of all.  NaNs sort last, so a NaN at the cut widens the
+    # slice to everything.
+    threshold = np.partition(scores, keep - 1)[keep - 1]
+    if np.isnan(threshold):
+        return np.argsort(scores, kind="stable")[:keep]
+    head = np.flatnonzero(scores <= threshold)
+    return head[np.argsort(scores[head], kind="stable")[:keep]]
 
 
 def resolve_duration(stage_tag: str, cost_model: CostModel,

@@ -12,7 +12,7 @@ from funnelsim.cli import load_config
 from funnelsim.engine import run_campaign, run_executor
 from funnelsim.errors import InputError, TraceError
 from funnelsim.pilot import PilotSpec
-from funnelsim.trace import (LEGAL_GRAPHS, TERMINAL_TASK_STATES, OverheadReport,
+from funnelsim.trace import (LEGAL_GRAPHS, TERMINAL_TASK_STATES, OverheadReport, Timeline,
                              TraceEvent, TraceSink, UtilizationSeries,
                              busy_node_seconds, load_trace, merge_traces, overhead,
                              peak_concurrency, stage_throughput, timeline, utilization)
@@ -964,3 +964,207 @@ class TestMetricsAgainstReference:
         events = [pilot(), ev(1.0, "pilot", "p", "released")]
         with pytest.raises(ValueError, match="bucket width"):
             utilization(events, width)
+
+
+# ---------------------------------------------------------------------------
+# The column sink against the list sink the trace module had before: record
+# kept each TraceEvent in a list, and save wrote one line per event, which
+# TestCodec pins to the dict-and-json.dumps encoder.
+
+class ListSink:
+    _STEPS = frozenset((entity, prev, nxt) for entity, graph in LEGAL_GRAPHS.items()
+                       for prev, nexts in graph.items() for nxt in nexts)
+
+    def __init__(self, mode="reject"):
+        self.mode = mode
+        self.events = []
+        self.flagged = []
+        self._last = {}
+
+    def record(self, event):
+        key = (event.entity, event.entity_id)
+        prev_t, prev_tr = self._last.get(key, (-math.inf, None))
+        if (event.entity, prev_tr, event.transition) in self._STEPS and not event.t < prev_t:
+            self._last[key] = (event.t, event.transition)
+        elif event.entity not in LEGAL_GRAPHS:
+            self._illegal(event, f"unknown entity kind {event.entity!r}")
+        elif event.t < prev_t:
+            self._illegal(event, f"event at t={event.t} before t={prev_t}")
+        else:
+            self._illegal(event, f"illegal transition {prev_tr} -> {event.transition}")
+        self.events.append(event)
+
+    def _illegal(self, event, why):
+        if self.mode == "reject":
+            raise TraceError(f"{event.entity} {event.entity_id}: {why}")
+        self.flagged.append(event)
+
+    def save(self, path):
+        with open(path, "w", encoding="utf-8") as fh:
+            for i in range(0, len(self.events), 4096):
+                fh.writelines([reference_to_json(e) + "\n" for e in self.events[i:i + 4096]])
+
+
+def legality_stream(rng, n):
+    """The random events of TestRecordAgainstReference: mostly legal steps
+    of a few entities, with unknown kinds, NaN times and times that go
+    back."""
+    ref = ReferenceSink()
+    transitions = TestRecordAgainstReference.TRANSITIONS
+    t = 0.0
+    for _ in range(n):
+        entity = "bogus" if rng.random() < 0.03 else list(LEGAL_GRAPHS)[int(rng.integers(7))]
+        eid = f"e{int(rng.integers(6))}"
+        prev = ref._last.get((entity, eid), (None, None))[1]
+        legal = sorted(LEGAL_GRAPHS.get(entity, {}).get(prev, ()))
+        if legal and rng.random() < 0.7:
+            transition = legal[int(rng.integers(len(legal)))]
+        else:
+            transition = transitions[int(rng.integers(len(transitions)))]
+        r = rng.random()
+        if r < 0.05:
+            when = math.nan
+        elif r < 0.15:
+            when = t - float(rng.integers(1, 5))
+        else:
+            t += float(rng.integers(0, 2))
+            when = t
+        e = ev(when, entity, eid, transition, stage=f"S{int(rng.integers(3))}")
+        ref.record(e)
+        yield e
+
+
+def assert_same_timeline(a, b):
+    for field in Timeline.__dataclass_fields__:
+        x, y = getattr(a, field), getattr(b, field)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True), field
+        else:
+            assert repr(x) == repr(y), field
+
+
+class TestSinkAgainstListSink:
+    """Recording, the events view, flagged events, error texts and saved
+    bytes are those of the list sink, for legal, illegal and odd-typed
+    events in both modes, also after the events are replaced."""
+
+    def run_both(self, events, mode, tmp_path, replace_at=None):
+        new, old = TraceSink(mode), ListSink(mode)
+        for i, e in enumerate(events):
+            if i == replace_at:
+                # Replaced without checks; legality state carries on.
+                kept = old.events[::2]
+                new.events, old.events = kept, list(kept)
+            assert outcome(new.record, e) == outcome(old.record, e), repr(e)
+        assert [repr(e) for e in new.events] == [repr(e) for e in old.events]
+        assert len(new) == len(old.events)
+        assert [repr(e) for e in new] == [repr(e) for e in old.events]
+        assert [repr(e) for e in new.flagged] == [repr(e) for e in old.flagged]
+        a, b = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+        saved = outcome(new.save, a)
+        assert saved[:2] == outcome(old.save, b)[:2]
+        if saved[0] == "ok":
+            assert a.read_bytes() == b.read_bytes()
+        return new
+
+    @pytest.mark.parametrize("mode", ["reject", "flag"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_legality_streams(self, mode, seed, tmp_path):
+        events = list(legality_stream(np.random.default_rng(seed), 2000))
+        self.run_both(events, mode, tmp_path, replace_at=1000 if seed == 2 else None)
+
+    @pytest.mark.parametrize("mode", ["reject", "flag"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_odd_typed_streams(self, mode, seed, tmp_path):
+        rng = np.random.default_rng(100 + seed)
+        events = [random_event(rng) for _ in range(1500)]
+        if seed == 1:
+            # Equal keys of other types after the plain event they equal.
+            events += [trace_event(**{f: v}) for f, v in TestCodecCaches.ODD] + [trace_event()]
+        self.run_both(events, mode, tmp_path, replace_at=700 if seed == 2 else None)
+
+    def test_codec_events_assigned(self, tmp_path):
+        events = random_events(3000)
+        new, old = TraceSink(), ListSink()
+        new.events, old.events = events, list(events)
+        assert [repr(e) for e in new.events] == [repr(e) for e in events]
+        new.save(tmp_path / "new.jsonl")
+        old.save(tmp_path / "old.jsonl")
+        assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("name", RUN_TRACES + sorted(HAND_MADE))
+    def test_timeline_of_sink_equals_timeline_of_list(self, name, run_traces):
+        events = run_traces[name] if name in run_traces else HAND_MADE[name]
+        want = timeline(events)
+        recorded, assigned = TraceSink(mode="flag"), TraceSink()
+        for e in events:
+            recorded.record(e)
+        assigned.events = events
+        for sink in (recorded, assigned):
+            assert_same_timeline(timeline(sink), want)
+
+
+def walk_timeline(trace):
+    """The Timeline as the trace module built it before its columns: one
+    walk over TraceEvents, keeping each node's and task's current count."""
+    enters_of = {"node": {"busy": 0}, "task": {"pending": 1, "running": 2}}
+    leaves_of = {"node": {"idle"}, "task": TERMINAL_TASK_STATES}
+    enters, leaves = ([], [], []), ([], [], [])
+    members = {entity: {} for entity in enters_of}
+    total_nodes = n_tasks = 0
+    acquired, ready = [], []
+    t_start = t_end = trace[0].t if trace else 0.0
+    for e in trace:
+        t, entity, transition = e.t, e.entity, e.transition
+        if t < t_start:
+            t_start = t
+        if t > t_end:
+            t_end = t
+        moves = enters_of.get(entity)
+        if moves is not None:
+            ids, eid = members[entity], e.entity_id
+            count, to = ids.get(eid), moves.get(transition)
+            if to is not None and (count is None or count < to):
+                ids[eid] = to
+                enters[to].append(t)
+                if count is not None:
+                    leaves[count].append(t)
+            elif transition in leaves_of[entity]:
+                n_tasks += entity == "task"
+                if count is not None:
+                    del ids[eid]
+                    leaves[count].append(t)
+        elif entity == "pilot" and transition == "acquired":
+            total_nodes += e.nodes or 0
+            acquired.append(t)
+        elif entity == "pilot" and transition == "agent_ready":
+            ready.append(t)
+    ins, outs = ([np.sort(np.array(ts, dtype=float)) for ts in side] for side in (enters, leaves))
+    times = np.unique(np.concatenate(ins + outs))
+    counts = (np.searchsorted(i, times, "right") - np.searchsorted(o, times, "right")
+              for i, o in zip(ins, outs))
+    return Timeline(t_start, total_nodes, min(acquired, default=None),
+                    max(ready, default=None), np.append(times, t_end), *counts, n_tasks)
+
+
+class TestTimelineAgainstWalk:
+    """The timeline of a sink's columns and of a list equals the walk over
+    events exactly, also on flag-mode traces with repeated steps, NaN
+    times and events out of time order."""
+
+    @pytest.mark.parametrize("name", RUN_TRACES + sorted(HAND_MADE))
+    def test_traces(self, name, run_traces):
+        events = run_traces[name] if name in run_traces else HAND_MADE[name]
+        assert_same_timeline(timeline(events), walk_timeline(events))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flag_mode_streams(self, seed):
+        events = list(legality_stream(np.random.default_rng(200 + seed), 3000))
+        if seed % 2:
+            events[0] = ev(math.nan, "node", "n0", "busy")
+        sink = TraceSink(mode="flag")
+        for e in events:
+            sink.record(e)
+        want = walk_timeline(events)
+        assert_same_timeline(timeline(events), want)
+        assert_same_timeline(timeline(sink), want)

@@ -157,6 +157,29 @@ class TestSelectTopFraction:
         with pytest.raises(ValueError):
             select_top_fraction(generate_library(5, 0), 0.0)
 
+    @pytest.mark.parametrize("shape", ["rounded", "all_equal", "signed_zeros", "nans",
+                                       "all_nan", "distinct"])
+    def test_same_indices_as_a_stable_sort(self, shape):
+        # Heavy ties at the cut: the partition must widen to every score
+        # equal to the one there, and keep index order among them.
+        gen = rng(len(shape))
+        for _ in range(300):
+            n = int(gen.integers(0, 80))
+            scores = {
+                "rounded": lambda: np.round(gen.standard_normal(n), 1),
+                "all_equal": lambda: np.full(n, 0.5),
+                "signed_zeros": lambda: gen.choice([0.0, -0.0, 1.0], n),
+                "nans": lambda: np.where(gen.random(n) < 0.3, np.nan,
+                                         np.round(gen.standard_normal(n), 1)),
+                "all_nan": lambda: np.full(n, np.nan),
+                "distinct": lambda: gen.standard_normal(n),
+            }[shape]()
+            # fraction 1, a single kept score, and random cuts.
+            for fraction in (1.0, 1 / max(n, 1), float(gen.uniform(1e-9, 1.0))):
+                keep = int(np.ceil(fraction * n))
+                got = select_top_fraction(scores, fraction)
+                assert got.tolist() == np.argsort(scores, kind="stable")[:keep].tolist()
+
 
 class TestFunnel:
     def test_default_counts(self):
