@@ -9,11 +9,12 @@ other.
 Payloads and stage outputs are JSON-shaped Python values (a dict, a
 list or None), handed on as they are; only an executable's stdout
 arrives as bytes, decoded as JSON where outputs are read.  A stage may
-declare a post_hook, a named filter applied to the stage's outputs when
-its last task terminates; the filtered items become the payloads of the
-next stage's tasks, which are materialized on the spot when the next
-stage declares a materializer.  Both happen in the run's PipelineState;
-the spec itself is never written to.
+declare a post_hook, a filter function applied to the stage's outputs
+when its last task terminates; the filtered items become the payloads of
+the next stage's tasks, which a builder function makes on the spot when
+the next stage declares a materializer.  Both happen in the run's
+PipelineState; the spec itself is never written to.  The funnel's
+filters and builders live in the workload module.
 """
 from __future__ import annotations
 
@@ -21,8 +22,6 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
-
-import numpy as np
 
 from .errors import OrderingError, StateError
 from .pilot import PilotSpec
@@ -93,17 +92,16 @@ class TaskDescriptor:
 
 @dataclass(frozen=True)
 class HookSpec:
-    """Named inter-stage filter: one of select_top_fraction, select_top_k,
-    lof_outliers, identity."""
-    op: str
+    """Inter-stage filter: ``op(params, items)`` returns the items kept."""
+    op: Callable[[dict, list[dict]], list[dict]]
     params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class MaterializeSpec:
-    """How a stage's task list is built from the previous stage's
-    filtered outputs (registry name + parameters)."""
-    builder: str
+    """Builds a stage's task list from the previous stage's filtered
+    outputs: ``builder(params, items)`` returns the tasks."""
+    builder: Callable[[dict, list[dict]], list[TaskDescriptor]]
     params: dict = field(default_factory=dict)
 
 
@@ -213,68 +211,6 @@ def _parse_output(task_id: str, out) -> list[dict]:
     raise StateError(f"output of task {task_id} has no items")
 
 
-def _item_id(item: dict) -> str:
-    return str(item.get("ligand_id", item.get("id", "")))
-
-
-def _hook_identity(params: dict, items: list[dict]) -> list[dict]:
-    return items
-
-
-def _hook_select_top_fraction(params: dict, items: list[dict]) -> list[dict]:
-    fraction = float(params["fraction"])
-    if not 0 < fraction <= 1:
-        raise StateError(f"fraction must be in (0,1], got {fraction}")
-    by = params.get("by", "predicted_score")
-    keep = math.ceil(fraction * len(items))
-    ranked = sorted(items, key=lambda it: (float(it[by]), _item_id(it)))
-    return ranked[:keep]
-
-
-def _hook_select_top_k(params: dict, items: list[dict]) -> list[dict]:
-    k = int(params["k"])
-    by = params.get("by", "true_score")
-    ranked = sorted(items, key=lambda it: (float(it[by]), _item_id(it)))
-    return ranked[:k]
-
-
-def _hook_lof_outliers(params: dict, items: list[dict]) -> list[dict]:
-    """Rank ligands by mean energy, keep the best ``top_binders``, then per
-    ligand select the ``outliers_per_binder`` most outlying conformations
-    by local outlier factor over the conformation points."""
-    from . import analysis
-
-    top_binders = int(params.get("top_binders", 5))
-    per_binder = int(params.get("outliers_per_binder", 5))
-    k_neighbors = int(params.get("k_neighbors", 10))
-
-    by_ligand: dict[str, list[dict]] = {}
-    for item in items:
-        by_ligand.setdefault(_item_id(item), []).append(item)
-    ranked = sorted(by_ligand,
-                    key=lambda lid: (float(np.mean([float(c["energy"]) for c in by_ligand[lid]])), lid))
-    selected: list[dict] = []
-    for lid in ranked[:top_binders]:
-        confs = by_ligand[lid]
-        if len(confs) <= per_binder:
-            selected.extend(confs)
-            continue
-        pts = np.asarray([c["point"] for c in confs], dtype=float)
-        k = min(k_neighbors, len(confs) - 1)
-        scores = analysis.lof(pts, k)
-        for idx in analysis.select_outliers(scores, per_binder):
-            selected.append(confs[idx])
-    return selected
-
-
-HOOK_OPS: dict[str, Callable[[dict, list[dict]], list[dict]]] = {
-    "identity": _hook_identity,
-    "select_top_fraction": _hook_select_top_fraction,
-    "select_top_k": _hook_select_top_k,
-    "lof_outliers": _hook_lof_outliers,
-}
-
-
 def apply_post_hook(hook: Optional[HookSpec], outputs: list[tuple[str, object]]) -> list[dict]:
     """Apply a hook to stage outputs (sorted by task_id for determinism).
     Items are shared with the outputs, so hooks never mutate them."""
@@ -283,29 +219,11 @@ def apply_post_hook(hook: Optional[HookSpec], outputs: list[tuple[str, object]])
         items.extend(_parse_output(task_id, out))
     if hook is None:
         return items
-    op = HOOK_OPS.get(hook.op)
-    if op is None:
-        raise StateError(f"unknown post_hook op {hook.op!r}")
-    return op(hook.params, items)
-
-
-# Materializer registry: stage task-list builders, keyed by name.  The
-# workload module registers its builders on import.
-MATERIALIZERS: dict[str, Callable[[dict, list[dict]], list[TaskDescriptor]]] = {}
-
-
-def register_materializer(name: str, fn: Callable[[dict, list[dict]], list[TaskDescriptor]]) -> None:
-    MATERIALIZERS[name] = fn
+    return hook.op(hook.params, items)
 
 
 def materialize_tasks(spec: MaterializeSpec, items: list[dict]) -> list[TaskDescriptor]:
-    if spec.builder not in MATERIALIZERS:
-        # Builders ship with the workload module; importing it registers them.
-        from . import workload  # noqa: F401
-    builder = MATERIALIZERS.get(spec.builder)
-    if builder is None:
-        raise StateError(f"unknown materializer {spec.builder!r}")
-    return builder(spec.params, items)
+    return spec.builder(spec.params, items)
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +358,7 @@ class PipelineState:
             try:
                 selected = apply_post_hook(stage.post_hook, outputs)
             except StateError:
-                self.status = FAILED
-                canceled = self._cancel_open()
-                return AdvanceResult("pipeline_failed", self.current_stage_index,
-                                     canceled=canceled)
+                return self._fail_pipeline()
         if next_stage is None:
             self.status = DONE
             return AdvanceResult("pipeline_done", self.current_stage_index)
@@ -452,15 +367,12 @@ class PipelineState:
             self.stage_tasks[next_index] = materialize_tasks(next_stage.materialize, selected)
         elif stage.post_hook is not None:
             if len(selected) != len(self.stage_tasks[next_index]):
-                self.status = FAILED
-                canceled = self._cancel_open()
-                return AdvanceResult("pipeline_failed", self.current_stage_index, canceled=canceled)
+                return self._fail_pipeline()
             self.stage_tasks[next_index] = [replace(task, payload=item) for task, item
                                             in zip(self.stage_tasks[next_index], selected)]
         if not self.stage_tasks[next_index]:
             # A funnel that filters everything away cannot continue.
-            self.status = FAILED
-            return AdvanceResult("pipeline_failed", self.current_stage_index)
+            return self._fail_pipeline()
 
         self.current_stage_index = next_index
         self._register_stage(next_index)

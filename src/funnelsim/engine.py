@@ -115,6 +115,8 @@ class Engine:
             self._running_slots[n] += cnt
 
     def _vacate(self, placement, t):
+        """Release a placement and mark the nodes it leaves empty idle."""
+        self.pilot.release(placement)
         cnt = placement.cpus + placement.gpus
         for n in placement.node_indices:
             self._running_slots[n] -= cnt
@@ -156,7 +158,6 @@ class Engine:
             for tid in result.canceled:
                 pl = self.pilot.live.get(tid)
                 if pl is not None:
-                    self.pilot.release(pl)
                     self._vacate(pl, t)
                 self._task_ev(t, self._task_of[tid], "canceled", pid)
             self._ev(t, "pipeline", pid, "failed", pipeline=pid)
@@ -228,7 +229,6 @@ class Engine:
         if state.task_states.get(task.task_id) != cm.RUNNING:
             return False
         pl = self.pilot.live[task.task_id]
-        self.pilot.release(pl)
         self._vacate(pl, t)
         self._complete(pid, state, task, outcome, result, t)
         return True
@@ -249,7 +249,6 @@ class Engine:
         for pl in placed:
             tid = pl.task_id
             self._task_ev(t, self._task_of[tid], "canceled", self._pid_of[tid])
-            self.pilot.release(pl)
             self._vacate(pl, t)
         placed_ids = {pl.task_id for pl in placed}
         for pid, state in self.states.items():
@@ -425,7 +424,6 @@ class _Overlay:
         for master in self.masters:
             self.engine._ev(t, "master", master.master_id, "stopped", pipeline=self.pid)
         for pl in self.placements:
-            self.engine.pilot.release(pl)
             self.engine._vacate(pl, t)
         self.engine.overlay_workers.extend(self.workers)
         self.engine._overlays.pop(self.key, None)

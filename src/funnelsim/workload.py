@@ -1,6 +1,7 @@
 """Synthetic screening workload: a ligand library with latent true
 scores, noisy surrogate scores, per-stage duration models calibrated to
-reference per-ligand costs, and the five-stage funnel wiring.
+reference per-ligand costs, the filters and task builders that sit
+between the funnel's stages, and the five-stage funnel wiring.
 
 The scored library is two float64 columns, true and predicted scores;
 ligand ``i`` is named ``ligand_id(i)``, so ids follow index order.
@@ -18,10 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import campaign
+from . import analysis
 from .campaign import (CampaignSpec, HookSpec, MaterializeSpec, PipelineSpec,
                        SampledDuration, StageSpec, TaskDescriptor)
-from .errors import ConfigError
+from .errors import ConfigError, WorkerKilled
 from .pilot import PilotSpec
 
 # Surrogate noise calibrated (by bisection over seeds, see
@@ -242,9 +243,51 @@ def _ligand_conformations(seed: int, ligand_id: str, true_score: float,
 
 
 # ---------------------------------------------------------------------------
+# post-hook filters: (params, items) -> the items kept
+
+def _item_id(item: dict) -> str:
+    return str(item.get("ligand_id", item.get("id", "")))
+
+
+def select_top_k(params: dict, items: list[dict]) -> list[dict]:
+    """The ``k`` items lowest in ``by``, best first; ties go to the lower id."""
+    k = int(params["k"])
+    by = params.get("by", "true_score")
+    ranked = sorted(items, key=lambda it: (float(it[by]), _item_id(it)))
+    return ranked[:k]
+
+
+def lof_outliers(params: dict, items: list[dict]) -> list[dict]:
+    """Rank ligands by mean energy, keep the best ``top_binders``, then per
+    ligand select the ``outliers_per_binder`` most outlying conformations
+    by local outlier factor over the conformation points."""
+    top_binders = int(params.get("top_binders", 5))
+    per_binder = int(params.get("outliers_per_binder", 5))
+    k_neighbors = int(params.get("k_neighbors", 10))
+
+    by_ligand: dict[str, list[dict]] = {}
+    for item in items:
+        by_ligand.setdefault(_item_id(item), []).append(item)
+    ranked = sorted(by_ligand,
+                    key=lambda lid: (float(np.mean([float(c["energy"]) for c in by_ligand[lid]])), lid))
+    selected: list[dict] = []
+    for lid in ranked[:top_binders]:
+        confs = by_ligand[lid]
+        if len(confs) <= per_binder:
+            selected.extend(confs)
+            continue
+        pts = np.asarray([c["point"] for c in confs], dtype=float)
+        k = min(k_neighbors, len(confs) - 1)
+        scores = analysis.lof(pts, k)
+        for idx in analysis.select_outliers(scores, per_binder):
+            selected.append(confs[idx])
+    return selected
+
+
+# ---------------------------------------------------------------------------
 # stage materializers; payloads share the given items, which nobody mutates
 
-def _build_ligand_tasks(params: dict, items: list[dict]) -> list[TaskDescriptor]:
+def ligand_tasks(params: dict, items: list[dict]) -> list[TaskDescriptor]:
     tasks = []
     for item in items:
         tasks.append(TaskDescriptor(
@@ -259,7 +302,7 @@ def _build_ligand_tasks(params: dict, items: list[dict]) -> list[TaskDescriptor]
     return tasks
 
 
-def _build_cg_replica_tasks(params: dict, items: list[dict]) -> list[TaskDescriptor]:
+def cg_replica_tasks(params: dict, items: list[dict]) -> list[TaskDescriptor]:
     tasks = []
     frames = int(params.get("frames", 8))
     replicas = range(int(params.get("replicas", CG_REPLICAS)))
@@ -278,7 +321,7 @@ def _build_cg_replica_tasks(params: dict, items: list[dict]) -> list[TaskDescrip
     return tasks
 
 
-def _build_gather_tasks(params: dict, items: list[dict]) -> list[TaskDescriptor]:
+def gather_tasks(params: dict, items: list[dict]) -> list[TaskDescriptor]:
     n_ligands = len({it["ligand_id"] for it in items})
     dur = params["duration"]
     train_dur = replace(dur, node_seconds=dur.node_seconds * max(1, n_ligands))
@@ -298,7 +341,7 @@ def _build_gather_tasks(params: dict, items: list[dict]) -> list[TaskDescriptor]
     return [agg, train]
 
 
-def _build_fg_replica_tasks(params: dict, items: list[dict]) -> list[TaskDescriptor]:
+def fg_replica_tasks(params: dict, items: list[dict]) -> list[TaskDescriptor]:
     tasks = []
     for ci, item in enumerate(items):
         for r in range(int(params.get("replicas", FG_REPLICAS))):
@@ -311,12 +354,6 @@ def _build_fg_replica_tasks(params: dict, items: list[dict]) -> list[TaskDescrip
                 duration_model=params["duration"],
                 payload={"kind": "fg_replica", "conformation": item, "replica": r}))
     return tasks
-
-
-campaign.register_materializer("ligand_tasks", _build_ligand_tasks)
-campaign.register_materializer("cg_replica_tasks", _build_cg_replica_tasks)
-campaign.register_materializer("gather_tasks", _build_gather_tasks)
-campaign.register_materializer("fg_replica_tasks", _build_fg_replica_tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +394,12 @@ def build_funnel_campaign(funnel: FunnelConfig,
                    "predicted_score": float(pred[i])}
                   for i in select_top_fraction(pred, funnel.s1_fraction).tolist()],
     }
+    one_gpu = {"cpus": 0, "gpus": 1} if resource.gpus_per_node > 0 else {"cpus": 1, "gpus": 0}
     ml1_task = TaskDescriptor(
         task_id=f"{pipeline_id}.ML1.000000", kind="simulated", stage_tag="ML1",
-        cpus=0, gpus=min(1, resource.gpus_per_node) or 0,
-        nodes=1,
+        **one_gpu, nodes=1,
         duration_model=resolve_duration("ML1", cost_model, ligands=funnel.library_size),
         payload=ml1_payload)
-    if resource.gpus_per_node == 0:
-        ml1_task.cpus, ml1_task.gpus = 1, 0
-
-    gpus_ok = resource.gpus_per_node > 0
-    one_gpu = {"cpus": 0, "gpus": 1} if gpus_ok else {"cpus": 1, "gpus": 0}
     # Multi-node tasks exist in simulated mode only; locally everything
     # shares one host.
     train_nodes = 1 if resource.backend == "local" else min(2, resource.nodes)
@@ -377,25 +409,24 @@ def build_funnel_campaign(funnel: FunnelConfig,
     stages = [
         StageSpec("ML1", [ml1_task]),
         StageSpec("S1", [],
-                  post_hook=HookSpec("select_top_k",
+                  post_hook=HookSpec(select_top_k,
                                      {"k": funnel.cg_count, "by": "true_score"}),
-                  materialize=MaterializeSpec("ligand_tasks", {
+                  materialize=MaterializeSpec(ligand_tasks, {
                       "prefix": f"{pipeline_id}.S1", "stage_tag": "S1",
                       "kind": overlay_stage_kind, **one_gpu,
                       "duration": resolve_duration("S1", cost_model)})),
         StageSpec("S3CG", [],
-                  post_hook=HookSpec("identity"),
-                  materialize=MaterializeSpec("cg_replica_tasks", {
+                  materialize=MaterializeSpec(cg_replica_tasks, {
                       "prefix": f"{pipeline_id}.S3CG", "stage_tag": "S3CG",
                       "replicas": CG_REPLICAS, "frames": funnel.frames_per_replica,
                       "seed": seed, **one_gpu,
                       "duration": resolve_duration("S3CG", cost_model)})),
         StageSpec("S2", [],
-                  post_hook=HookSpec("lof_outliers", {
+                  post_hook=HookSpec(lof_outliers, {
                       "top_binders": funnel.top_binders,
                       "outliers_per_binder": funnel.outliers_per_binder,
                       "k_neighbors": 10}),
-                  materialize=MaterializeSpec("gather_tasks", {
+                  materialize=MaterializeSpec(gather_tasks, {
                       "prefix": f"{pipeline_id}.S2", "stage_tag": "S2",
                       "train_nodes": train_nodes, "train_gpus": train_gpus,
                       "train_cpus": train_cpus,
@@ -403,7 +434,7 @@ def build_funnel_campaign(funnel: FunnelConfig,
                       "agg_cpus": max(1, min(4, resource.cpus_per_node)),
                       "duration": resolve_duration("S2", cost_model)})),
         StageSpec("S3FG", [],
-                  materialize=MaterializeSpec("fg_replica_tasks", {
+                  materialize=MaterializeSpec(fg_replica_tasks, {
                       "prefix": f"{pipeline_id}.S3FG", "stage_tag": "S3FG",
                       "replicas": FG_REPLICAS, **one_gpu,
                       "duration": resolve_duration("S3FG", cost_model)})),
@@ -421,8 +452,6 @@ def recall_at_operating_point(u: int, noise_sigma: float, seed: int,
                               k_frac: float = 1e-4, delta_frac: float = 1e-3) -> float:
     """Top-k recall at the (budget, top-fraction) operating point used to
     calibrate the surrogate noise."""
-    from . import analysis
-
     true = generate_library(u, seed)
     sset = analysis.ScoredSet([ligand_id(i) for i in range(u)], true,
                               surrogate_scores(true, noise_sigma, seed))
@@ -470,7 +499,6 @@ def _fn_fail(message: str = "task failed"):
 
 
 def _fn_kill_worker():
-    from .errors import WorkerKilled
     raise WorkerKilled("worker killed by task")
 
 

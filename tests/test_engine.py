@@ -13,7 +13,7 @@ from funnelsim.engine import Engine, run_campaign
 from funnelsim.errors import ConfigError
 from funnelsim.overlay import MasterConfig
 from funnelsim.pilot import PilotSpec
-from funnelsim.workload import FunnelConfig, build_funnel_campaign
+from funnelsim.workload import FunnelConfig, build_funnel_campaign, select_top_k
 
 
 def task(tid, dur=1.0, **kw):
@@ -105,7 +105,7 @@ class TestFailurePaths:
         # fails and the other pipeline still completes.
         bad = PipelineSpec("bad", [
             StageSpec("s0", [task("bad.t0", dur=1.0)],
-                      post_hook=HookSpec("select_top_k", {"k": 1})),
+                      post_hook=HookSpec(select_top_k, {"k": 1})),
             StageSpec("s1", [task("bad.t1")]),
         ])
         # payload None gives zero items -> select_top_k returns [] ->
@@ -239,7 +239,7 @@ class TestLocalBackend:
         exe = TaskDescriptor("exe", kind="executable", cpus=1, payload={
             "argv": [sys.executable, "-c", f"print({json.dumps({'items': items})!r})"]})
         spec = CampaignSpec([PipelineSpec("p", [
-            StageSpec("s0", [exe], post_hook=HookSpec("select_top_k", {"k": 2})),
+            StageSpec("s0", [exe], post_hook=HookSpec(select_top_k, {"k": 2})),
             StageSpec("s1", [task("b0", dur=0.0), task("b1", dur=0.0)]),
         ])], pilot(nodes=1, cpus_per_node=1, walltime_s=30.0, backend="local"), mode="local")
         engine = Engine(spec)
@@ -293,7 +293,7 @@ def top_k_into_fixed_stage():
     items = [{"id": f"x{i}", "true_score": float(-i)} for i in range(4)]
     first = [task(f"a{i}", payload=item) for i, item in enumerate(items)]
     return CampaignSpec([PipelineSpec("p", [
-        StageSpec("s0", first, post_hook=HookSpec("select_top_k", {"k": 2})),
+        StageSpec("s0", first, post_hook=HookSpec(select_top_k, {"k": 2})),
         StageSpec("s1", [task("b0"), task("b1")]),
     ])], pilot(), seed=0)
 
