@@ -1,9 +1,10 @@
 """Ranking and outlier analysis used as inter-stage filters and for
 evaluating surrogate score quality.
 
-Scores follow the docking convention: lower is better.  All ranking
-operations break ties by item id so results are deterministic and
-invariant under strictly increasing transforms of the scores.
+Scores follow the docking convention: lower is better.  Items rank by
+score, then by id only between equal scores (``-0.0`` equals ``0.0``);
+in a ``ScoredSet(ids=None)`` item ``i``'s id is ``i``.  Ranks are thus
+deterministic and invariant under strictly increasing score transforms.
 """
 from __future__ import annotations
 
@@ -18,24 +19,27 @@ from .errors import InputError
 
 @dataclass
 class ScoredSet:
-    """(id, true score, predicted score) triples over one library."""
-    ids: list[str]
+    """(id, true score, predicted score) triples; ``ids=None`` means ids 0..u-1."""
+    ids: list[str] | None
     true_scores: np.ndarray
     predicted_scores: np.ndarray
 
     def __post_init__(self):
         self.true_scores = np.asarray(self.true_scores, dtype=float)
         self.predicted_scores = np.asarray(self.predicted_scores, dtype=float)
-        if not (len(self.ids) == len(self.true_scores) == len(self.predicted_scores)):
+        if len(self.true_scores) != len(self.predicted_scores) or \
+                (self.ids is not None and len(self.ids) != self.u):
             raise InputError("ids and score arrays must have equal length")
-        if len(set(self.ids)) != len(self.ids):
+        if self.u == 0:
+            raise InputError("no scored items")
+        if self.ids is not None and len(set(self.ids)) != self.u:
             raise InputError("ids must be unique")
         if not (np.isfinite(self.true_scores).all() and np.isfinite(self.predicted_scores).all()):
             raise InputError("scores must be finite")
 
     @property
     def u(self) -> int:
-        return len(self.ids)
+        return len(self.true_scores)
 
     @classmethod
     def from_csv(cls, path) -> "ScoredSet":
@@ -56,26 +60,32 @@ class ScoredSet:
         return cls(ids, np.array(ts), np.array(ps))
 
 
-def _rank_orders(scored: ScoredSet) -> tuple[np.ndarray, np.ndarray]:
-    """Rank of each item under (score, id) ascending order, per score kind."""
-    ids = np.array(scored.ids)
-
-    def rank(scores: np.ndarray) -> np.ndarray:
-        out = np.empty(scored.u, dtype=np.int64)
-        out[np.lexsort((ids, scores))] = np.arange(scored.u)
-        return out
-
-    return rank(scored.true_scores), rank(scored.predicted_scores)
+def _true_ranks_by_prediction(scored: ScoredSet) -> np.ndarray:
+    """The true-score rank of each item, listed in predicted order.  Ids
+    are sorted at most once, and only if a column has equal scores."""
+    orders, id_rank = [], None
+    for scores in (scored.true_scores, scored.predicted_scores):
+        order = np.argsort(scores)
+        steps = np.diff(scores[order]) != 0
+        if not steps.all():  # ties: sort on (score group, id rank), exact for u < 3e9
+            if id_rank is None:
+                id_rank = np.arange(scored.u)
+                if scored.ids is not None:
+                    id_rank[np.argsort(np.array(scored.ids), kind="stable")] = np.arange(scored.u)
+            group = np.concatenate(([0], np.cumsum(steps)))
+            order = order[np.argsort(group * scored.u + id_rank[order])]
+        orders.append(order)
+    rank = np.empty(scored.u, dtype=np.int64)
+    rank[orders[0]] = np.arange(scored.u)
+    return rank[orders[1]]
 
 
 def top_k_recall(scored: ScoredSet, k: int, delta: int) -> float:
     """Fraction of the true top-k found in the predicted top-delta."""
-    if not 1 <= k <= scored.u:
-        raise ValueError(f"k must be in [1, {scored.u}], got {k}")
-    if not 1 <= delta <= scored.u:
-        raise ValueError(f"delta must be in [1, {scored.u}], got {delta}")
-    true_rank, pred_rank = _rank_orders(scored)
-    hits = int(np.count_nonzero((true_rank < k) & (pred_rank < delta)))
+    for name, value in (("k", k), ("delta", delta)):
+        if not 1 <= value <= scored.u:
+            raise ValueError(f"{name} must be in [1, {scored.u}], got {value}")
+    hits = int(np.count_nonzero(_true_ranks_by_prediction(scored)[:delta] < k))
     return hits / k
 
 
@@ -106,16 +116,11 @@ def compute_res(scored: ScoredSet,
     tf = np.asarray(default_grid() if top_fractions is None else top_fractions, dtype=float)
     if ((bf <= 0) | (bf > 1)).any() or ((tf <= 0) | (tf > 1)).any():
         raise ValueError("grid fractions must lie in (0, 1]")
-    u = scored.u
-    true_rank, pred_rank = _rank_orders(scored)
+    true_ranks = _true_ranks_by_prediction(scored)
+    ks = np.array([math.ceil(f * scored.u) for f in tf], dtype=np.int64)
     cells = np.empty((len(bf), len(tf)))
-    for i, b in enumerate(bf):
-        delta = math.ceil(b * u)
-        in_budget = pred_rank < delta
-        for j, f in enumerate(tf):
-            k = math.ceil(f * u)
-            hits = int(np.count_nonzero(in_budget & (true_rank < k)))
-            cells[i, j] = hits / k
+    for i, b in enumerate(bf):  # hits: true ranks below k among the first delta
+        cells[i] = np.searchsorted(np.sort(true_ranks[:math.ceil(b * scored.u)]), ks) / ks
     return RESGrid(bf, tf, cells)
 
 

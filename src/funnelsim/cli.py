@@ -270,7 +270,10 @@ def cmd_analyze(args) -> int:
         else:
             k = args.k if args.k is not None else max(1, scored.u // 10000)
             delta = args.delta if args.delta is not None else max(1, scored.u // 1000)
-            value = analysis.top_k_recall(scored, k, delta)
+            try:
+                value = analysis.top_k_recall(scored, k, delta)
+            except ValueError as exc:  # --k or --delta outside [1, u]
+                raise InputError(str(exc)) from exc
             with open(out_dir / "recall.csv", "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["k", "delta", "recall"])
@@ -283,7 +286,10 @@ def cmd_analyze(args) -> int:
             return 2
         pts = analysis.load_points_csv(args.points)
         k = args.k if args.k is not None else min(10, len(pts) - 1)
-        scores = analysis.lof(pts, k)
+        try:
+            scores = analysis.lof(pts, k)
+        except ValueError as exc:  # --k outside [1, n - 1]
+            raise InputError(str(exc)) from exc
         with open(out_dir / "lof.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["index", "lof"])

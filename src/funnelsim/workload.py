@@ -453,8 +453,7 @@ def recall_at_operating_point(u: int, noise_sigma: float, seed: int,
     """Top-k recall at the (budget, top-fraction) operating point used to
     calibrate the surrogate noise."""
     true = generate_library(u, seed)
-    sset = analysis.ScoredSet([ligand_id(i) for i in range(u)], true,
-                              surrogate_scores(true, noise_sigma, seed))
+    sset = analysis.ScoredSet(None, true, surrogate_scores(true, noise_sigma, seed))
     return analysis.top_k_recall(sset, math.ceil(k_frac * u), math.ceil(delta_frac * u))
 
 
@@ -463,13 +462,9 @@ def calibrate_noise_sigma(u: int = 100_000, target: float = 0.5,
                           lo: float = 0.0, hi: float = 3.0) -> float:
     """Bisection for the noise level whose mean operating-point recall
     hits the target (recall decreases monotonically in the noise)."""
-    def mean_recall(sigma: float) -> float:
-        return float(np.mean([recall_at_operating_point(u, sigma, s)
-                              for s in range(seeds)]))
-
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        r = mean_recall(mid)
+        r = float(np.mean([recall_at_operating_point(u, mid, s) for s in range(seeds)]))
         if abs(r - target) < tol:
             return mid
         if r > target:

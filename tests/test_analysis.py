@@ -8,9 +8,12 @@ import math
 import numpy as np
 import pytest
 
-from funnelsim.analysis import (ScoredSet, chamfer, compute_res, default_grid,
-                                lof, select_outliers, top_k_recall)
+from funnelsim.analysis import (ScoredSet, _true_ranks_by_prediction, chamfer,
+                                compute_res, default_grid, lof, select_outliers,
+                                top_k_recall)
 from funnelsim.errors import InputError
+from funnelsim.workload import (generate_library, ligand_id, recall_at_operating_point,
+                                surrogate_scores)
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +76,12 @@ def scored_set(n, seed, noise=0.5, ties=False):
 
 # ---------------------------------------------------------------------------
 # recall / RES
+
+def test_empty_scored_set_rejected():
+    for ids in ([], None):
+        with pytest.raises(InputError):
+            ScoredSet(ids, [], [])
+
 
 class TestTopKRecall:
     def test_perfect_predictor_full_recall(self):
@@ -140,12 +149,15 @@ class TestComputeRes:
         for seed in range(3):
             n = int(np.random.default_rng(seed).integers(50, 2000))
             s = scored_set(n, seed, ties=True)
+            true_order, pred_order = (
+                [s.ids[i] for _, _, i in sorted((sc, s.ids[i], i) for i, sc in enumerate(col))]
+                for col in (s.true_scores, s.predicted_scores))
             grid = compute_res(s)
             for i, b in enumerate(grid.budget_fractions):
+                pred_set = set(pred_order[:math.ceil(b * n)])
                 for j, f in enumerate(grid.top_fractions):
-                    delta, k = math.ceil(b * n), math.ceil(f * n)
-                    assert grid.cells[i, j] == oracle_recall(
-                        s.ids, s.true_scores, s.predicted_scores, k, delta)
+                    k = math.ceil(f * n)
+                    assert grid.cells[i, j] == len(set(true_order[:k]) & pred_set) / k
 
     def test_monotone_in_budget(self):
         for seed in range(5):
@@ -164,6 +176,134 @@ class TestComputeRes:
         s = scored_set(10, 0)
         with pytest.raises(ValueError):
             compute_res(s, [0.0], [0.5])
+
+
+# ---------------------------------------------------------------------------
+# tie-aware ranking against the full lexsort it replaced
+
+def lexsort_rank_orders(scored):
+    """Reference ranking: the rank of each item under one full lexsort by
+    (score, id), per score kind; ``ids=None`` reads as ids 0..u-1."""
+    ids = np.arange(scored.u) if scored.ids is None else np.array(scored.ids)
+
+    def rank(scores):
+        out = np.empty(scored.u, dtype=np.int64)
+        out[np.lexsort((ids, scores))] = np.arange(scored.u)
+        return out
+
+    return rank(scored.true_scores), rank(scored.predicted_scores)
+
+
+def lexsort_recall(scored, k, delta):
+    true_rank, pred_rank = lexsort_rank_orders(scored)
+    return int(np.count_nonzero((true_rank < k) & (pred_rank < delta))) / k
+
+
+def lexsort_res_cells(scored, bf, tf):
+    """Reference RES: one mask intersection per cell over lexsort ranks."""
+    u = scored.u
+    true_rank, pred_rank = lexsort_rank_orders(scored)
+    cells = np.empty((len(bf), len(tf)))
+    for i, b in enumerate(bf):
+        in_budget = pred_rank < math.ceil(b * u)
+        for j, f in enumerate(tf):
+            k = math.ceil(f * u)
+            cells[i, j] = int(np.count_nonzero(in_budget & (true_rank < k))) / k
+    return cells
+
+
+def tied_columns(n, rng):
+    """Two score columns rounded to 0.1, about a fifth of each set to
+    0.0 or -0.0 at random."""
+    cols = []
+    for _ in range(2):
+        col = np.round(rng.standard_normal(n), 1)
+        zero = rng.random(n) < 0.2
+        col[zero] = np.where(rng.random(int(zero.sum())) < 0.5, -0.0, 0.0)
+        cols.append(col)
+    return cols
+
+
+class TestRankingDifferential:
+    def assert_matches_lexsort(self, s, bf=None, tf=None):
+        true_rank, pred_rank = lexsort_rank_orders(s)
+        assert np.array_equal(_true_ranks_by_prediction(s), true_rank[np.argsort(pred_rank)])
+        # Against a distinct 0..u-1 column, one column's order shows on its own.
+        index = np.arange(s.u, dtype=float)
+        assert np.array_equal(_true_ranks_by_prediction(ScoredSet(s.ids, s.true_scores, index)),
+                              true_rank)
+        assert np.array_equal(_true_ranks_by_prediction(ScoredSet(s.ids, index, s.predicted_scores)),
+                              np.argsort(pred_rank))
+        cuts = sorted(c for c in {1, 2, s.u // 3, s.u // 2, s.u - 1, s.u} if 1 <= c <= s.u)
+        for k in cuts:
+            for delta in cuts:
+                assert top_k_recall(s, k, delta) == lexsort_recall(s, k, delta)
+        bf = default_grid() if bf is None else bf
+        tf = default_grid() if tf is None else tf
+        assert np.array_equal(compute_res(s, bf, tf).cells, lexsort_res_cells(s, bf, tf))
+
+    def test_ties_and_signed_zeros_with_permuted_ids(self):
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 400))
+            ids = [f"x{i:05d}" for i in rng.permutation(n)]
+            self.assert_matches_lexsort(ScoredSet(ids, *tied_columns(n, rng)))
+
+    def test_every_cut_through_tie_groups(self):
+        rng = np.random.default_rng(7)
+        ids = [f"t{i:03d}" for i in rng.permutation(30)]
+        true, pred = (np.round(rng.standard_normal(30), 0) for _ in range(2))
+        s = ScoredSet(ids, true, pred)
+        for k in range(1, 31):
+            for delta in range(1, 31):
+                assert top_k_recall(s, k, delta) == lexsort_recall(s, k, delta)
+
+    def test_all_equal_scores(self):
+        n = 50
+        ids = [f"e{i:02d}" for i in np.random.default_rng(3).permutation(n)]
+        signed = np.where(np.arange(n) % 2 == 0, 0.0, -0.0)
+        for true, pred in ((np.full(n, 1.5), np.full(n, 1.5)), (signed, signed[::-1])):
+            for id_list in (ids, None):
+                self.assert_matches_lexsort(ScoredSet(id_list, true, pred))
+
+    def test_single_item(self):
+        for ids in (["only"], None):
+            s = ScoredSet(ids, [0.3], [-0.0])
+            self.assert_matches_lexsort(s)
+            assert top_k_recall(s, 1, 1) == 1.0
+            assert (compute_res(s).cells == 1.0).all()
+
+    def test_no_ids_equals_index_ordered_ids(self):
+        for seed in range(6):
+            rng = np.random.default_rng(100 + seed)
+            n = int(rng.integers(1, 300))
+            true, pred = tied_columns(n, rng) if seed % 2 else rng.standard_normal((2, n))
+            bare = ScoredSet(None, true, pred)
+            named = ScoredSet([f"i{i:06d}" for i in range(n)], true, pred)
+            self.assert_matches_lexsort(bare)
+            assert np.array_equal(compute_res(bare).cells, compute_res(named).cells)
+            k, delta = (int(v) for v in rng.integers(1, n + 1, size=2))
+            assert top_k_recall(bare, k, delta) == top_k_recall(named, k, delta)
+
+    def test_unsorted_custom_grids(self):
+        for seed in range(4):
+            rng = np.random.default_rng(200 + seed)
+            n = int(rng.integers(20, 500))
+            ids = [f"g{i:04d}" for i in rng.permutation(n)]
+            s = ScoredSet(ids, *tied_columns(n, rng))
+            bf = rng.permutation(np.concatenate([rng.uniform(1e-3, 1, 9), [1.0, 0.5, 0.5]]))
+            tf = rng.permutation(np.concatenate([rng.uniform(1e-3, 1, 6), [1e-4, 1.0]]))
+            self.assert_matches_lexsort(s, bf, tf)
+
+    def test_operating_point_equals_ligand_id_ranking(self):
+        u = 100_000
+        for seed in range(3):
+            true = generate_library(u, seed)
+            s = ScoredSet([ligand_id(i) for i in range(u)], true,
+                          surrogate_scores(true, 0.8, seed))
+            for k_frac, delta_frac in ((1e-4, 1e-3), (1e-2, 5e-2)):
+                assert recall_at_operating_point(u, 0.8, seed, k_frac, delta_frac) == \
+                    top_k_recall(s, math.ceil(k_frac * u), math.ceil(delta_frac * u))
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,38 @@ class TestAnalyze:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("metric", ["res", "recall"])
+    @pytest.mark.parametrize("text", ["", "ligand_id,true_score,predicted_score\n"])
+    def test_empty_scores_is_input_error(self, tmp_path, capsys, metric, text):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(text)
+        out = tmp_path / "an"
+        rc = main(["analyze", "--metric", metric, "--scores", str(empty), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / f"{metric}.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--k", "5"], ["--delta", "3"], ["--k", "0"],
+                                       ["--delta", "-1"]])
+    def test_recall_cut_outside_library_is_input_error(self, tmp_path, capsys, flags):
+        scores = tmp_path / "s.csv"
+        scores.write_text("ligand_id,true_score,predicted_score\na,1.0,2.0\nb,2.0,1.0\n")
+        out = tmp_path / "an"
+        rc = main(["analyze", "--metric", "recall", "--scores", str(scores),
+                   "--out", str(out), *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be in [1, 2]" in err
+        assert not (out / "recall.csv").exists()
+
+    def test_lof_k_outside_point_set_is_input_error(self, tmp_path, capsys):
+        pts = tmp_path / "p.csv"
+        pts.write_text("0,0\n1,1\n2,2\n")
+        rc = main(["analyze", "--metric", "lof", "--points", str(pts), "--k", "3",
+                   "--out", str(tmp_path / "an")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: k_neighbors must be in [1, 2]")
+
     def test_lof_output(self, tmp_path):
         pts = tmp_path / "p.csv"
         rng = np.random.default_rng(4)
