@@ -14,8 +14,7 @@ from .pilot import PilotSpec, acquire_pilot
 from .trace import TraceEvent, TraceSink, load_trace, merge_traces
 from .workload import (CostModel, FunnelConfig, StageCost,
                        build_funnel_campaign, default_cost_model,
-                       generate_library, sample_duration, select_top_fraction,
-                       surrogate_scores)
+                       generate_library, select_top_fraction, surrogate_scores)
 
 __version__ = "0.1.0"
 
@@ -26,6 +25,6 @@ __all__ = [
     "TraceEvent", "TraceSink", "acquire_pilot", "build_funnel_campaign",
     "default_cost_model", "generate_library", "load_trace", "merge_traces",
     "partition_bulks", "replay_trace", "round_robin_assign", "run_campaign",
-    "run_executor", "run_overlay", "sample_duration", "select_top_fraction",
+    "run_executor", "run_overlay", "select_top_fraction",
     "surrogate_scores", "validate_campaign",
 ]

@@ -71,7 +71,9 @@ def _true_ranks_by_prediction(scored: ScoredSet) -> np.ndarray:
             if id_rank is None:
                 id_rank = np.arange(scored.u)
                 if scored.ids is not None:
-                    id_rank[np.argsort(np.array(scored.ids), kind="stable")] = np.arange(scored.u)
+                    # An object array: a unicode one drops trailing NULs.
+                    by_id = np.argsort(np.array(scored.ids, dtype=object), kind="stable")
+                    id_rank[by_id] = np.arange(scored.u)
             group = np.concatenate(([0], np.cumsum(steps)))
             order = order[np.argsort(group * scored.u + id_rank[order])]
         orders.append(order)

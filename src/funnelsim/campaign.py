@@ -146,7 +146,7 @@ def validate_campaign(spec: CampaignSpec) -> list[Violation]:
         out.append(Violation("resource", "pilot", msg))
     if not (0 <= spec.seed < 2 ** 64):
         out.append(Violation("seed", str(spec.seed), "seed must fit in 64 unsigned bits"))
-    if spec.time_scale <= 0:
+    if not spec.time_scale > 0:  # NaN fails too
         out.append(Violation("time_scale", str(spec.time_scale), "time_scale must be positive"))
     if spec.mode not in ("simulated", "local"):
         out.append(Violation("mode", spec.mode, "mode must be simulated or local"))
@@ -377,23 +377,6 @@ class PipelineState:
         self.current_stage_index = next_index
         self._register_stage(next_index)
         return AdvanceResult("stage_advanced", next_index)
-
-    def resize_stage(self, stage_index: int, new_tasks: list[TaskDescriptor]) -> None:
-        """Replace a future stage's task list; current and past stages
-        cannot be resized."""
-        if not 0 <= stage_index < len(self.spec.stages):
-            raise StateError(f"no stage {stage_index}")
-        if stage_index <= self.current_stage_index:
-            raise OrderingError(
-                f"stage {stage_index} is not in the future (current {self.current_stage_index})")
-        other_ids = {t.task_id
-                     for i, tasks in enumerate(self.stage_tasks) if i != stage_index
-                     for t in tasks}
-        ids = [t.task_id for t in new_tasks]
-        dupes = sorted({i for i in ids if i in other_ids} | {i for i in ids if ids.count(i) > 1})
-        if dupes:
-            raise StateError(f"resize introduces duplicate task ids: {dupes}")
-        self.stage_tasks[stage_index] = list(new_tasks)
 
     def projection(self) -> dict:
         """Comparable snapshot: used by the trace-replay check."""

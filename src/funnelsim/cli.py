@@ -13,11 +13,18 @@ Config schema (unknown keys are rejected):
   "cost_model": {STAGE: {"median_node_hours": num,
                          "tail": {"kind": "lognormal", "sigma": num} |
                                  {"kind": "pareto_mix", "alpha": num, "mix": num},
-                         "nodes_per_task": num, "throughput_per_gpu": num}},
+                         "nodes_per_task": num, "throughput_per_gpu": num|null}},
   "overlay": {"n_masters": int, "workers_per_master": int, "bulk_size": int,
               "rebalance_policy": str, "low_water": int},
   "seed": int, "time_scale": num, "mode": "concurrent"|"sequential_pipelines"
 }
+
+The resource, funnel and overlay sections are read from the fields of
+``PilotSpec``, ``FunnelConfig`` and ``MasterConfig``.  Values are not
+cast: an int takes an integer or an integral float, a num any finite
+number (NaN and Infinity are rejected), a bool only true or false, and
+a str only a string; no bool counts as a number.  Every config error
+exits 2 before anything runs or is written.
 """
 from __future__ import annotations
 
@@ -26,7 +33,10 @@ import csv
 import json
 import math
 import sys
+from dataclasses import MISSING, fields
+from functools import cache
 from pathlib import Path
+from typing import Optional, get_type_hints
 
 from . import analysis, workload
 from .campaign import validate_campaign
@@ -37,91 +47,84 @@ from .pilot import PilotSpec
 from .trace import TraceColumns, TraceSink, load_trace, throughput_from_times, timeline
 
 
-def _check_keys(doc: dict, allowed: set[str], where: str):
-    unknown = sorted(set(doc) - allowed)
+def _object(doc, where: str) -> dict:
+    if type(doc) is not dict:
+        raise ConfigError(f"{where} must be a JSON object, got {json.dumps(doc)}")
+    return doc
+
+
+def _check_keys(doc, allowed: set[str], where: str):
+    unknown = sorted(set(_object(doc, where)) - allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
 
 
-def parse_resource(doc: dict) -> PilotSpec:
-    _check_keys(doc, {"nodes", "cpus_per_node", "gpus_per_node", "walltime_s",
-                      "backend", "bootstrap_s", "sched_gap_s", "gpu_host_cpu"}, "resource")
-    try:
-        return PilotSpec(
-            nodes=int(doc["nodes"]),
-            cpus_per_node=int(doc["cpus_per_node"]),
-            gpus_per_node=int(doc["gpus_per_node"]),
-            walltime_s=float(doc["walltime_s"]),
-            backend=str(doc.get("backend", "simulated")),
-            bootstrap_s=float(doc.get("bootstrap_s", 0.0)),
-            sched_gap_s=float(doc.get("sched_gap_s", 0.0)),
-            gpu_host_cpu=bool(doc.get("gpu_host_cpu", True)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"resource is missing key {exc}") from exc
+_KINDS = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
 
-def parse_funnel(doc: dict) -> workload.FunnelConfig:
-    _check_keys(doc, {"library_size", "s1_fraction", "cg_count", "top_binders",
-                      "outliers_per_binder", "noise_sigma", "frames_per_replica"}, "funnel")
-    base = workload.FunnelConfig()
-    return workload.FunnelConfig(
-        library_size=int(doc.get("library_size", base.library_size)),
-        s1_fraction=float(doc.get("s1_fraction", base.s1_fraction)),
-        cg_count=int(doc.get("cg_count", base.cg_count)),
-        top_binders=int(doc.get("top_binders", base.top_binders)),
-        outliers_per_binder=int(doc.get("outliers_per_binder", base.outliers_per_binder)),
-        noise_sigma=float(doc.get("noise_sigma", base.noise_sigma)),
-        frames_per_replica=int(doc.get("frames_per_replica", base.frames_per_replica)),
-    )
+def _typed(value, kind, where: str):
+    """``value`` if it fits the type ``kind``: a number is a finite int or
+    float and never a bool, and an integer may be an integral float."""
+    if kind == Optional[float]:
+        return None if value is None else _typed(value, float, where)
+    if kind in (int, float):
+        finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
+        if finite and (kind is float or value == int(value)):
+            return kind(value)
+    elif type(value) is kind:
+        return value
+    raise ConfigError(f"{where} must be {_KINDS[kind]}, got {json.dumps(value)}")
 
 
-def parse_cost_model(doc: dict) -> workload.CostModel:
+def _get(doc: dict, key: str, kind, where: str, default=MISSING):
+    if key not in doc and default is MISSING:
+        raise ConfigError(f"{where} is missing key '{key}'")
+    return _typed(doc.get(key, default), kind, f"{where}.{key}")
+
+
+_hints = cache(get_type_hints)  # it evaluates the annotation strings on each call
+
+
+def _read(cls, doc, where: str, **given):
+    """A ``cls`` from the section ``doc``, whose keys are the fields not
+    ``given``: one without a default is required, each fits its type."""
+    hints = _hints(cls)
+    own = [f for f in fields(cls) if f.name not in given]
+    _check_keys(doc, {f.name for f in own}, where)
+    return cls(**given, **{f.name: _get(doc, f.name, hints[f.name], where, f.default)
+                           for f in own})
+
+
+# Each tail kind's parameters and their defaults; MISSING marks a required one.
+_TAILS = {"lognormal": {"sigma": 0.0}, "pareto_mix": {"alpha": MISSING, "mix": MISSING}}
+
+
+def parse_cost_model(doc) -> workload.CostModel:
+    """The default cost model with the given stages overridden: an omitted
+    tail is lognormal with sigma 0, an omitted throughput_per_gpu is None."""
     model = workload.default_cost_model()
-    for stage, entry in doc.items():
+    for stage, entry in _object(doc, "cost_model").items():
+        where = f"cost_model.{stage}"
         _check_keys(entry, {"median_node_hours", "tail", "nodes_per_task",
-                            "throughput_per_gpu"}, f"cost_model.{stage}")
-        tail = entry.get("tail", {"kind": "lognormal", "sigma": 0.0})
-        kind = tail.get("kind", "lognormal")
-        if kind == "lognormal":
-            _check_keys(tail, {"kind", "sigma"}, f"cost_model.{stage}.tail")
-            params = (float(tail.get("sigma", 0.0)),)
-        elif kind == "pareto_mix":
-            _check_keys(tail, {"kind", "alpha", "mix"}, f"cost_model.{stage}.tail")
-            params = (float(tail["alpha"]), float(tail["mix"]))
-        else:
-            raise ConfigError(f"cost_model.{stage}.tail has unknown kind {kind!r}")
-        base = model.stages.get(stage)
+                            "throughput_per_gpu"}, where)
+        tail = _object(entry.get("tail", {}), f"{where}.tail")
+        kind = _get(tail, "kind", str, f"{where}.tail", "lognormal")
+        if kind not in _TAILS:
+            raise ConfigError(f"{where}.tail has unknown kind {kind!r}")
+        _check_keys(tail, {"kind", *_TAILS[kind]}, f"{where}.tail")
+        base = model.stages.get(stage, workload.StageCost(1.0))
         model.stages[stage] = workload.StageCost(
-            median_node_hours=float(entry.get(
-                "median_node_hours", base.median_node_hours if base else 1.0)),
-            tail_kind=kind, tail_params=params,
-            nodes_per_task=float(entry.get(
-                "nodes_per_task", base.nodes_per_task if base else 1.0)),
-            throughput_per_gpu=(float(entry["throughput_per_gpu"])
-                                if entry.get("throughput_per_gpu") is not None else None),
-        )
+            median_node_hours=_get(entry, "median_node_hours", float, where,
+                                   base.median_node_hours),
+            tail_kind=kind,
+            tail_params=tuple(_get(tail, key, float, f"{where}.tail", default)
+                              for key, default in _TAILS[kind].items()),
+            nodes_per_task=_get(entry, "nodes_per_task", float, where, base.nodes_per_task),
+            throughput_per_gpu=_get(entry, "throughput_per_gpu", Optional[float], where, None))
         problems = model.stages[stage].validate()
         if problems:
-            raise ConfigError(f"cost_model.{stage}: " + "; ".join(problems))
+            raise ConfigError(f"{where}: " + "; ".join(problems))
     return model
-
-
-def parse_overlay(doc: dict) -> MasterConfig:
-    _check_keys(doc, {"n_masters", "workers_per_master", "bulk_size",
-                      "rebalance_policy", "low_water"}, "overlay")
-    base = MasterConfig()
-    cfg = MasterConfig(
-        n_masters=int(doc.get("n_masters", base.n_masters)),
-        workers_per_master=int(doc.get("workers_per_master", base.workers_per_master)),
-        bulk_size=int(doc.get("bulk_size", base.bulk_size)),
-        rebalance_policy=str(doc.get("rebalance_policy", base.rebalance_policy)),
-        low_water=int(doc.get("low_water", base.low_water)),
-    )
-    problems = cfg.validate()
-    if problems:
-        raise ConfigError("overlay: " + "; ".join(problems))
-    return cfg
 
 
 def load_config(path: str, seed_override: int | None = None,
@@ -137,21 +140,25 @@ def load_config(path: str, seed_override: int | None = None,
                       "time_scale", "mode"}, "config")
     if "resource" not in doc:
         raise ConfigError("config needs a resource section")
-    resource = parse_resource(doc["resource"])
+    resource = _read(PilotSpec, doc["resource"], "resource")
     if force_backend is not None:
         resource.backend = force_backend
-    funnel = parse_funnel(doc.get("funnel", {}))
+    seed = _get(doc, "seed", int, "config", 0)
+    funnel = _read(workload.FunnelConfig, doc.get("funnel", {}), "funnel",
+                   seed=seed if seed_override is None else seed_override)
     cost_model = parse_cost_model(doc.get("cost_model", {}))
-    overlay = parse_overlay(doc["overlay"]) if "overlay" in doc else None
-    if overlay is not None and resource.backend == "local":
-        # S1 payloads are ligand items, not calls of registered functions.
-        raise ConfigError("an overlay section needs the simulated backend")
-    seed = int(doc.get("seed", 0)) if seed_override is None else seed_override
-    time_scale = float(doc.get("time_scale", 1e-4))
+    overlay = _read(MasterConfig, doc["overlay"], "overlay") if "overlay" in doc else None
+    if overlay is not None:
+        problems = overlay.validate()
+        if problems:
+            raise ConfigError("overlay: " + "; ".join(problems))
+        if resource.backend == "local":
+            # S1 payloads are ligand items, not calls of registered functions.
+            raise ConfigError("an overlay section needs the simulated backend")
+    time_scale = _get(doc, "time_scale", float, "config", 1e-4)
     mode = doc.get("mode", "concurrent")
     if mode not in ("concurrent", "sequential_pipelines"):
         raise ConfigError(f"mode must be concurrent or sequential_pipelines, got {mode!r}")
-    funnel.seed = seed
     spec = workload.build_funnel_campaign(
         funnel, cost_model=cost_model, resource=resource, time_scale=time_scale,
         pipeline_mode="sequential" if mode == "sequential_pipelines" else "concurrent",
@@ -175,9 +182,7 @@ def _trace_metrics(trace, bucket_width: float | None):
         if len(pending):
             born[stage] = len(pending)
         if stage == "S3FG":
-            ids = {cols.ids[i] for i in pending.tolist()}
-            # Only an id with a part that starts with "c" can name a conformation.
-            for eid in (eid for eid in ids if eid.startswith("c") or ".c" in eid):
+            for eid in {cols.ids[i] for i in pending.tolist()}:
                 conf = next((p for p in eid.split(".") if p.startswith("c") and p[1:].isdigit()),
                             None)
                 if conf:
@@ -188,12 +193,16 @@ def _trace_metrics(trace, bucket_width: float | None):
     return run.utilization(bucket_width), run.overhead(), dict(sorted(reports.items())), funnel
 
 
-def _write_utilization_csv(path: Path, util) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t0", "busy_node_fraction"])
-        for t0, frac in util.rows():
-            writer.writerow([f"{t0:.9g}", f"{frac:.9g}"])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_utilization_csv(path: Path, util) -> None:
+    _write_csv(path, ["t0", "busy_node_fraction"],
+               ([f"{t0:.9g}", f"{frac:.9g}"] for t0, frac in util.rows()))
 
 
 def write_summary(result, sink, out_dir: Path, bucket_width: float | None) -> dict:
@@ -274,10 +283,8 @@ def cmd_analyze(args) -> int:
                 value = analysis.top_k_recall(scored, k, delta)
             except ValueError as exc:  # --k or --delta outside [1, u]
                 raise InputError(str(exc)) from exc
-            with open(out_dir / "recall.csv", "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["k", "delta", "recall"])
-                writer.writerow([k, delta, f"{value:.10g}"])
+            _write_csv(out_dir / "recall.csv", ["k", "delta", "recall"],
+                       [[k, delta, f"{value:.10g}"]])
             if not args.quiet:
                 print(f"recall(k={k}, delta={delta}) = {value:.6g}")
     elif metric == "lof":
@@ -290,11 +297,8 @@ def cmd_analyze(args) -> int:
             scores = analysis.lof(pts, k)
         except ValueError as exc:  # --k outside [1, n - 1]
             raise InputError(str(exc)) from exc
-        with open(out_dir / "lof.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "lof"])
-            for i, s in enumerate(scores):
-                writer.writerow([i, f"{s:.10g}"])
+        _write_csv(out_dir / "lof.csv", ["index", "lof"],
+                   ([i, f"{s:.10g}"] for i, s in enumerate(scores)))
         if not args.quiet:
             print(f"lof scores for {len(pts)} points -> {out_dir/'lof.csv'}")
     elif metric == "chamfer":
@@ -304,10 +308,7 @@ def cmd_analyze(args) -> int:
         a = analysis.load_points_csv(args.points)
         b = analysis.load_points_csv(args.points_b)
         value = analysis.chamfer(a, b)
-        with open(out_dir / "chamfer.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["chamfer"])
-            writer.writerow([f"{value:.12g}"])
+        _write_csv(out_dir / "chamfer.csv", ["chamfer"], [[f"{value:.12g}"]])
         if not args.quiet:
             print(f"chamfer = {value:.10g}")
     else:
@@ -322,13 +323,11 @@ def cmd_report(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     util, ovh, reports, _funnel = _trace_metrics(events, args.bucket_width)
     _write_utilization_csv(out_dir / "utilization.csv", util)
-    with open(out_dir / "throughput.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "window_t0", "completions_per_s"])
-        for tag, rep in reports.items():
-            writer.writerow([tag, "overall", f"{rep.overall_per_s:.9g}"])
-            for t0, rate in rep.windows:
-                writer.writerow([tag, f"{t0:.9g}", f"{rate:.9g}"])
+    rows = []
+    for tag, rep in reports.items():
+        rows.append([tag, "overall", f"{rep.overall_per_s:.9g}"])
+        rows.extend([tag, f"{t0:.9g}", f"{rate:.9g}"] for t0, rate in rep.windows)
+    _write_csv(out_dir / "throughput.csv", ["stage", "window_t0", "completions_per_s"], rows)
     (out_dir / "overhead.json").write_text(json.dumps({
         "total_node_s": ovh.total_s,
         "fraction_of_makespan": ovh.fraction_of_makespan,

@@ -52,9 +52,13 @@ class RunResult:
 def _task_duration(task, spec: cm.CampaignSpec) -> float:
     dm = task.duration_model
     if isinstance(dm, cm.FixedDuration):
-        return dm.seconds
-    u1, u2 = duration_uniforms(spec.seed, task.task_id)
-    return dm.sample_from_uniforms(u1, u2, spec.time_scale)
+        seconds = dm.seconds
+    else:
+        u1, u2 = duration_uniforms(spec.seed, task.task_id)
+        seconds = dm.sample_from_uniforms(u1, u2, spec.time_scale)
+    if not seconds >= 0:  # a NaN time would never leave the event heap
+        raise StateError(f"task {task.task_id} drew duration {seconds}, not >= 0")
+    return seconds
 
 
 class Engine:

@@ -41,11 +41,12 @@ class PilotSpec:
             out.append("per-node slot counts must be >= 0")
         if self.cpus_per_node + self.gpus_per_node <= 0:
             out.append("cpus_per_node + gpus_per_node must be > 0")
-        if self.walltime_s <= 0:
+        # Negated comparisons, so that NaN fails them.
+        if not self.walltime_s > 0:
             out.append("walltime_s must be positive")
         if self.backend not in ("simulated", "local"):
             out.append(f"unknown backend {self.backend!r}")
-        if self.bootstrap_s < 0 or self.sched_gap_s < 0:
+        if not (self.bootstrap_s >= 0 and self.sched_gap_s >= 0):
             out.append("bootstrap_s and sched_gap_s must be >= 0")
         if self.walltime_s > 0 and self.bootstrap_s >= self.walltime_s:
             out.append("bootstrap_s must be smaller than walltime_s")

@@ -103,16 +103,18 @@ class FunnelConfig:
         out = []
         if self.library_size < 1:
             out.append("library_size must be >= 1")
+        if not 0 <= self.seed < 2 ** 64:
+            out.append("seed must fit in 64 unsigned bits")
         if not 0 < self.s1_fraction <= 1:
             out.append("s1_fraction must be in (0, 1]")
         if self.cg_count < 1 or self.top_binders < 1 or self.outliers_per_binder < 1:
             out.append("funnel counts must be >= 1")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             out.append("noise_sigma must be >= 0")
         if self.frames_per_replica < 1:
             out.append("frames_per_replica must be >= 1")
         # Funnel monotonicity: every stage consumes no more than it is fed.
-        if self.cg_count > self.s1_count():
+        if 0 < self.s1_fraction <= 1 and self.cg_count > self.s1_count():
             out.append(f"cg_count {self.cg_count} exceeds S1 survivors {self.s1_count()}")
         if self.top_binders > self.cg_count:
             out.append("top_binders exceeds cg_count")
@@ -186,20 +188,6 @@ def resolve_duration(stage_tag: str, cost_model: CostModel,
                            entry.tail_kind, tuple(entry.tail_params))
 
 
-def sample_duration(stage_tag: str, cost_model: CostModel,
-                    rng: np.random.Generator, time_scale: float = 1.0,
-                    ligands: float = 1.0) -> float:
-    """Draw one task duration in simulated seconds: modeled node-seconds
-    over the task's node span, scaled by time_scale, with the stage's
-    tail applied (median of samples converges to the configured median).
-
-    Draws two uniforms from ``rng`` and goes through the same sampler the
-    engine feeds with hashed per-task uniforms."""
-    u1 = 1.0 - rng.random()   # (0, 1], so log(u1) is safe
-    u2 = rng.random()
-    return resolve_duration(stage_tag, cost_model, ligands).sample_from_uniforms(u1, u2, time_scale)
-
-
 def duration_uniforms(seed: int, task_id: str) -> tuple[float, float]:
     """Two (0,1) uniforms hashed from (seed, task_id): the cheap stream
     behind per-task duration draws (u1 never 0, so log(u1) is safe)."""
@@ -213,13 +201,6 @@ def duration_uniforms(seed: int, task_id: str) -> tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # conformation synthesis (the stand-in for ensemble simulation outputs)
-
-def synth_conformations(seed: int, ligand_id: str, true_score: float,
-                        replica: int, frames: int,
-                        energy_sigma: float = 0.25) -> list[dict]:
-    return next(_ligand_conformations(seed, ligand_id, true_score, [replica], frames,
-                                      energy_sigma))
-
 
 def _ligand_conformations(seed: int, ligand_id: str, true_score: float,
                           replicas, frames: int, energy_sigma: float = 0.25):
@@ -503,10 +484,6 @@ FUNCTIONS = {
     "fail": _fn_fail,
     "kill_worker": _fn_kill_worker,
 }
-
-
-def register_function(name: str, fn) -> None:
-    FUNCTIONS[name] = fn
 
 
 def call_function(payload: dict | None):

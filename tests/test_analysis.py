@@ -105,6 +105,17 @@ class TestTopKRecall:
             assert top_k_recall(s, k, delta) == \
                 oracle_recall(s.ids, s.true_scores, s.predicted_scores, k, delta)
 
+    def test_nul_suffixed_ids_break_ties_as_python_sorts_them(self):
+        # A numpy unicode array drops trailing NULs, so "a\x00" would tie
+        # with "a"; Python orders "a" < "a\x00" < "b".
+        ids = ["a\x00", "a", "b"]
+        s = ScoredSet(ids, np.zeros(3), np.array([0.0, 1.0, 2.0]))
+        assert _true_ranks_by_prediction(s).tolist() == [1, 0, 2]
+        for k in (1, 2, 3):
+            for delta in (1, 2, 3):
+                assert top_k_recall(s, k, delta) == oracle_recall(
+                    ids, s.true_scores, s.predicted_scores, k, delta)
+
     def test_rank_invariance_under_monotone_transform(self):
         s = scored_set(300, 4)
         warped = ScoredSet(s.ids, s.true_scores,

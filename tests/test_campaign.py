@@ -251,32 +251,6 @@ class TestHooks:
         assert got[0]["point"] == [50.0, 0.0, 0.0]  # the isolated conformation
 
 
-class TestResize:
-    def make_state(self):
-        return PipelineState(PipelineSpec("p", [
-            StageSpec("s0", [task("a")]),
-            StageSpec("s1", [task(f"f{i}") for i in range(5)]),
-        ]))
-
-    def test_future_stage_replaced(self):
-        state = self.make_state()
-        state.resize_stage(1, [task(f"n{i}") for i in range(25)])
-        assert len(state.stage_tasks[1]) == 25
-        assert len(state.spec.stages[1].tasks) == 5     # the spec is not written to
-
-    def test_resize_current_stage_is_ordering_error(self):
-        state = self.make_state()
-        with pytest.raises(OrderingError):
-            state.resize_stage(0, [task("x")])
-
-    def test_resize_with_duplicate_id_rejected(self):
-        state = self.make_state()
-        with pytest.raises(StateError):
-            state.resize_stage(1, [task("a")])      # clashes with stage 0
-        with pytest.raises(StateError):
-            state.resize_stage(1, [task("n"), task("n")])
-
-
 class TestPipelineIndependence:
     def test_interleaving_does_not_change_other_pipeline(self):
         def b_transitions(interleave_a):

@@ -1,16 +1,21 @@
 """Command-line behavior: artifacts, determinism, exit codes, local runs."""
 import csv
 import json
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from funnelsim.cli import _trace_metrics, load_config, main
+from funnelsim.cli import _trace_metrics, load_config, main, parse_cost_model
 from funnelsim.engine import Engine, run_campaign
 from funnelsim.trace import TraceEvent, TraceSink, load_trace, stage_throughput
+from funnelsim.workload import StageCost
 
+from test_engine import alarm
 from test_pinned_traces import run_overlay_funnel
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(path, **overrides):
@@ -102,6 +107,93 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "cg_count" in capsys.readouterr().err
+
+
+RESOURCE = {"nodes": 8, "cpus_per_node": 42, "gpus_per_node": 6, "walltime_s": 1e9}
+NAN = float("nan")
+
+
+class TestConfigTypes:
+    """Each value must fit its field's type: no value is cast, and a config
+    that breaks the rule exits 2 at once, before anything is written."""
+
+    @pytest.mark.parametrize("overrides, text", [
+        ({"resource": {**RESOURCE, "nodes": 2.5}}, "resource.nodes must be an integer"),
+        ({"resource": {**RESOURCE, "nodes": True}}, "resource.nodes must be an integer"),
+        ({"resource": {**RESOURCE, "nodes": "8"}}, "resource.nodes must be an integer"),
+        ({"resource": {**RESOURCE, "gpu_host_cpu": "false"}}, "resource.gpu_host_cpu"),
+        ({"resource": {**RESOURCE, "gpu_host_cpu": 0}}, "resource.gpu_host_cpu"),
+        ({"overlay": {"bulk_size": 12.7}}, "overlay.bulk_size must be an integer"),
+        ({"funnel": {"library_size": "abc"}}, "funnel.library_size must be an integer"),
+        ({"resource": {**RESOURCE, "walltime_s": NAN}}, "resource.walltime_s"),
+        ({"resource": {**RESOURCE, "bootstrap_s": NAN}}, "resource.bootstrap_s"),
+        ({"time_scale": NAN}, "config.time_scale must be a finite number"),
+        ({"funnel": {"noise_sigma": NAN}}, "funnel.noise_sigma"),
+        ({"funnel": {"s1_fraction": NAN}}, "funnel.s1_fraction"),
+        ({"seed": -1}, "seed must fit in 64 unsigned bits"),
+        ({"seed": 4.2}, "config.seed must be an integer"),
+        ({"resource": [8, 42, 6]}, "resource must be a JSON object"),
+    ])
+    def test_bad_value_exits_2_at_once(self, overrides, text, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", **overrides)
+        out = tmp_path / "out"
+        started = time.perf_counter()
+        with alarm(5):
+            assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and text in err
+        assert not (out / "trace.jsonl").exists()
+
+    @pytest.mark.parametrize("path", ["configs/desk_funnel.json", "configs/local_funnel.json",
+                                      "perfbench/desk_funnel.json"])
+    def test_shipped_configs_load(self, path):
+        spec, _overlay, funnel = load_config(str(ROOT / path))
+        assert spec.seed == funnel.seed
+        assert isinstance(spec.resource.nodes, int) and isinstance(spec.time_scale, float)
+
+    def test_integral_float_reads_as_int_and_int_as_float(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json",
+                           resource={**RESOURCE, "nodes": 8.0, "walltime_s": 1000000000})
+        spec, _overlay, _funnel = load_config(str(cfg))
+        assert spec.resource.nodes == 8 and type(spec.resource.nodes) is int
+        assert type(spec.resource.walltime_s) is float
+
+    def test_missing_required_key_named(self, tmp_path, capsys):
+        resource = {k: v for k, v in RESOURCE.items() if k != "gpus_per_node"}
+        cfg = write_config(tmp_path / "c.json", resource=resource)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "resource is missing key 'gpus_per_node'" in capsys.readouterr().err
+
+    def test_seed_is_no_funnel_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", funnel={"library_size": 5000, "seed": 1})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown keys in funnel: seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cost_model, text", [
+        ({"S1": {"median_node_hours": "1"}}, "cost_model.S1.median_node_hours"),
+        ({"S1": {"tail": {"kind": "pareto_mix", "alpha": 2.5}}},
+         "cost_model.S1.tail is missing key 'mix'"),
+        ({"S1": {"tail": {"kind": "lognormal", "sigma": NAN}}}, "cost_model.S1.tail.sigma"),
+        ({"S1": {"throughput_per_gpu": True}}, "cost_model.S1.throughput_per_gpu"),
+        ({"S1": []}, "cost_model.S1 must be a JSON object"),
+        ([], "cost_model must be a JSON object"),
+    ])
+    def test_bad_cost_model_exits_2(self, cost_model, text, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", cost_model=cost_model)
+        with alarm(5):
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert text in capsys.readouterr().err
+
+    def test_cost_model_overrides_as_before(self):
+        # An entry overrides its stage: an omitted tail is lognormal with
+        # sigma 0, an omitted throughput_per_gpu is None.
+        model = parse_cost_model({"S1": {"median_node_hours": 2e-4},
+                                  "NEW": {"throughput_per_gpu": None,
+                                          "tail": {"kind": "pareto_mix", "alpha": 2,
+                                                   "mix": 0.1}}})
+        assert model.stages["S1"] == StageCost(2e-4, "lognormal", (0.0,), 1 / 6, None)
+        assert model.stages["NEW"] == StageCost(1.0, "pareto_mix", (2.0, 0.1), 1.0, None)
 
 
 class TestAnalyze:
@@ -432,13 +524,13 @@ class TestRunLocal:
 
 
 class TestLocalOverlayFunctions:
-    def test_function_tasks_and_worker_death(self):
+    def test_function_tasks_and_worker_death(self, monkeypatch):
         import funnelsim as fs
         from funnelsim.campaign import (CampaignSpec, FixedDuration,
                                         PipelineSpec, StageSpec, TaskDescriptor)
         from funnelsim.engine import run_campaign
         from funnelsim.overlay import MasterConfig
-        from funnelsim.workload import register_function
+        from funnelsim import workload
 
         killed = {"count": 0}
 
@@ -449,7 +541,7 @@ class TestLocalOverlayFunctions:
                 raise WorkerKilled("first strike")
             return "survived"
 
-        register_function("kill_once_test", kill_once)
+        monkeypatch.setitem(workload.FUNCTIONS, "kill_once_test", kill_once)
 
         def payload(fn, **kwargs):
             return {"fn": fn, "kwargs": kwargs}

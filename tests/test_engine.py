@@ -3,14 +3,17 @@ the local backend, and specs that a run leaves as they were."""
 import copy
 import json
 import os
+import signal
 import sys
 import time
+from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 from funnelsim.campaign import (CampaignSpec, FixedDuration, HookSpec,
                                 PipelineSpec, StageSpec, TaskDescriptor)
-from funnelsim.engine import Engine, run_campaign
-from funnelsim.errors import ConfigError
+from funnelsim.engine import Engine, run_campaign, run_executor
+from funnelsim.errors import ConfigError, StateError
 from funnelsim.overlay import MasterConfig
 from funnelsim.pilot import PilotSpec
 from funnelsim.workload import FunnelConfig, build_funnel_campaign, select_top_k
@@ -141,6 +144,51 @@ class TestFailurePaths:
         assert r.walltime_hit
         assert r.final_states["p0"]["status"] == "canceled"
         assert r.sink.events[-1].transition == "released"
+
+
+@contextmanager
+def alarm(seconds):
+    """Fail rather than hang: a loop that never ends raises after ``seconds``."""
+    def ring(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, ring)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+class TestNaNTimes:
+    """A NaN time never ends the simulated loop, so none may reach it."""
+
+    @pytest.mark.parametrize("field", ["walltime_s", "bootstrap_s", "sched_gap_s"])
+    def test_nan_pilot_time_is_config_error(self, field):
+        spec = CampaignSpec([PipelineSpec("p", [StageSpec("s", [task("t")])])],
+                            pilot(**{field: float("nan")}))
+        with pytest.raises(ConfigError, match=field):
+            Engine(spec)
+
+    def test_nan_time_scale_is_config_error(self):
+        spec = CampaignSpec([PipelineSpec("p", [StageSpec("s", [task("t")])])],
+                            pilot(), time_scale=float("nan"))
+        with pytest.raises(ConfigError, match="time_scale"):
+            Engine(spec)
+
+    @pytest.mark.parametrize("seconds", [float("nan"), -1.0])
+    def test_bad_drawn_duration_is_state_error(self, seconds):
+        with alarm(5), pytest.raises(StateError, match="task bad drew duration"):
+            run_executor(pilot(), [task("ok"), task("bad", dur=seconds)])
+
+    def test_bad_sampled_duration_in_materialized_task_is_state_error(self):
+        funnel = FunnelConfig(library_size=1000, s1_fraction=0.02, cg_count=4,
+                              top_binders=1, outliers_per_binder=1, seed=2)
+        spec = build_funnel_campaign(funnel)
+        s1 = spec.pipelines[0].stages[1].materialize
+        s1.params["duration"] = replace(s1.params["duration"], node_seconds=float("nan"))
+        with alarm(5), pytest.raises(StateError, match="task p0.S1.L"):
+            run_campaign(spec)
 
 
 class TestOverlayStage:

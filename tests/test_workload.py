@@ -5,16 +5,17 @@ import pytest
 
 from funnelsim.errors import ConfigError
 from funnelsim.pilot import PilotSpec
-from funnelsim.workload import (CostModel, FunnelConfig, StageCost,
+from funnelsim.workload import (CG_REPLICAS, CostModel, FunnelConfig, StageCost,
                                 build_funnel_campaign, calibrate_noise_sigma,
-                                default_cost_model, generate_library, ligand_id,
-                                recall_at_operating_point, sample_duration,
-                                select_top_fraction, surrogate_scores,
-                                synth_conformations)
+                                cg_replica_tasks, default_cost_model, duration_uniforms,
+                                generate_library, ligand_id, recall_at_operating_point,
+                                resolve_duration, select_top_fraction, surrogate_scores)
 
 
-def rng(seed=0):
-    return np.random.default_rng(seed)
+def draw(stage, cost_model, task_id, time_scale=1.0, seed=0):
+    """The duration the engine draws for ``task_id`` of ``stage``."""
+    return resolve_duration(stage, cost_model).sample_from_uniforms(
+        *duration_uniforms(seed, task_id), time_scale)
 
 
 class TestLibrary:
@@ -95,14 +96,13 @@ class TestSurrogate:
 class TestSampleDuration:
     def test_degenerate_tail_gives_median_exactly(self):
         cm = CostModel({"S3CG": StageCost(0.5, tail_params=(0.0,), nodes_per_task=1.0)})
-        vals = {sample_duration("S3CG", cm, rng(i), time_scale=1e-4) for i in range(20)}
+        vals = {draw("S3CG", cm, f"t{i}", time_scale=1e-4) for i in range(20)}
         assert len(vals) == 1
         assert vals.pop() == pytest.approx(0.18)
 
     def test_heavy_tail_median_converges(self):
         cm = CostModel({"S1": StageCost(1e-4, tail_params=(1.0,), nodes_per_task=1 / 6)})
-        g = rng(42)
-        samples = np.array([sample_duration("S1", cm, g) for _ in range(100_000)])
+        samples = np.array([draw("S1", cm, f"t{i}", seed=42) for i in range(100_000)])
         expected_median = 1e-4 * 3600 / (1 / 6)
         assert abs(np.median(samples) / expected_median - 1) < 0.05
         # lognormal(sigma=1): mean/median = e^0.5
@@ -116,20 +116,19 @@ class TestSampleDuration:
     def test_pareto_mix_tail(self):
         cm = CostModel({"S1": StageCost(1e-4, tail_kind="pareto_mix",
                                         tail_params=(2.5, 0.1), nodes_per_task=1.0)})
-        g = rng(7)
-        samples = np.array([sample_duration("S1", cm, g) for _ in range(20_000)])
+        samples = np.array([draw("S1", cm, f"t{i}", seed=7) for i in range(20_000)])
         base = 1e-4 * 3600
         assert np.median(samples) == pytest.approx(base)
         assert (samples > base * 1.0001).mean() == pytest.approx(0.1, abs=0.01)
 
     def test_unknown_stage_is_config_error(self):
         with pytest.raises(ConfigError):
-            sample_duration("nope", default_cost_model(), rng(0))
+            draw("nope", default_cost_model(), "t0")
 
     def test_throughput_calibration_overrides_duration(self):
         cm = CostModel({"S1": StageCost(1e-4, tail_params=(1.0,), nodes_per_task=1 / 6,
                                         throughput_per_gpu=14252.0 / 6000.0)})
-        vals = {sample_duration("S1", cm, rng(i)) for i in range(5)}
+        vals = {draw("S1", cm, f"t{i}") for i in range(5)}
         assert len(vals) == 1
         assert vals.pop() == pytest.approx(6000.0 / 14252.0)
 
@@ -162,7 +161,7 @@ class TestSelectTopFraction:
     def test_same_indices_as_a_stable_sort(self, shape):
         # Heavy ties at the cut: the partition must widen to every score
         # equal to the one there, and keep index order among them.
-        gen = rng(len(shape))
+        gen = np.random.default_rng(len(shape))
         for _ in range(300):
             n = int(gen.integers(0, 80))
             scores = {
@@ -197,6 +196,19 @@ class TestFunnel:
         # a production-sized per-target choice must validate
         f = FunnelConfig(library_size=1_000_000, cg_count=10_000)
         assert f.validate() == []
+
+    @pytest.mark.parametrize("change, text", [
+        ({"s1_fraction": float("nan")}, "s1_fraction"),
+        ({"s1_fraction": 2.0}, "s1_fraction"),
+        ({"noise_sigma": float("nan")}, "noise_sigma"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 2 ** 64}, "seed"),
+    ])
+    def test_validate_reports_and_never_raises(self, change, text):
+        problems = FunnelConfig(**change).validate()
+        assert any(text in p for p in problems)
+        with pytest.raises(ConfigError, match=text):
+            build_funnel_campaign(FunnelConfig(**change))
 
     def test_ml1_payload_is_top_fraction_in_score_then_id_order(self):
         funnel = FunnelConfig(library_size=3000, s1_fraction=0.01, cg_count=3,
@@ -241,13 +253,21 @@ class TestFunnel:
         assert 400 >= births["S1"] >= births["S3CG"] // 6 >= births["S3FG"] // 24
 
     def test_conformation_synth_deterministic_and_clustered(self):
-        a = synth_conformations(5, "L1", -1.0, 0, 8)
-        b = synth_conformations(5, "L1", -1.0, 0, 8)
-        assert a == b
-        other = synth_conformations(5, "L1", -1.0, 1, 8)
-        assert a != other
-        pts = np.array([c["point"] for c in a])
-        center = np.array([c["point"] for c in synth_conformations(5, "L1", -1.0, 2, 8)])
+        def replicas(seed):
+            params = {"prefix": "p0.S3CG", "stage_tag": "S3CG", "frames": 8, "seed": seed,
+                      "duration": resolve_duration("S3CG", default_cost_model())}
+            tasks = cg_replica_tasks(params, [{"ligand_id": "L1", "true_score": -1.0}])
+            assert [t.task_id for t in tasks] == [f"p0.S3CG.L1.r{r:02d}"
+                                                  for r in range(CG_REPLICAS)]
+            return [t.payload["items"] for t in tasks]
+
+        a = replicas(5)
+        assert a == replicas(5)
+        assert a != replicas(6)
+        assert a[0] != a[1]
+        assert [(c["replica"], c["frame"]) for c in a[1]] == [(1, f) for f in range(8)]
+        pts = np.array([c["point"] for c in a[0]])
+        center = np.array([c["point"] for c in a[2]])
         # replicas of one ligand share a cluster center
         assert np.linalg.norm(pts.mean(axis=0) - center.mean(axis=0)) < 3.0
 
