@@ -7,6 +7,15 @@ lowest-indexed nodes with enough free cpus and gpus for its demand;
 tasks that do not currently fit stay queued in order.  A task that can
 never fit the pilot at all is rejected as unsatisfiable, which is a
 different thing from being queued.
+
+Placement scans no nodes.  For each per-node demand ``(cpus, gpus)`` it
+has been asked for, the pilot keeps a Python ``int`` bitmask whose bit
+``n`` is set while node ``n`` has at least that many free cpus and gpus.
+A demand's mask is built from one scan of the free counts on its first
+use; after that, each place and release updates only the bits of the
+nodes it changed.  A task misses when its mask has fewer set bits than
+the task has nodes, and otherwise takes the mask's lowest set bits,
+which are exactly the lowest-indexed nodes that fit.
 """
 from __future__ import annotations
 
@@ -90,6 +99,8 @@ class Pilot:
         self.free_cpus = np.full(spec.nodes, spec.cpus_per_node, dtype=np.int64)
         self.free_gpus = np.full(spec.nodes, spec.gpus_per_node, dtype=np.int64)
         self.live: dict[str, Placement] = {}
+        # (cpus, gpus) per node -> bitmask of the nodes with that much free.
+        self._fits: dict[tuple[int, int], int] = {}
 
     def task_shape(self, task) -> tuple[int, int, int]:
         return (self.spec.effective_cpus(task.cpus, task.gpus), task.gpus, task.nodes)
@@ -98,25 +109,35 @@ class Pilot:
         """Place one task on the lowest-indexed nodes with enough free
         cpus and gpus, or return None if it does not currently fit.
 
-        Raises UnsatisfiableError when it can never fit this pilot.  A
-        task of at least one node that can never fit also misses the scan,
-        so the capacity rule is checked only on a miss, or for a task of
-        fewer nodes.
+        Raises UnsatisfiableError when it can never fit this pilot, or
+        when its demand is malformed (fewer than one node, or a negative
+        count).  A task of at least one node that can never fit also
+        misses, so the capacity rule is checked only on a miss, or when
+        a demand's mask is first built.
         """
-        if task.nodes < 1:
-            self._check_fit(task)
+        if task.nodes < 1 or task.cpus < 0 or task.gpus < 0:
+            raise UnsatisfiableError(
+                f"task {task.task_id} has a malformed demand: nodes={task.nodes}, "
+                f"cpus={task.cpus}, gpus={task.gpus}")
         if task.task_id in self.live:
             self._check_fit(task)       # a capacity error comes first
             raise StateError(f"task {task.task_id} already placed")
         cpus, gpus, n_nodes = self.task_shape(task)
-        fit = np.flatnonzero((self.free_cpus >= cpus) & (self.free_gpus >= gpus))
-        if len(fit) < n_nodes:
+        mask = self._fits.get((cpus, gpus))
+        if mask is None:
+            self._check_fit(task)       # no mask is kept for a demand that never fits
+            ok = (self.free_cpus >= cpus) & (self.free_gpus >= gpus)
+            mask = int.from_bytes(np.packbits(ok, bitorder="little").tobytes(), "little")
+            self._fits[(cpus, gpus)] = mask
+        if mask.bit_count() < n_nodes:
             self._check_fit(task)
             return None
-        nodes = fit[:n_nodes].tolist()
-        for n in nodes:
-            self.free_cpus[n] -= cpus
-            self.free_gpus[n] -= gpus
+        nodes = []
+        for _ in range(n_nodes):
+            low = mask & -mask
+            nodes.append(low.bit_length() - 1)
+            mask ^= low
+        self._add_free(nodes, -cpus, -gpus)
         pl = Placement(task.task_id, nodes, cpus, gpus)
         self.live[task.task_id] = pl
         return pl
@@ -125,6 +146,19 @@ class Pilot:
         reasons = self.spec.unfit(task)
         if reasons:
             raise UnsatisfiableError(f"task {task.task_id} {reasons[0]}")
+
+    def _add_free(self, nodes: list[int], d_cpus: int, d_gpus: int) -> None:
+        """Add ``d_cpus``/``d_gpus`` to the free counts of ``nodes`` and
+        update their bit in every demand's mask."""
+        free_cpus, free_gpus, fits = self.free_cpus, self.free_gpus, self._fits
+        for n in nodes:
+            c0, g0 = free_cpus.item(n), free_gpus.item(n)
+            c, g = c0 + d_cpus, g0 + d_gpus
+            free_cpus[n] = c
+            free_gpus[n] = g
+            for (dc, dg), mask in fits.items():
+                if (c >= dc and g >= dg) != (c0 >= dc and g0 >= dg):
+                    fits[dc, dg] = mask ^ (1 << n)
 
     def schedule(self, pool: deque, shapes: dict | None = None) -> list[Placement]:
         """First-fit over a queue of tasks, in queue order.
@@ -172,9 +206,7 @@ class Pilot:
         if self.live.get(placement.task_id) is not placement:
             raise StateError(f"placement for {placement.task_id} is not live")
         del self.live[placement.task_id]
-        for n in placement.node_indices:
-            self.free_cpus[n] += placement.cpus
-            self.free_gpus[n] += placement.gpus
+        self._add_free(placement.node_indices, placement.cpus, placement.gpus)
 
 
 def acquire_pilot(spec: PilotSpec, pilot_id: str = "pilot-0") -> Pilot:

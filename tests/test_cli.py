@@ -43,7 +43,8 @@ class TestSimulate:
         assert summary["funnel"]["S3FG_tasks"] == 600
         assert summary["funnel"]["selected_conformations"] == 25
         assert summary["pipelines"]["p0"] == "done"
-        for frac in [row[1] for row in csv.reader((out / "metrics.csv").open())][1:]:
+        rows = csv.reader((out / "metrics.csv").read_text().splitlines())
+        for frac in [row[1] for row in rows][1:]:
             assert 0.0 <= float(frac) <= 1.0
 
     def test_same_seed_byte_identical_traces(self, tmp_path):

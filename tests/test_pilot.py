@@ -129,6 +129,26 @@ class TestSchedule:
         assert [t.task_id for t in pool] == pool_ids
         assert dict(shapes) == before
 
+    @pytest.mark.parametrize("bad, codes", [
+        (task("z", cpus=1, gpus=0, nodes=0), ["nodes"]),
+        (task("n", cpus=-3, gpus=0, nodes=1), ["resources", "zero_resources"]),
+        (task("g", cpus=2, gpus=-1, nodes=1), ["resources"]),
+    ])
+    def test_malformed_demand_is_unsatisfiable(self, bad, codes):
+        spec = PilotSpec(nodes=2, cpus_per_node=4, gpus_per_node=1, walltime_s=1.0)
+        pilot = acquire_pilot(spec)
+        schedule(pilot, [task("hold", cpus=1)])
+        before = pilot.free_cpus.tolist(), pilot.free_gpus.tolist()
+        with pytest.raises(UnsatisfiableError, match=f"task {bad.task_id} has a malformed demand"):
+            pilot.place_one(bad)
+        with pytest.raises(UnsatisfiableError, match=f"task {bad.task_id} "):
+            schedule(pilot, [task("a"), bad])
+        assert (pilot.free_cpus.tolist(), pilot.free_gpus.tolist()) == before
+        assert sorted(pilot.live) == ["hold"]
+        # Validation reports such a task as before, with no capacity entry.
+        campaign = fs.CampaignSpec([fs.PipelineSpec("p", [fs.StageSpec("s", [bad])])], spec)
+        assert [v.code for v in fs.validate_campaign(campaign)] == codes
+
     def test_gpu_task_consumes_host_cpu_slot(self):
         pilot = acquire_pilot(PilotSpec(nodes=1, cpus_per_node=1, gpus_per_node=2,
                                         walltime_s=1.0))
@@ -284,22 +304,33 @@ class RefPilot(Pilot):
         self.slots.free(placement)
 
 
+def assert_masks_match_scan(pilot):
+    """Each demand's free-node bitmask has exactly the bits of the nodes a
+    scan of the free counts finds."""
+    for (c, g), mask in pilot._fits.items():
+        fit = np.flatnonzero((pilot.free_cpus >= c) & (pilot.free_gpus >= g))
+        assert mask == sum(1 << int(n) for n in fit), (c, g)
+
+
 class TestAgainstSlotMap:
     """Random schedule/release sequences give the same placements, queues,
-    free counts and errors as the SlotMap pilot."""
+    free counts and errors as the SlotMap pilot, and every free-node mask
+    matches a scan.  Trials from 40 on use pilots of 64-150 nodes, so the
+    masks span several machine words."""
 
-    @pytest.mark.parametrize("trial", range(40))
+    @pytest.mark.parametrize("trial", range(52))
     def test_same_steps(self, trial):
         rng = np.random.default_rng(trial)
         cpn, gpn = int(rng.integers(0, 7)), int(rng.integers(0, 5))
         if cpn + gpn == 0:
             cpn = 1
-        spec = PilotSpec(nodes=int(rng.integers(1, 9)), cpus_per_node=cpn, gpus_per_node=gpn,
+        n_nodes = int(rng.integers(1, 9) if trial < 40 else rng.integers(64, 151))
+        spec = PilotSpec(nodes=n_nodes, cpus_per_node=cpn, gpus_per_node=gpn,
                          walltime_s=1.0, gpu_host_cpu=bool(trial % 2))
         pilot, ref = acquire_pilot(spec), RefPilot(spec)
         pool, ref_pool = deque(), deque()
         errors = 0
-        for step in range(60):
+        for step in range(60 if trial < 40 else 120):
             if pilot.live and rng.random() < 0.4:
                 for tid in sorted(pilot.live)[:int(rng.integers(1, 4))]:
                     pilot.release(pilot.live[tid])
@@ -327,6 +358,7 @@ class TestAgainstSlotMap:
                         # The round was undone: nothing stays placed.
                         assert (sorted(pilot.live), pilot.free_cpus.tolist(),
                                 pilot.free_gpus.tolist()) == held
+                        assert_masks_match_scan(pilot)
                         errors += 1
                         bad = str(exc).split()[1]
                         for q in (pool, ref_pool):
@@ -343,6 +375,7 @@ class TestAgainstSlotMap:
             assert sorted(pilot.live) == sorted(ref.live)
             assert pilot.free_cpus.tolist() == ref.slots.free_cpus.tolist()
             assert pilot.free_gpus.tolist() == ref.slots.free_gpus.tolist()
+            assert_masks_match_scan(pilot)
         assert errors > 0
 
 

@@ -10,9 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from funnelsim.campaign import (CampaignSpec, PipelineSpec, SampledDuration, StageSpec,
+                                TaskDescriptor)
 from funnelsim.cli import load_config
 from funnelsim.engine import run_campaign
 from funnelsim.overlay import MasterConfig
+from funnelsim.pilot import PilotSpec
 from funnelsim.trace import CANONICAL_LINE
 from funnelsim.workload import FunnelConfig, build_funnel_campaign
 
@@ -32,6 +35,7 @@ PROPERTY_TRIAL_SHA256 = [
     "581d56bdf0909110e6214630ecd9ab8dc38d7d72d2f1f4220822d6a9a932fd36",
     "90f43ffb9a3380d183d08c061a48cb03c3d760fc76cd8210133bbfa2f35c5509",
 ]
+NEARLY_FULL_PILOT_SHA256 = "044cdee63318817285e3ba71dcec15779f096374f8e3725401de42f475126e17"
 
 
 def trace_sha256(result, tmp_path):
@@ -76,3 +80,40 @@ def test_desk_funnel_trace_pinned(seed, tmp_path):
     spec, overlay, _ = load_config(str(DESK_CONFIG), seed)
     r = run_campaign(spec, overlay=overlay)
     assert trace_sha256(r, tmp_path) == DESK_FUNNEL_SHA256[seed]
+
+
+def nearly_full_pilot_campaign(seed: int = 5) -> CampaignSpec:
+    """Two concurrent pipelines on 64 x 42 cpu x 6 gpu nodes, each a
+    stage of 1-GPU replicas, a barrier of 2-node 6-GPU tasks and 4-cpu
+    tasks, then a second replica stage.  Each replica stage asks for
+    twice the pilot's GPUs, so placement keeps missing on a nearly full
+    pilot, with mixed shapes in the queue."""
+    nodes, pipelines, replicas = 64, 2, 384
+    pilot = PilotSpec(nodes=nodes, cpus_per_node=42, gpus_per_node=6, walltime_s=1e12)
+    full = SampledDuration("S2", 800.0, 2.0, "lognormal", (0.2,))
+    agg = SampledDuration("S2", 60.0, 1.0, "lognormal", (0.2,))
+
+    def replica_stage(pid, tag, node_s):
+        dur = SampledDuration(tag, node_s, 1.0, "lognormal", (0.5,))
+        return StageSpec(tag, [TaskDescriptor(f"{pid}.{tag}.{i:04d}", stage_tag=tag, cpus=0,
+                                              gpus=1, duration_model=dur)
+                               for i in range(replicas)])
+
+    specs = []
+    for p in range(pipelines):
+        pid = f"p{p}"
+        barrier = [TaskDescriptor(f"{pid}.S2.train{i}", kind="executable", stage_tag="S2",
+                                  cpus=0, gpus=6, nodes=2, duration_model=full)
+                   for i in range(4)]
+        barrier += [TaskDescriptor(f"{pid}.S2.agg{i:02d}", stage_tag="S2", cpus=4,
+                                   duration_model=agg) for i in range(16)]
+        specs.append(PipelineSpec(pid, [replica_stage(pid, "S3CG", 300.0),
+                                        StageSpec("S2", barrier),
+                                        replica_stage(pid, "S3FG", 500.0)]))
+    return CampaignSpec(specs, pilot, seed=seed, pipeline_mode="concurrent")
+
+
+def test_nearly_full_pilot_trace_pinned(tmp_path):
+    r = run_campaign(nearly_full_pilot_campaign())
+    assert len(r.sink.events) == 6611
+    assert trace_sha256(r, tmp_path) == NEARLY_FULL_PILOT_SHA256
