@@ -234,16 +234,19 @@ class AdvanceResult:
     """What happened when a task completion was applied."""
     kind: str                       # none | stage_advanced | pipeline_done | pipeline_failed
     stage_index: int = -1
-    canceled: list[str] = field(default_factory=list)
+    canceled: list[TaskDescriptor] = field(default_factory=list)
 
 
 class PipelineState:
     """Runtime state of one pipeline.
 
     Mutation is meant to be serialized through a single owner (the
-    engine loop); snapshots via ``projection`` are safe to share.  Tasks
-    enter ``task_states`` when their stage becomes current; tasks of
-    stages not yet reached are implicitly pending.
+    engine loop); snapshots via ``projection`` are safe to share.
+    ``task_states`` is the one record kept per task for the whole run;
+    tasks enter it when their stage becomes current, and tasks of stages
+    not yet reached are implicitly pending.  Only the current stage has
+    open tasks, as every earlier one is terminal; ``outputs`` holds its
+    results only.
 
     The spec is never written to: ``stage_tasks`` holds this run's task
     list per stage, which materializers, hook payloads and resizes
@@ -257,7 +260,6 @@ class PipelineState:
         self.task_states: dict[str, str] = {}
         self.outputs: dict[str, object] = {}
         self.stage_tasks: list[list[TaskDescriptor]] = [list(st.tasks) for st in spec.stages]
-        self._stage_of: dict[str, int] = {}
         self._open_in_stage = 0
         if not spec.stages:
             raise StateError(f"pipeline {spec.pipeline_id} has no stages")
@@ -273,7 +275,7 @@ class PipelineState:
             if task.task_id in self.task_states:
                 raise StateError(f"duplicate task_id {task.task_id}")
             self.task_states[task.task_id] = PENDING
-            self._stage_of[task.task_id] = index
+        self.outputs = {}
         self._open_in_stage = len(tasks)
 
     def current_stage(self) -> StageSpec:
@@ -283,23 +285,20 @@ class PipelineState:
         """The current stage's tasks in this run, in declaration order."""
         return self.stage_tasks[self.current_stage_index]
 
-    def _require_current(self, task_id: str) -> None:
-        if task_id not in self.task_states:
+    def _step(self, task_id: str, before: str, after: str) -> None:
+        """Move an open task on; being open, it is in the current stage."""
+        state = self.task_states.get(task_id)
+        if state is None:
             raise StateError(f"unknown task {task_id}")
-        if self._stage_of[task_id] != self.current_stage_index:
-            raise OrderingError(f"task {task_id} is not in the current stage")
+        if state != before:
+            raise OrderingError(f"task {task_id} is {state}, not {before}")
+        self.task_states[task_id] = after
 
     def mark_scheduled(self, task_id: str) -> None:
-        self._require_current(task_id)
-        if self.task_states[task_id] != PENDING:
-            raise OrderingError(f"task {task_id} is {self.task_states[task_id]}, not pending")
-        self.task_states[task_id] = SCHEDULED
+        self._step(task_id, PENDING, SCHEDULED)
 
     def mark_running(self, task_id: str) -> None:
-        self._require_current(task_id)
-        if self.task_states[task_id] != SCHEDULED:
-            raise OrderingError(f"task {task_id} is {self.task_states[task_id]}, not scheduled")
-        self.task_states[task_id] = RUNNING
+        self._step(task_id, SCHEDULED, RUNNING)
 
     def on_task_complete(self, task_id: str, outcome: str, result=None) -> AdvanceResult:
         """Record a terminal state; advance the stage barrier when the
@@ -330,15 +329,15 @@ class PipelineState:
         canceled = self._cancel_open()
         return AdvanceResult("pipeline_failed", self.current_stage_index, canceled=canceled)
 
-    def _cancel_open(self) -> list[str]:
-        canceled = []
-        for tid, st in self.task_states.items():
-            if st not in TERMINAL:
-                self.task_states[tid] = CANCELED
-                canceled.append(tid)
+    def _cancel_open(self) -> list[TaskDescriptor]:
+        """Cancel the open tasks, all of the current stage, in declaration order."""
+        states = self.task_states
+        canceled = [task for task in self.current_tasks() if states[task.task_id] not in TERMINAL]
+        for task in canceled:
+            states[task.task_id] = CANCELED
         return canceled
 
-    def cancel(self) -> list[str]:
+    def cancel(self) -> list[TaskDescriptor]:
         """Cancel the whole pipeline (e.g. pilot walltime expired)."""
         if self.status == RUNNING:
             self.status = CANCELED

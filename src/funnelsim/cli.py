@@ -166,10 +166,11 @@ def load_config(path: str, seed_override: int | None = None,
     return spec, overlay, funnel
 
 
-def _trace_metrics(trace, bucket_width: float | None):
+def _trace_metrics(trace, bucket_width: float | None, windows: bool = True):
     """Utilization and overhead from one timeline; each completed stage's
-    throughput and the funnel counts (per-stage task births and distinct
-    selected conformations) from masks on the trace's columns."""
+    throughput (windowed only if ``windows``) and the funnel counts
+    (per-stage task births and distinct selected conformations) from
+    masks on the trace's columns."""
     run = timeline(trace)
     cols = TraceColumns.of(trace)
     reports, born, confs = {}, {}, set()
@@ -177,7 +178,8 @@ def _trace_metrics(trace, bucket_width: float | None):
         starts = cols.t[cols.task_rows("running", stage)].tolist()
         dones = cols.t[cols.task_rows("done", stage)].tolist()
         if starts and dones:
-            reports[stage] = throughput_from_times(stage, starts, dones)
+            reports[stage] = throughput_from_times(stage, starts, dones,
+                                                   None if windows else 0.0)
         pending = cols.task_rows("pending", stage)
         if len(pending):
             born[stage] = len(pending)
@@ -206,7 +208,7 @@ def _write_utilization_csv(path: Path, util) -> None:
 
 
 def write_summary(result, sink, out_dir: Path, bucket_width: float | None) -> dict:
-    util, ovh, reports, funnel = _trace_metrics(sink, bucket_width)
+    util, ovh, reports, funnel = _trace_metrics(sink, bucket_width, windows=False)
     summary = {
         "makespan_s": result.makespan,
         "walltime_hit": result.walltime_hit,

@@ -10,6 +10,11 @@ from (campaign seed, task id), so identical configs give byte-identical
 traces.  The local backend runs tasks concurrently on the host (threads
 and subprocesses) and reports wall-clock times; state changes stay in
 the engine thread, and workers only post notices to a queue.
+
+Per-task state lives only in each ``PipelineState.task_states``.  A
+pipeline's open tasks are all in its current stage, and placements,
+dispatches, cancels and handlers hand back the task objects (handlers
+with their pipeline id), so the engine maps no task ids.
 """
 from __future__ import annotations
 
@@ -80,18 +85,15 @@ class Engine:
         self.backend = backend_cls(self)
         self.pilot = acquire_pilot(spec.resource)
         self.states = {p.pipeline_id: cm.PipelineState(p) for p in spec.pipelines}
-        self._pipeline_order = [p.pipeline_id for p in spec.pipelines]
-        self._pid_of: dict[str, str] = {}
-        self._task_of: dict[str, cm.TaskDescriptor] = {}
         self._running_slots = [0] * spec.resource.nodes
         self.completions: list[Completion] = []
         self._overlays: dict[tuple[str, int], _Overlay] = {}
         self.overlay_workers: list[WorkerState] = []
         self._walltime_hit = False
         # Per-pipeline queue of not-yet-placed tasks of the current stage,
-        # with a live count per resource shape for early round exit.
-        self._pending: dict[str, deque] = {pid: deque() for pid in self._pipeline_order}
-        self._pool_shapes: dict[str, dict] = {pid: {} for pid in self._pipeline_order}
+        # with a live count per raw demand for early round exit.
+        self._pending: dict[str, deque] = {pid: deque() for pid in self.states}
+        self._pool_shapes: dict[str, dict] = {pid: {} for pid in self.states}
 
     # -- trace helpers ----------------------------------------------------
 
@@ -135,12 +137,10 @@ class Engine:
         pool = self._pending[pid]
         shapes = self._pool_shapes[pid]
         for task in state.current_tasks():
-            self._pid_of[task.task_id] = pid
-            self._task_of[task.task_id] = task
             self._task_ev(t, task, "pending", pid)
             pool.append(task)
-            shape = self.pilot.task_shape(task)
-            shapes[shape] = shapes.get(shape, 0) + 1
+            demand = (task.cpus, task.gpus, task.nodes)
+            shapes[demand] = shapes.get(demand, 0) + 1
 
     def _apply_advance(self, pid: str, state: cm.PipelineState,
                        result: cm.AdvanceResult, t: float):
@@ -159,22 +159,21 @@ class Engine:
             self._ev(t, "stage", f"{pid}/{cur.stage_id}", "failed", pipeline=pid)
             self._pending[pid].clear()
             self._pool_shapes[pid].clear()
-            for tid in result.canceled:
-                pl = self.pilot.live.get(tid)
+            for task in result.canceled:
+                pl = self.pilot.live.get(task.task_id)
                 if pl is not None:
                     self._vacate(pl, t)
-                self._task_ev(t, self._task_of[tid], "canceled", pid)
+                self._task_ev(t, task, "canceled", pid)
             self._ev(t, "pipeline", pid, "failed", pipeline=pid)
 
     # -- scheduling ---------------------------------------------------------
 
     def _schedule_round(self, t: float):
-        active = [pid for pid in self._pipeline_order
-                  if self.states[pid].status == cm.RUNNING]
+        active = [(pid, state) for pid, state in self.states.items()
+                  if state.status == cm.RUNNING]
         if self.spec.pipeline_mode == "sequential":
             active = active[:1]
-        for pid in active:
-            state = self.states[pid]
+        for pid, state in active:
             key = (pid, state.current_stage_index)
             pool = self._pending[pid]
             if key in self._overlays or not pool:
@@ -187,7 +186,7 @@ class Engine:
                     self._pool_shapes[pid].clear()
                 continue
             for pl in self.pilot.schedule(pool, self._pool_shapes[pid]):
-                task = self._task_of[pl.task_id]
+                task = pl.task
                 state.mark_scheduled(task.task_id)
                 self._task_ev(t, task, "scheduled", pid)
                 self.backend.launch(pid, task, pl, t)
@@ -225,10 +224,9 @@ class Engine:
         self._task_ev(t, task, "running", pid, with_resources=True)
         self._occupy(pl, t)
 
-    def _finish(self, task, outcome: str, result, t: float) -> bool:
-        """A placed task ended; stale notices for canceled tasks are
-        dropped.  Returns whether a completion was applied."""
-        pid = self._pid_of[task.task_id]
+    def _finish(self, pid: str, task, outcome: str, result, t: float) -> bool:
+        """A placed task of pipeline ``pid`` ended; stale notices for canceled
+        tasks are dropped.  Returns whether a completion was applied."""
         state = self.states[pid]
         if state.task_states.get(task.task_id) != cm.RUNNING:
             return False
@@ -248,19 +246,19 @@ class Engine:
         for runtime in list(self._overlays.values()):
             runtime.teardown(t)
         # With the overlays gone, every live placement is a scheduled or
-        # running task.
-        placed = list(self.pilot.live.values())
-        for pl in placed:
-            tid = pl.task_id
-            self._task_ev(t, self._task_of[tid], "canceled", self._pid_of[tid])
+        # running task of a running pipeline's current stage.  Placed tasks
+        # are canceled first and leave ``pid_of``; the rest follow.
+        pid_of = {task.task_id: pid for pid, state in self.states.items()
+                  if state.status == cm.RUNNING for task in state.current_tasks()}
+        for pl in list(self.pilot.live.values()):
+            self._task_ev(t, pl.task, "canceled", pid_of.pop(pl.task_id))
             self._vacate(pl, t)
-        placed_ids = {pl.task_id for pl in placed}
         for pid, state in self.states.items():
             if state.status != cm.RUNNING:
                 continue
-            for tid in state.cancel():
-                if tid not in placed_ids:
-                    self._task_ev(t, self._task_of[tid], "canceled", pid)
+            for task in state.cancel():
+                if task.task_id in pid_of:
+                    self._task_ev(t, task, "canceled", pid)
             self._ev(t, "pipeline", pid, "canceled", pipeline=pid)
 
     def run(self) -> RunResult:
@@ -270,9 +268,9 @@ class Engine:
         t0 = self.backend.start()
         self._ev(t0, "pilot", self.pilot.pilot_id, "agent_ready")
         with self.backend.bulk_allocation():
-            for pid in self._pipeline_order:
+            for pid, state in self.states.items():
                 self._ev(t0, "pipeline", pid, "started", pipeline=pid)
-                self._start_stage(pid, self.states[pid], t0)
+                self._start_stage(pid, state, t0)
             self._schedule_round(t0)
             self.backend.loop()
         if not self._walltime_hit:
@@ -312,7 +310,6 @@ class _Overlay:
         self.key = (pid, state.current_stage_index)
         self.remaining = len(tasks)
         self._done = False
-        self._busy: set[str] = set()
         self._redispatched: set[str] = set()
 
         prefix = f"ovl.{pid}.{stage.stage_id}"
@@ -348,18 +345,18 @@ class _Overlay:
         while master.wants_refill(self.config.low_water):
             bulk = master.pending_bulks.popleft()
             self.engine._ev(t, "master", master.master_id, "bulk_created", pipeline=self.pid)
-            for wid, tids in master.dispatch(bulk).items():
-                for tid in tids:
-                    self.state.mark_scheduled(tid)
-                    self.engine._task_ev(t, self.engine._task_of[tid], "scheduled", self.pid)
+            for tasks in master.dispatch(bulk).values():
+                for task in tasks:
+                    self.state.mark_scheduled(task.task_id)
+                    self.engine._task_ev(t, task, "scheduled", self.pid)
             self._pump(master, t)
 
     def _pump(self, master: Master, t: float):
+        # A worker is busy while it runs a task taken off its queue.
         for worker in master.workers:
-            if worker.worker_id in self._busy or not worker.queue:
+            if not worker.queue or worker.outstanding > len(worker.queue):
                 continue
             task = worker.queue.popleft()
-            self._busy.add(worker.worker_id)
             self.engine._ev(t, "worker", worker.worker_id, "busy", pipeline=self.pid)
             self._start_task(worker, task, t)
 
@@ -385,7 +382,6 @@ class _Overlay:
         if worker.queue and self.state.status == cm.RUNNING:
             self._start_task(worker, worker.queue.popleft(), t)
         else:
-            self._busy.discard(worker.worker_id)
             self.engine._ev(t, "worker", worker.worker_id, "idle", pipeline=self.pid)
         if self.remaining == 0 or self.state.status != cm.RUNNING:
             self.teardown(t)
@@ -400,7 +396,6 @@ class _Overlay:
         self.engine._ev(t, "worker", worker.worker_id, "stopped", pipeline=self.pid)
         master = self._owner[worker.worker_id]
         master.workers = [w for w in master.workers if w is not worker]
-        self._busy.discard(worker.worker_id)
         orphans = list(worker.queue)
         worker.queue.clear()
         worker.outstanding = 0
@@ -472,7 +467,7 @@ class _SimulatedBackend:
         self.engine._run(pid, task, pl, t)
         # Simulated tasks yield their payload as their result.
         self._push(t + _task_duration(task, self.engine.spec), self.engine._finish,
-                   (task, cm.DONE, task.payload))
+                   (pid, task, cm.DONE, task.payload))
         return False
 
     def run_function(self, overlay: _Overlay, worker: WorkerState, task, t: float):
@@ -537,9 +532,9 @@ class _LocalBackend:
 
     def launch(self, pid: str, task, pl, t: float):
         self.engine._run(pid, task, pl, self.now())
-        threading.Thread(target=self._run_task, args=(task,), daemon=True).start()
+        threading.Thread(target=self._run_task, args=(pid, task), daemon=True).start()
 
-    def _run_task(self, task: cm.TaskDescriptor):
+    def _run_task(self, pid: str, task: cm.TaskDescriptor):
         outcome, result = cm.DONE, task.payload
         try:
             if task.kind == "simulated":
@@ -558,7 +553,7 @@ class _LocalBackend:
                 outcome, result = cm.FAILED, "function tasks need the overlay"
         except Exception as exc:  # pragma: no cover - defensive
             outcome, result = cm.FAILED, str(exc)
-        self._queue.put((self.engine._finish, (task, outcome, result)))
+        self._queue.put((self.engine._finish, (pid, task, outcome, result)))
 
     def _execute(self, argv) -> tuple[str, bytes] | None:
         """Run an executable until it exits: its outcome and stdout.  None

@@ -92,12 +92,13 @@ class Master:
         self.pending_bulks: deque[Bulk] = deque()
         self._rr = 0
 
-    def dispatch(self, bulk: Bulk) -> dict[str, list[str]]:
+    def dispatch(self, bulk: Bulk) -> dict[str, list]:
         """Assign every task of the bulk before any of them runs; returns
-        worker_id -> assigned task ids, also appending to worker queues."""
+        worker_id -> assigned tasks, in worker order, also appending them
+        to worker queues."""
         if not self.workers:
             raise DispatchError(f"master {self.master_id} has no workers")
-        assignments: dict[str, list[str]] = {w.worker_id: [] for w in self.workers}
+        assignments: dict[str, list] = {w.worker_id: [] for w in self.workers}
         for task in bulk.tasks:
             if self.policy == "round_robin":
                 worker = self.workers[self._rr % len(self.workers)]
@@ -106,8 +107,8 @@ class Master:
                 worker = min(self.workers, key=lambda w: w.outstanding)
             worker.outstanding += 1
             worker.queue.append(task)
-            assignments[worker.worker_id].append(task.task_id)
-        return {wid: tids for wid, tids in assignments.items() if tids}
+            assignments[worker.worker_id].append(task)
+        return {wid: tasks for wid, tasks in assignments.items() if tasks}
 
     def wants_refill(self, low_water: int) -> bool:
         if not self.pending_bulks:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,6 +87,7 @@ class Placement:
     node_indices: list[int]
     cpus: int   # per node, after the gpu host-cpu rule
     gpus: int   # per node
+    task: object = field(compare=False, repr=False)
 
 
 class Pilot:
@@ -138,7 +139,7 @@ class Pilot:
             nodes.append(low.bit_length() - 1)
             mask ^= low
         self._add_free(nodes, -cpus, -gpus)
-        pl = Placement(task.task_id, nodes, cpus, gpus)
+        pl = Placement(task.task_id, nodes, cpus, gpus, task)
         self.live[task.task_id] = pl
         return pl
 
@@ -164,39 +165,41 @@ class Pilot:
         """First-fit over a queue of tasks, in queue order.
 
         Placed tasks leave ``pool``; the rest stay queued in it, in
-        order.  ``shapes`` counts the pool's tasks per resource shape and
-        is kept up to date across calls; the scan stops once every shape
-        still queued is known not to fit this round.
+        order.  ``shapes`` counts the pool's tasks per raw demand
+        ``(cpus, gpus, nodes)``, before the gpu host-cpu rule, and is kept
+        up to date across calls; the scan stops once every demand still
+        queued is known not to fit this round.  Within a round free
+        counts only fall, so a demand that missed keeps missing.
 
         Raises UnsatisfiableError for tasks that exceed the whole pilot.
         A round that raises is undone first: the pool, ``shapes`` and the
         free counts are as they were before the call.
         """
         if shapes is None:
-            shapes = Counter(map(self.task_shape, pool))
+            shapes = Counter((task.cpus, task.gpus, task.nodes) for task in pool)
         placements: list[Placement] = []
         blocked: set[tuple[int, int, int]] = set()
         taken: list = []        # (task, its placement or None), in pool order
         try:
             while pool and len(blocked) < len(shapes):
                 task = pool[0]
-                shape = self.task_shape(task)
-                pl = None if shape in blocked else self.place_one(task)
+                demand = (task.cpus, task.gpus, task.nodes)
+                pl = None if demand in blocked else self.place_one(task)
                 if pl is None:
-                    # A same-shaped later task cannot fit either this round.
-                    blocked.add(shape)
+                    # A later task of the same demand cannot fit either this round.
+                    blocked.add(demand)
                 else:
-                    shapes[shape] -= 1
-                    if shapes[shape] == 0:
-                        del shapes[shape]
+                    shapes[demand] -= 1
+                    if shapes[demand] == 0:
+                        del shapes[demand]
                     placements.append(pl)
                 taken.append((pool.popleft(), pl))
         except BaseException:
             for task, pl in taken:
                 if pl is not None:
                     self.release(pl)
-                    shape = self.task_shape(task)
-                    shapes[shape] = shapes.get(shape, 0) + 1
+                    demand = (task.cpus, task.gpus, task.nodes)
+                    shapes[demand] = shapes.get(demand, 0) + 1
             pool.extendleft(reversed([task for task, _ in taken]))
             raise
         pool.extendleft(reversed([task for task, pl in taken if pl is None]))

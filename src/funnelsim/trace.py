@@ -547,7 +547,8 @@ def stage_throughput(trace: list[TraceEvent], stage_tag: str,
 
 def throughput_from_times(stage_tag: str, starts: list[float], dones: list[float],
                           window_s: float | None = None) -> Optional[ThroughputReport]:
-    """``stage_throughput`` from a stage's task start and done times."""
+    """``stage_throughput`` from a stage's task start and done times;
+    ``window_s`` 0 builds no windowed series."""
     if not dones or not starts:
         return None
     t0 = min(starts)

@@ -30,9 +30,6 @@ from .pilot import PilotSpec
 # of the true top u*1e-4 at u=1e5.
 DEFAULT_NOISE_SIGMA = 0.7969
 
-S1_LIGANDS_PER_S_PER_GPU = 14252.0 / 6000.0
-ML1_LIGANDS_PER_S_PER_GPU = 319674.0 / 1536.0
-
 CG_REPLICAS = 6
 FG_REPLICAS = 24
 

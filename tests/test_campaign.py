@@ -199,6 +199,61 @@ class TestOnTaskComplete:
         assert state.status == "failed"
         assert state.task_states["b"] == "canceled"
 
+    def second_stage_in_flight(self):
+        """s0 is done; of s1, g is done, f running, d running, c scheduled
+        and e pending: declaration and progress orders differ."""
+        state = PipelineState(PipelineSpec("p", [
+            StageSpec("s0", [task("a"), task("b")]),
+            StageSpec("s1", [task(tid) for tid in "cdefg"]),
+        ]))
+        drive(state, "b")
+        assert drive(state, "a").kind == "stage_advanced"
+        drive(state, "g")
+        for tid in ("f", "d", "c"):
+            state.mark_scheduled(tid)
+        state.mark_running("f")
+        state.mark_running("d")
+        return state
+
+    def test_mid_stage_failure_cancels_the_current_stage_open_tasks(self):
+        state = self.second_stage_in_flight()
+        res = state.on_task_complete("f", "failed")
+        assert res.kind == "pipeline_failed"
+        stage = state.current_tasks()
+        assert res.canceled == [stage[0], stage[1], stage[2]]
+        assert [t.task_id for t in res.canceled] == ["c", "d", "e"]
+        assert state.task_states == {"a": "done", "b": "done", "c": "canceled", "d": "canceled",
+                                     "e": "canceled", "f": "failed", "g": "done"}
+
+    def test_cancel_returns_the_current_stage_open_tasks(self):
+        state = self.second_stage_in_flight()
+        canceled = state.cancel()
+        assert all(t is s for t, s in zip(canceled, state.current_tasks()))
+        assert [t.task_id for t in canceled] == ["c", "d", "e", "f"]
+        assert state.status == "canceled"
+        assert state.cancel() == []
+
+    def test_marking_a_task_of_a_finished_stage_is_ordering_error(self):
+        state = self.second_stage_in_flight()
+        with pytest.raises(OrderingError, match="task a is done, not pending"):
+            state.mark_scheduled("a")
+        with pytest.raises(OrderingError, match="task b is done, not scheduled"):
+            state.mark_running("b")
+        with pytest.raises(StateError, match="unknown task ghost"):
+            state.mark_scheduled("ghost")
+
+    def test_outputs_hold_only_the_current_stage(self):
+        state = PipelineState(PipelineSpec("p", [
+            StageSpec("s0", [task("a"), task("b")]),
+            StageSpec("s1", [task("c"), task("d")]),
+        ]))
+        drive(state, "a", result={"x": 1})
+        assert state.outputs == {"a": {"x": 1}}
+        assert drive(state, "b", result=None).kind == "stage_advanced"
+        assert state.outputs == {}
+        drive(state, "c", result=[2])
+        assert state.outputs == {"c": [2]}
+
     def test_unparseable_output_fails_pipeline(self):
         state = PipelineState(PipelineSpec("p", [
             StageSpec("s0", [task("a")], post_hook=HookSpec(select_top_k, {"k": 1})),

@@ -87,11 +87,11 @@ class TestSimulate:
         before_fault = []
         real_finish = Engine._finish
 
-        def finish_then_fault(self, task, outcome, result, t):
-            applied = real_finish(self, task, outcome, result, t)
+        def finish_then_fault(self, pid, task, outcome, result, t):
+            applied = real_finish(self, pid, task, outcome, result, t)
             if len(self.completions) == 5 and not before_fault:
                 before_fault.extend(self.sink.events)
-                self._task_ev(t, task, "running", self._pid_of[task.task_id])
+                self._task_ev(t, task, "running", pid)
             return applied
 
         monkeypatch.setattr(Engine, "_finish", finish_then_fault)
@@ -445,6 +445,15 @@ class TestTraceMetricsOneWalk:
         assert list(reports.items()) == [(tag, rep) for tag, rep in want if rep is not None]
         assert len(reports) >= 2
         assert funnel == funnel_counts_from_trace(events)
+
+    def test_summary_reports_skip_the_windows(self):
+        events = run_overlay_funnel().sink.events
+        _util, _ovh, full, _funnel = _trace_metrics(events, None)
+        _util, _ovh, bare, _funnel = _trace_metrics(events, None, windows=False)
+        assert {tag: rep.overall_per_s for tag, rep in bare.items()} == \
+            {tag: rep.overall_per_s for tag, rep in full.items()}
+        assert all(rep.windows == [] for rep in bare.values())
+        assert all(rep.windows for rep in full.values())
 
 
 class TestBucketWidth:

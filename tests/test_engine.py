@@ -366,3 +366,22 @@ class TestSpecImmutability:
         assert spec == snapshot
         assert traces[0] == traces[1]
         assert all(t.payload is None for t in spec.pipelines[0].stages[1].tasks)
+
+
+class TestPerTaskState:
+    def test_only_task_states_has_an_entry_per_task(self):
+        # Whatever the run keeps per task lives in each pipeline's
+        # task_states; no other map or set of the engine or its parts
+        # is keyed by task.
+        from test_pinned_traces import nearly_full_pilot_campaign
+        spec = nearly_full_pilot_campaign()
+        n_tasks = sum(len(st.tasks) for p in spec.pipelines for st in p.stages)
+        engine = Engine(spec)
+        r = engine.run()
+        assert all(st["status"] == "done" for st in r.final_states.values())
+        holders = [(engine, n_tasks), (engine.pilot, n_tasks), (engine.backend, n_tasks)]
+        holders += [(st, len(st.task_states)) for st in engine.states.values()]
+        for obj, n in holders:
+            for attr, value in vars(obj).items():
+                if attr != "task_states" and isinstance(value, (dict, set)):
+                    assert len(value) < n, (type(obj).__name__, attr, len(value))

@@ -60,7 +60,8 @@ class TestDispatch:
     def test_single_worker_gets_everything(self):
         master, workers = make_master([0])
         got = master.dispatch(Bulk("b0", [ftask(f"t{i}") for i in range(5)]))
-        assert got == {"w0": ["t0", "t1", "t2", "t3", "t4"]}
+        assert {w: [t.task_id for t in ts] for w, ts in got.items()} == \
+            {"w0": ["t0", "t1", "t2", "t3", "t4"]}
         assert workers[0].outstanding == 5
 
     def test_two_idle_workers_split_evenly(self):
@@ -74,7 +75,8 @@ class TestDispatch:
         # second and w2 the third; final counts {3, 2, 2}.
         master, workers = make_master([3, 0, 1])
         got = master.dispatch(Bulk("b0", [ftask("a"), ftask("b"), ftask("c")]))
-        assert got == {"w1": ["a", "b"], "w2": ["c"]}
+        assert {w: [t.task_id for t in ts] for w, ts in got.items()} == \
+            {"w1": ["a", "b"], "w2": ["c"]}
         assert [w.outstanding for w in workers] == [3, 2, 2]
 
     def test_no_workers_is_dispatch_error(self):

@@ -74,6 +74,44 @@ class TestSchedule:
         assert [t.task_id for t in pool] == ["b", "c", "d"]
         assert shapes == {(2, 0, 1): 1, (1, 0, 1): 2}
 
+    def test_placements_carry_the_placed_task(self):
+        pilot = acquire_pilot(PilotSpec(nodes=2, cpus_per_node=2, gpus_per_node=1,
+                                        walltime_s=1.0))
+        first = task("first", cpus=2)
+        pl = pilot.place_one(first)
+        assert pl.task is first
+        tasks = [task("a", cpus=0, gpus=1), task("b"), task("c", cpus=2)]
+        placements, queued = schedule(pilot, tasks)
+        assert len(placements) == 2
+        assert all(p.task is t for p, t in zip(placements, tasks))
+        assert queued == ["c"]
+        # The task is carried, not compared or shown.
+        assert pl == fs.pilot.Placement("first", [0], 2, 0, task("other"))
+        assert "task=" not in repr(pl)
+
+    def test_shape_counts_are_keyed_by_raw_demand(self):
+        # With the gpu host-cpu rule, demands (0, 1, 1) and (1, 1, 1) take
+        # the same slots but are counted apart; each is computed once per
+        # attempt, in place_one.
+        calls = []
+
+        class CountingPilot(Pilot):
+            def task_shape(self, t):
+                calls.append(t.task_id)
+                return super().task_shape(t)
+
+        pilot = CountingPilot(PilotSpec(nodes=1, cpus_per_node=2, gpus_per_node=3,
+                                        walltime_s=1.0))
+        pool = deque([task("a", cpus=0, gpus=1), task("b", cpus=1, gpus=1),
+                      task("c", cpus=0, gpus=1), task("d", cpus=1, gpus=1)])
+        shapes = Counter((t.cpus, t.gpus, t.nodes) for t in pool)
+        placements = pilot.schedule(pool, shapes)
+        assert [p.task_id for p in placements] == ["a", "b"]
+        assert [t.task_id for t in pool] == ["c", "d"]
+        assert shapes == {(0, 1, 1): 1, (1, 1, 1): 1}
+        # c and d each miss once; no attempt computes a shape twice.
+        assert calls == ["a", "b", "c", "d"]
+
     def test_empty_ready_list(self):
         pilot = acquire_pilot(PilotSpec(nodes=1, cpus_per_node=1, gpus_per_node=0,
                                         walltime_s=1.0))
@@ -120,7 +158,7 @@ class TestSchedule:
                                         walltime_s=1.0))
         cpus = {"a": 1, "b": 2, "c": 1, "d": 1, "huge": 3}
         pool = deque(task(tid, cpus=cpus[tid]) for tid in pool_ids)
-        shapes = Counter(map(pilot.task_shape, pool))
+        shapes = Counter((t.cpus, t.gpus, t.nodes) for t in pool)
         before = dict(shapes)
         with pytest.raises(UnsatisfiableError, match="task huge needs 3 cpus/node"):
             pilot.schedule(pool, shapes)

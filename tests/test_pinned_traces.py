@@ -36,6 +36,7 @@ PROPERTY_TRIAL_SHA256 = [
     "90f43ffb9a3380d183d08c061a48cb03c3d760fc76cd8210133bbfa2f35c5509",
 ]
 NEARLY_FULL_PILOT_SHA256 = "044cdee63318817285e3ba71dcec15779f096374f8e3725401de42f475126e17"
+WALLTIME_CUT_SHA256 = "f7833027efa1ee09b3e27b83391d1a7ba5b6744475239115b2503646cf3feb9c"
 
 
 def trace_sha256(result, tmp_path):
@@ -117,3 +118,41 @@ def test_nearly_full_pilot_trace_pinned(tmp_path):
     r = run_campaign(nearly_full_pilot_campaign())
     assert len(r.sink.events) == 6611
     assert trace_sha256(r, tmp_path) == NEARLY_FULL_PILOT_SHA256
+
+
+def walltime_cut_campaign(walltime_s: float = 30.0) -> CampaignSpec:
+    """Two concurrent two-stage pipelines on 4 x 4 cpu nodes with a
+    scheduling gap, cut by the walltime while both are in their second
+    stage: ``pa``'s is an overlay stage of function tasks, ``pb``'s a
+    stage of simulated tasks, and each has tasks pending, scheduled and
+    running at the cut."""
+    pilot = PilotSpec(nodes=4, cpus_per_node=4, gpus_per_node=0, walltime_s=walltime_s,
+                      bootstrap_s=1.0, sched_gap_s=0.5)
+
+    def stage(pid, tag, n, kind="simulated", node_s=8.0):
+        dur = SampledDuration(tag, node_s, 1.0, "lognormal", (0.5,))
+        return StageSpec(tag, [TaskDescriptor(f"{pid}.{tag}.{i:03d}", kind=kind, stage_tag=tag,
+                                              duration_model=dur) for i in range(n)])
+
+    pipelines = [PipelineSpec("pa", [stage("pa", "S1", 6),
+                                     stage("pa", "FN", 40, kind="function", node_s=3.0)]),
+                 PipelineSpec("pb", [stage("pb", "S3CG", 10), stage("pb", "S3FG", 40)])]
+    return CampaignSpec(pipelines, pilot, seed=11)
+
+
+def test_walltime_cut_trace_pinned(tmp_path):
+    r = run_campaign(walltime_cut_campaign(),
+                     overlay=MasterConfig(n_masters=1, workers_per_master=3, bulk_size=4))
+    assert r.walltime_hit and r.makespan == 30.0
+    # The state each canceled task was in when the cut came, per stage.
+    last, cut_from = {}, set()
+    for ev in r.sink.events:
+        if ev.entity == "task":
+            if ev.transition == "canceled":
+                cut_from.add((ev.stage, last[ev.entity_id]))
+            last[ev.entity_id] = ev.transition
+    assert cut_from == {(stage, state) for stage in ("FN", "S3FG")
+                        for state in ("pending", "scheduled", "running")}
+    stopped = {ev.entity for ev in r.sink.events if ev.t == 30.0 and ev.transition == "stopped"}
+    assert stopped == {"master", "worker"}
+    assert trace_sha256(r, tmp_path) == WALLTIME_CUT_SHA256
