@@ -249,8 +249,8 @@ class PipelineState:
     results only.
 
     The spec is never written to: ``stage_tasks`` holds this run's task
-    list per stage, which materializers, hook payloads and resizes
-    replace, so the same spec can be run again.
+    list per stage, which materializers and hook payloads replace, so
+    the same spec can be run again.
     """
 
     def __init__(self, spec: PipelineSpec):

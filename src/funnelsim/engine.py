@@ -33,7 +33,7 @@ from . import campaign as cm
 from .errors import ConfigError, DispatchError, StateError, WorkerKilled
 from .overlay import Bulk, Master, MasterConfig, WorkerState, partition_bulks, round_robin_assign
 from .pilot import PilotSpec, acquire_pilot
-from .trace import TraceEvent, TraceSink, gc_paused
+from .trace import TraceEvent, TraceSink, event_rows, gc_paused
 from .workload import call_function, duration_uniforms
 
 
@@ -48,10 +48,16 @@ class Completion:
 class RunResult:
     sink: TraceSink
     final_states: dict[str, dict]
-    completions: list[Completion]
     makespan: float
     walltime_hit: bool = False
     overlay_workers: list[WorkerState] = field(default_factory=list)
+
+    @property
+    def completions(self) -> list[Completion]:
+        """The terminal task events of ``sink``, in trace order."""
+        return [Completion(t, eid, transition)
+                for t, entity, eid, transition, _nodes in event_rows(self.sink)
+                if entity == "task" and transition in cm.TERMINAL]
 
 
 def _task_duration(task, spec: cm.CampaignSpec) -> float:
@@ -86,7 +92,6 @@ class Engine:
         self.pilot = acquire_pilot(spec.resource)
         self.states = {p.pipeline_id: cm.PipelineState(p) for p in spec.pipelines}
         self._running_slots = [0] * spec.resource.nodes
-        self.completions: list[Completion] = []
         self._overlays: dict[tuple[str, int], _Overlay] = {}
         self.overlay_workers: list[WorkerState] = []
         self._walltime_hit = False
@@ -108,8 +113,6 @@ class Engine:
                  cpus=task.cpus if with_resources else None,
                  gpus=task.gpus if with_resources else None,
                  stage=task.stage_tag, pipeline=pid)
-        if transition in cm.TERMINAL:
-            self.completions.append(Completion(t, task.task_id, transition))
 
     # -- node busy accounting ---------------------------------------------
 
@@ -282,7 +285,6 @@ class Engine:
         return RunResult(
             sink=self.sink,
             final_states={pid: st.projection() for pid, st in self.states.items()},
-            completions=self.completions,
             makespan=t_end,
             walltime_hit=self._walltime_hit,
             overlay_workers=self.overlay_workers,
@@ -308,6 +310,8 @@ class _Overlay:
         self.state = state
         self.config = config
         self.key = (pid, state.current_stage_index)
+        # The overlay's own open tasks: in a stage that mixes kinds, the
+        # pilot may still run others when these end.
         self.remaining = len(tasks)
         self._done = False
         self._redispatched: set[str] = set()

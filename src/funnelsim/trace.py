@@ -10,12 +10,14 @@ an instance code per distinct (entity, id) and a tail code per distinct
 (transition, nodes, cpus, gpus, stage, pipeline).  ``save`` encodes each
 run of equal times, each instance's entity and id and each tail once.
 
-Node and queue metrics (utilization, overhead, busy node-seconds, peak
-concurrency) are views of one Timeline, from one walk over a sink's
-columns or a list's events.  A node is busy from its ``busy`` event until
-the next ``idle`` of the same id; a task is queued from ``pending`` and
-running from ``running`` until it ends.  An event that would put an entity
-back into a count it has reached changes nothing.
+Metrics read the trace itself, a sink's columns or a list's events, and
+keep no copy of it.  Node and queue metrics (utilization, overhead, busy
+node-seconds, peak concurrency) are views of one Timeline, from one walk.
+A node is busy from its ``busy`` event until the next ``idle`` of the
+same id; a task is queued from ``pending`` and running from ``running``
+until it ends.  An event that would put an entity back into a count it
+has reached changes nothing.  Per-stage figures (task start and done
+times, pending ids) come from one more walk, ``stage_tasks``.
 
 ``load_trace`` and the simulated run allocate objects by the hundred
 thousand and free almost none, so each pauses CPython's cyclic collector
@@ -328,33 +330,6 @@ def _tail_table(sink: TraceSink) -> list[tuple]:
 
 
 @dataclass
-class TraceColumns:
-    """A trace as columns for masks: each event's time, tail code (a row
-    of ``tails``), whether it is a task's, and its id."""
-    t: np.ndarray
-    tail: np.ndarray
-    tails: list[tuple]
-    is_task: np.ndarray
-    ids: list
-
-    @classmethod
-    def of(cls, trace) -> TraceColumns:
-        """The columns of a TraceSink, or of a list of TraceEvents loaded into one."""
-        if not isinstance(trace, TraceSink):
-            events, trace = trace, TraceSink()
-            trace.events = events
-        return cls(np.array(trace._t, dtype=float), np.array(trace._tail, dtype=np.int32),
-                   _tail_table(trace), np.array([e == "task" for e in trace._entity], dtype=bool),
-                   trace._id)
-
-    def task_rows(self, transition: str, stage) -> np.ndarray:
-        """Indices, in trace order, of task events with ``transition`` and ``stage``."""
-        hit = np.array([tail[0] == transition and tail[4] == stage for tail in self.tails],
-                       dtype=bool)
-        return np.flatnonzero(hit[self.tail] & self.is_task)
-
-
-@dataclass
 class UtilizationSeries:
     bucket_width_s: float
     t0s: list[float]
@@ -447,7 +422,7 @@ class Timeline:
                               makespan, self.n_tasks)
 
 
-def _rows(trace):
+def event_rows(trace):
     """Each event's (t, entity, id, transition, nodes): a TraceSink's from
     its columns, a list's from its TraceEvents."""
     if not isinstance(trace, TraceSink):
@@ -466,7 +441,7 @@ def timeline(trace) -> Timeline:
     total_nodes = n_tasks = 0
     acquired, ready = [], []            # pilot acquired and agent_ready times
     t_start = t_end = None
-    for t, entity, eid, transition, nodes in _rows(trace):
+    for t, entity, eid, transition, nodes in event_rows(trace):
         if t_start is None:
             t_start = t_end = t
         if t < t_start:
@@ -543,6 +518,36 @@ def stage_throughput(trace: list[TraceEvent], stage_tag: str,
         elif ev.transition == "done":
             dones.append(ev.t)
     return throughput_from_times(stage_tag, starts, dones, window_s)
+
+
+# The list of a stage's (running times, done times, pending ids) a task event joins.
+_STAGE_LISTS = {"running": 0, "done": 1, "pending": 2}
+
+
+def stage_tasks(trace) -> dict:
+    """For each stage named on a ``running``, ``done`` or ``pending`` event
+    of a TraceSink or a list of TraceEvents, from one walk: the times of
+    its ``running`` and its ``done`` task events and the ids of its
+    ``pending`` ones, each in trace order.  A sink's tails are classified
+    once each, not once per event."""
+    stages: dict = {}
+
+    def joins(transition, stage):
+        """The append of the list such an event joins, and whether it takes the id."""
+        k = _STAGE_LISTS.get(transition)
+        if k is not None and stage:
+            return (stages.get(stage) or stages.setdefault(stage, ([], [], [])))[k].append, k == 2
+
+    if isinstance(trace, TraceSink):
+        by_code = [joins(tail[0], tail[4]) for tail in _tail_table(trace)]
+        rows = zip(trace._t, trace._entity, trace._id, map(by_code.__getitem__, trace._tail))
+    else:
+        rows = ((ev.t, ev.entity, ev.entity_id, joins(ev.transition, ev.stage)) for ev in trace)
+    for t, entity, eid, join in rows:
+        if join is not None and entity == "task":
+            append, takes_id = join
+            append(eid if takes_id else t)
+    return stages
 
 
 def throughput_from_times(stage_tag: str, starts: list[float], dones: list[float],

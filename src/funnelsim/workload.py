@@ -32,6 +32,7 @@ DEFAULT_NOISE_SIGMA = 0.7969
 
 CG_REPLICAS = 6
 FG_REPLICAS = 24
+FUNNEL_PIPELINE = "p0"      # the funnel campaign's one pipeline
 
 # Internal stream labels for seed derivation; values are arbitrary but fixed.
 _STREAM_LIBRARY = 1
@@ -342,7 +343,6 @@ def build_funnel_campaign(funnel: FunnelConfig,
                           resource: PilotSpec | None = None,
                           time_scale: float = 1e-4,
                           pipeline_mode: str = "concurrent",
-                          pipeline_id: str = "p0",
                           overlay_stage_kind: str = "simulated") -> CampaignSpec:
     """Wire the five-stage screening funnel:
 
@@ -374,7 +374,7 @@ def build_funnel_campaign(funnel: FunnelConfig,
     }
     one_gpu = {"cpus": 0, "gpus": 1} if resource.gpus_per_node > 0 else {"cpus": 1, "gpus": 0}
     ml1_task = TaskDescriptor(
-        task_id=f"{pipeline_id}.ML1.000000", kind="simulated", stage_tag="ML1",
+        task_id=f"{FUNNEL_PIPELINE}.ML1.000000", kind="simulated", stage_tag="ML1",
         **one_gpu, nodes=1,
         duration_model=resolve_duration("ML1", cost_model, ligands=funnel.library_size),
         payload=ml1_payload)
@@ -390,12 +390,12 @@ def build_funnel_campaign(funnel: FunnelConfig,
                   post_hook=HookSpec(select_top_k,
                                      {"k": funnel.cg_count, "by": "true_score"}),
                   materialize=MaterializeSpec(ligand_tasks, {
-                      "prefix": f"{pipeline_id}.S1", "stage_tag": "S1",
+                      "prefix": f"{FUNNEL_PIPELINE}.S1", "stage_tag": "S1",
                       "kind": overlay_stage_kind, **one_gpu,
                       "duration": resolve_duration("S1", cost_model)})),
         StageSpec("S3CG", [],
                   materialize=MaterializeSpec(cg_replica_tasks, {
-                      "prefix": f"{pipeline_id}.S3CG", "stage_tag": "S3CG",
+                      "prefix": f"{FUNNEL_PIPELINE}.S3CG", "stage_tag": "S3CG",
                       "replicas": CG_REPLICAS, "frames": funnel.frames_per_replica,
                       "seed": seed, **one_gpu,
                       "duration": resolve_duration("S3CG", cost_model)})),
@@ -405,7 +405,7 @@ def build_funnel_campaign(funnel: FunnelConfig,
                       "outliers_per_binder": funnel.outliers_per_binder,
                       "k_neighbors": 10}),
                   materialize=MaterializeSpec(gather_tasks, {
-                      "prefix": f"{pipeline_id}.S2", "stage_tag": "S2",
+                      "prefix": f"{FUNNEL_PIPELINE}.S2", "stage_tag": "S2",
                       "train_nodes": train_nodes, "train_gpus": train_gpus,
                       "train_cpus": train_cpus,
                       "train_kind": "simulated" if resource.backend == "local" else "executable",
@@ -413,11 +413,11 @@ def build_funnel_campaign(funnel: FunnelConfig,
                       "duration": resolve_duration("S2", cost_model)})),
         StageSpec("S3FG", [],
                   materialize=MaterializeSpec(fg_replica_tasks, {
-                      "prefix": f"{pipeline_id}.S3FG", "stage_tag": "S3FG",
+                      "prefix": f"{FUNNEL_PIPELINE}.S3FG", "stage_tag": "S3FG",
                       "replicas": FG_REPLICAS, **one_gpu,
                       "duration": resolve_duration("S3FG", cost_model)})),
     ]
-    pipeline = PipelineSpec(pipeline_id, stages)
+    pipeline = PipelineSpec(FUNNEL_PIPELINE, stages)
     return CampaignSpec(pipelines=[pipeline], resource=resource, seed=seed,
                         mode=resource.backend, time_scale=time_scale,
                         pipeline_mode=pipeline_mode)

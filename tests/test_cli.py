@@ -7,13 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from funnelsim.cli import _trace_metrics, load_config, main, parse_cost_model
+from funnelsim.cli import MAX_BUCKETS, _trace_metrics, load_config, main, parse_cost_model
 from funnelsim.engine import Engine, run_campaign
-from funnelsim.trace import TraceEvent, TraceSink, load_trace, stage_throughput
+from funnelsim.overlay import MasterConfig
+from funnelsim.trace import TraceEvent, TraceSink, load_trace, stage_tasks, stage_throughput
 from funnelsim.workload import StageCost
 
 from test_engine import alarm
-from test_pinned_traces import run_overlay_funnel
+from test_pinned_traces import run_overlay_funnel, walltime_cut_campaign
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -84,12 +85,14 @@ class TestSimulate:
 
     def test_failed_run_leaves_loadable_partial_trace(self, tmp_path, monkeypatch, capsys):
         # The fifth task to finish records an illegal done -> running step.
-        before_fault = []
+        before_fault, finished = [], []
         real_finish = Engine._finish
 
         def finish_then_fault(self, pid, task, outcome, result, t):
             applied = real_finish(self, pid, task, outcome, result, t)
-            if len(self.completions) == 5 and not before_fault:
+            if applied:
+                finished.append(task)
+            if len(finished) == 5 and not before_fault:
                 before_fault.extend(self.sink.events)
                 self._task_ev(t, task, "running", pid)
             return applied
@@ -360,6 +363,32 @@ class TestReport:
         assert rc == 0
         assert "empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines, text", [
+        (['{"t":0.0,"entity":"pilot","id":"p","transition":"acquired","nodes":2}',
+          '{"t":Infinity,"entity":"pilot","id":"p","transition":"released"}'],
+         "trace event 2 (pilot p released): t must be a finite number, got Infinity"),
+        (['{"t":0.0,"entity":"pilot","id":"p","transition":"acquired","nodes":"2"}',
+          '{"t":2.0,"entity":"pilot","id":"p","transition":"released"}'],
+         'trace event 1 (pilot p acquired): nodes must be an integer or null, got "2"'),
+        (['{"t":0.0,"entity":"task","id":"a","transition":"pending","stage":"S1"}',
+          '{"t":0.0,"entity":"task","id":"b","transition":"pending","stage":5}'],
+         "trace event 2 (task b pending): stage must be a string or null, got 5"),
+        # Unchecked, this NaN made overhead.json read total_node_s 0.0, not 3.0.
+        (['{"t":0.0,"entity":"pilot","id":"p","transition":"acquired","nodes":2}',
+          '{"t":0.0,"entity":"node","id":"p/0","transition":"busy"}',
+          '{"t":1.0,"entity":"node","id":"p/0","transition":"idle"}',
+          '{"t":2.0,"entity":"pilot","id":"p","transition":"released"}',
+          '{"t":NaN,"entity":"task","id":"a","transition":"pending"}'],
+         "trace event 5 (task a pending): t must be a finite number, got NaN"),
+    ], ids=["inf_time", "string_nodes", "int_and_str_stages", "nan_time"])
+    def test_unreadable_trace_exits_2(self, lines, text, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        trace.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "rep"
+        assert main(["report", "--trace", str(trace), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {text}\n"
+        assert not out.exists()
+
     def test_merged_disjoint_pilot_traces(self, tmp_path):
         # resource-weighted combination checked through the CLI formats
         from funnelsim.trace import load_trace, merge_traces, utilization
@@ -390,17 +419,24 @@ def funnel_counts_from_trace(events) -> dict:
     return out
 
 
-def desk_funnel_events():
+def desk_funnel_sink():
     config = Path(__file__).resolve().parents[1] / "configs" / "desk_funnel.json"
     spec, overlay, _ = load_config(str(config), seed_override=42)
-    return run_campaign(spec, overlay=overlay).sink.events
+    return run_campaign(spec, overlay=overlay).sink
 
 
-def flag_mode_events():
+def walltime_cut_sink():
+    return run_campaign(walltime_cut_campaign(),
+                        overlay=MasterConfig(n_masters=1, workers_per_master=3, bulk_size=4)).sink
+
+
+def flag_mode_sink():
     """A trace with illegal steps: tasks that run before they are born,
     end twice or never run, a stage that never completes a task, a stage
     whose tasks all end at one time, an empty stage tag, and worker and
-    pipeline events that name a stage."""
+    pipeline events that name a stage.  Its last task's events are not
+    exactly typed (an int time, a numpy or bool count), so the sink keeps
+    them as objects of their own."""
     sink = TraceSink(mode="flag")
     steps = [
         (0.0, "task", "p0.S3FG.c0003.r0", "pending", "S3FG"),
@@ -426,25 +462,34 @@ def flag_mode_events():
     ]
     for t, entity, eid, transition, stage in steps:
         sink.record(TraceEvent(t, entity, eid, transition, stage=stage, pipeline="p0"))
-    assert sink.flagged
-    return sink.events
+    odd = "p0.S3FG.c0009.r0"
+    sink.record(TraceEvent(5, "task", odd, "pending", stage="S3FG", pipeline="p0"))
+    sink.record(TraceEvent(6.0, "task", odd, "running", nodes=np.int64(1), stage="S3FG"))
+    sink.record(TraceEvent(7.5, "task", odd, "done", cpus=True, stage="S3FG", pipeline="p0"))
+    assert sink.flagged and len(sink._odd) == 3
+    return sink
 
 
 class TestTraceMetricsOneWalk:
     """The summary's stage figures come from one walk; they equal a
-    stage_throughput walk per stage and the funnel counts' own walk."""
+    stage_throughput walk per stage and the funnel counts' own walk, and
+    a sink's columns give what its events give."""
 
-    @pytest.mark.parametrize("make", [desk_funnel_events, lambda: run_overlay_funnel().sink.events,
-                                      flag_mode_events],
-                             ids=["desk_funnel_42", "overlay_funnel", "flag_mode"])
+    @pytest.mark.parametrize("make", [desk_funnel_sink, lambda: run_overlay_funnel().sink,
+                                      walltime_cut_sink, flag_mode_sink],
+                             ids=["desk_funnel_42", "overlay_funnel", "walltime_cut",
+                                  "flag_mode"])
     def test_same_reports_and_counts_as_separate_walks(self, make):
-        events = make()
-        _util, _ovh, reports, funnel = _trace_metrics(events, None)
+        sink = make()
+        events = sink.events
+        util, ovh, reports, funnel = _trace_metrics(events, None)
         stages = sorted({ev.stage for ev in events if ev.entity == "task" and ev.stage})
         want = [(tag, stage_throughput(events, tag)) for tag in stages]
         assert list(reports.items()) == [(tag, rep) for tag, rep in want if rep is not None]
         assert len(reports) >= 2
         assert funnel == funnel_counts_from_trace(events)
+        assert _trace_metrics(sink, None) == (util, ovh, reports, funnel)
+        assert stage_tasks(sink) == stage_tasks(events)
 
     def test_summary_reports_skip_the_windows(self):
         events = run_overlay_funnel().sink.events
@@ -489,6 +534,31 @@ class TestBucketWidth:
         assert main(["report", "--trace", str(trace), "--out", str(out),
                      "--bucket-width", "0.5", "--quiet"]) == 0
         assert len((out / "utilization.csv").read_text().splitlines()) == 1 + 8
+
+    def test_report_refuses_more_than_max_buckets(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        trace.write_text('{"t":0.0,"entity":"pilot","id":"p","transition":"acquired","nodes":1}\n'
+                         '{"t":4.0,"entity":"pilot","id":"p","transition":"released"}\n')
+        out = tmp_path / "rep"
+        width = 4.0 / (MAX_BUCKETS + 10)
+        with alarm(5):
+            assert main(["report", "--trace", str(trace), "--out", str(out),
+                         "--bucket-width", repr(width)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --bucket-width {width:g} cuts")
+        assert not out.exists()
+
+    def test_simulate_refuses_more_than_max_buckets(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json")
+        first, second = tmp_path / "r1", tmp_path / "r2"
+        assert main(["simulate", "--config", str(cfg), "--out", str(first), "--quiet"]) == 0
+        makespan = json.loads((first / "summary.json").read_text())["makespan_s"]
+        width = makespan / (MAX_BUCKETS + 10)
+        with alarm(5):
+            assert main(["simulate", "--config", str(cfg), "--out", str(second), "--quiet",
+                         "--bucket-width", repr(width)]) == 2
+        assert "more than 1000000 buckets" in capsys.readouterr().err
+        assert (second / "trace.jsonl").read_bytes() == (first / "trace.jsonl").read_bytes()
+        assert not (second / "summary.json").exists()
 
 
 class TestRunLocal:

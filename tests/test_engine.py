@@ -238,6 +238,35 @@ class TestOverlayStage:
             {"a": "done", "b": "done"}
         assert r.makespan == 12.0
 
+    def test_overlay_of_a_mixed_stage_stops_when_its_own_tasks_end(self):
+        # Stage s0 mixes one 10 s plain task with eight 1 s function tasks.
+        # The first round places the plain task and three function tasks on
+        # the pilot's 4 cpus; the other five get an overlay (3 cpus) once
+        # those three end.  The overlay must stop when its five tasks end,
+        # while the plain task still runs, or s1's 4-cpu task never fits.
+        fn_tasks = [TaskDescriptor(f"f{i}", kind="function", cpus=1,
+                                   duration_model=FixedDuration(1.0))
+                    for i in range(8)]
+        spec = CampaignSpec(
+            [PipelineSpec("p", [StageSpec("s0", [task("long", dur=10.0)] + fn_tasks),
+                                StageSpec("s1", [task("next", cpus=4)])])],
+            pilot(nodes=1, cpus_per_node=4), seed=0)
+        engine = Engine(spec, overlay=MasterConfig(n_masters=1, workers_per_master=2,
+                                                   bulk_size=2))
+        with alarm(5):
+            r = engine.run()
+        assert r.final_states["p"]["status"] == "done"
+        events = r.sink.events
+        s0_done = next(ev.t for ev in events
+                       if ev.entity == "stage" and ev.entity_id == "p/s0"
+                       and ev.transition == "completed")
+        stops = [ev.t for ev in events
+                 if ev.entity in ("master", "worker") and ev.transition == "stopped"]
+        assert len(stops) == 3 and max(stops) < s0_done
+        assert len(r.overlay_workers) == 2
+        assert sum(w.completed for w in r.overlay_workers) == 5
+        assert not engine.pilot.live
+
 
 class TestSummaryShapes:
     def test_completion_stream_time_ordered(self):
@@ -253,6 +282,23 @@ class TestSummaryShapes:
         r = run_campaign(build_funnel_campaign(funnel))
         times = [ev.t for ev in r.sink.events]
         assert times == sorted(times)
+
+    @pytest.mark.parametrize("which", ["walltime_cut", "overlay_funnel"])
+    def test_completions_are_the_saved_terminal_task_events(self, which, tmp_path):
+        from funnelsim.trace import load_trace
+        from test_pinned_traces import run_overlay_funnel, walltime_cut_campaign
+        if which == "walltime_cut":
+            r = run_campaign(walltime_cut_campaign(),
+                             overlay=MasterConfig(n_masters=1, workers_per_master=3, bulk_size=4))
+        else:
+            r = run_overlay_funnel()
+        r.sink.save(tmp_path / "trace.jsonl")
+        terminal = [(ev.t, ev.entity_id, ev.transition)
+                    for ev in load_trace(tmp_path / "trace.jsonl")
+                    if ev.entity == "task" and ev.transition in ("done", "failed", "canceled")]
+        assert [(c.t, c.task_id, c.outcome) for c in r.completions] == terminal
+        outcomes = {outcome for *_, outcome in terminal}
+        assert outcomes == ({"done", "canceled"} if which == "walltime_cut" else {"done"})
 
 
 def sleep_fn(tid):
