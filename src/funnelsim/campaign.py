@@ -160,6 +160,8 @@ def validate_campaign(spec: CampaignSpec) -> list[Violation]:
     seen: set[str] = set()
     pilot = spec.resource
     for pipe in spec.pipelines:
+        if type(pipe.pipeline_id) is not str:
+            out.append(Violation("type", str(pipe.pipeline_id), "pipeline_id must be str"))
         for stage in pipe.stages:
             if not stage.tasks and stage.materialize is None:
                 out.append(Violation("empty_stage", f"{pipe.pipeline_id}/{stage.stage_id}",
@@ -174,6 +176,11 @@ def validate_campaign(spec: CampaignSpec) -> list[Violation]:
 
 
 def _validate_task(task: TaskDescriptor, pilot: PilotSpec, pipeline_id: str) -> list[Violation]:
+    if not (type(task.task_id) is type(task.stage_tag) is str
+            and type(task.cpus) is type(task.gpus) is type(task.nodes) is int):
+        return [Violation("type", str(task.task_id), f"{name} must be {cls.__name__}, got {v!r}")
+                for name, cls in dict(task_id=str, stage_tag=str, cpus=int, gpus=int, nodes=int).items()
+                if type(v := getattr(task, name)) is not cls]
     out = []
     if task.kind not in TASK_KINDS:
         out.append(Violation("kind", task.task_id, f"unknown kind {task.kind!r}"))

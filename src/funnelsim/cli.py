@@ -35,7 +35,6 @@ import math
 import sys
 from dataclasses import MISSING, fields
 from functools import cache
-from operator import attrgetter
 from pathlib import Path
 from typing import Optional, get_type_hints
 
@@ -45,7 +44,7 @@ from .engine import run_campaign
 from .errors import ConfigError, FunnelsimError, InputError
 from .overlay import MasterConfig
 from .pilot import PilotSpec
-from .trace import TraceSink, load_trace, stage_tasks, throughput_from_times, timeline
+from .trace import MAX_BUCKETS, TraceSink, load_trace, stage_tasks, throughput_from_times, timeline
 
 
 def _object(doc, where: str) -> dict:
@@ -167,19 +166,16 @@ def load_config(path: str, seed_override: int | None = None,
     return spec, overlay, funnel
 
 
-MAX_BUCKETS = 10**6     # utilization buckets one run may be cut into
-
-
 def _trace_metrics(trace, bucket_width: float | None, windows: bool = True):
     """Utilization and overhead from one timeline; each completed stage's
     throughput (windowed only if ``windows``) and the funnel counts
     (per-stage task births and distinct selected conformations) from one
     walk of the trace's task events."""
     run = timeline(trace)
-    span = float(run.times[-1]) - run.t_start
-    if bucket_width is not None and span / bucket_width > MAX_BUCKETS:
-        raise InputError(f"--bucket-width {bucket_width:g} cuts the {span:g} s run into more "
-                         f"than {MAX_BUCKETS} buckets")
+    try:
+        util = run.utilization(bucket_width)
+    except ValueError as exc:   # main checked the width, so the run has too many buckets
+        raise InputError(str(exc).replace("bucket width", "--bucket-width", 1)) from exc
     reports, funnel, confs = {}, {}, set()
     for stage, (starts, dones, pending) in sorted(stage_tasks(trace).items()):
         if starts and dones:
@@ -195,7 +191,7 @@ def _trace_metrics(trace, bucket_width: float | None, windows: bool = True):
                     confs.add(conf)
     if confs:
         funnel["selected_conformations"] = len(confs)
-    return run.utilization(bucket_width), run.overhead(), reports, funnel
+    return util, run.overhead(), reports, funnel
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -322,35 +318,8 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-# The fields besides the time that the metrics read, and each one's type if not null.
-_FIELD_TYPES = {"nodes": int, "cpus": int, "gpus": int, "stage": str, "pipeline": str}
-
-
-def _check_readable(events) -> None:
-    """Raise InputError at the first event the metrics cannot read: its
-    time must be finite, and each of ``_FIELD_TYPES`` of its type or null
-    (no bool counts as an integer).  A readable trace is passed column by
-    column; only a failing one is walked event by event to name the event."""
-    if all(map(math.isfinite, map(attrgetter("t"), events))) and all(
-            set(map(type, map(attrgetter(name), events))) <= {cls, type(None)}
-            for name, cls in _FIELD_TYPES.items()):
-        return
-    for n, ev in enumerate(events, start=1):
-        if not math.isfinite(ev.t):
-            field, kind = "t", _KINDS[float]
-        else:
-            field = next((name for name, cls in _FIELD_TYPES.items()
-                          if (v := getattr(ev, name)) is not None and type(v) is not cls), None)
-            if field is None:
-                continue
-            kind = f"{_KINDS[_FIELD_TYPES[field]]} or null"
-        raise InputError(f"trace event {n} ({ev.entity} {ev.entity_id} {ev.transition}): "
-                         f"{field} must be {kind}, got {json.dumps(getattr(ev, field))}")
-
-
 def cmd_report(args) -> int:
     events = load_trace(args.trace)
-    _check_readable(events)
     util, ovh, reports, _funnel = _trace_metrics(events, args.bucket_width)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -423,11 +392,7 @@ def main(argv=None) -> int:
         parser.error(f"argument --bucket-width: must be a positive finite number, got {width}")
     try:
         return args.func(args)
-    except InputError as exc:
-        where = f" (line {exc.line})" if exc.line else ""
-        print(f"error: {exc}{where}", file=sys.stderr)
-        return 2
-    except (ConfigError, FunnelsimError) as exc:
+    except FunnelsimError as exc:   # an InputError's text names its line
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -69,7 +69,7 @@ def _task_duration(task, spec: cm.CampaignSpec) -> float:
         seconds = dm.sample_from_uniforms(u1, u2, spec.time_scale)
     if not seconds >= 0:  # a NaN time would never leave the event heap
         raise StateError(f"task {task.task_id} drew duration {seconds}, not >= 0")
-    return seconds
+    return float(seconds)
 
 
 class Engine:
@@ -450,6 +450,7 @@ class _SimulatedBackend:
         self._heap: list = []
         self._seq = 0
         self.t = 0.0
+        self._gap = float(engine.spec.resource.sched_gap_s)    # floats, as trace times are
 
     def now(self) -> float:
         return self.t
@@ -459,11 +460,11 @@ class _SimulatedBackend:
         self._seq += 1
 
     def start(self) -> float:
-        self.t = self.engine.spec.resource.bootstrap_s
+        self.t = float(self.engine.spec.resource.bootstrap_s)
         return self.t
 
     def launch(self, pid: str, task, pl, t: float):
-        self._push(t + self.engine.spec.resource.sched_gap_s, self._on_start, (pid, task, pl))
+        self._push(t + self._gap, self._on_start, (pid, task, pl))
 
     def _on_start(self, pid: str, task, pl, t: float) -> bool:
         if self.engine.states[pid].task_states.get(task.task_id) != cm.SCHEDULED:
@@ -481,7 +482,7 @@ class _SimulatedBackend:
 
     def loop(self):
         heap = self._heap
-        walltime = self.engine.spec.resource.walltime_s
+        walltime = float(self.engine.spec.resource.walltime_s)
         while heap:
             t = heap[0][0]
             if t > walltime:

@@ -19,6 +19,7 @@ which are exactly the lowest-indexed nodes that fit.
 """
 from __future__ import annotations
 
+import math
 import os
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -43,16 +44,20 @@ class PilotSpec:
     gpu_host_cpu: bool = True
 
     def validate(self) -> list[str]:
-        out = []
+        out = [f"{name} must be int, got {value!r}"
+               for name in ("nodes", "cpus_per_node", "gpus_per_node")
+               if type(value := getattr(self, name)) is not int]
+        if out:     # the checks below compare the counts
+            return out
         if self.nodes < 1:
             out.append("nodes must be >= 1")
         if self.cpus_per_node < 0 or self.gpus_per_node < 0:
             out.append("per-node slot counts must be >= 0")
         if self.cpus_per_node + self.gpus_per_node <= 0:
             out.append("cpus_per_node + gpus_per_node must be > 0")
-        # Negated comparisons, so that NaN fails them.
-        if not self.walltime_s > 0:
-            out.append("walltime_s must be positive")
+        # Negated comparisons, so that NaN fails them.  A finite walltime keeps times finite.
+        if not 0 < self.walltime_s < math.inf:
+            out.append("walltime_s must be positive and finite")
         if self.backend not in ("simulated", "local"):
             out.append(f"unknown backend {self.backend!r}")
         if not (self.bootstrap_s >= 0 and self.sched_gap_s >= 0):

@@ -5,6 +5,11 @@ Every state transition in a run is recorded as a TraceEvent.  Metrics
 functions of the trace, so a persisted trace can be re-analyzed at any
 time and merged traces from disjoint runs behave additively.
 
+``TraceSink.record`` and ``load_trace`` refuse an event that breaks the
+type rule (a finite float time; str entity, id and transition; int, not
+bool, or None nodes, cpus and gpus; str or None stage and pipeline), so
+the metrics and ``save`` read every event they hand on.
+
 A TraceSink keeps columns, not events: per event its time, entity, id,
 an instance code per distinct (entity, id) and a tail code per distinct
 (transition, nodes, cpus, gpus, stage, pipeline).  ``save`` encodes each
@@ -89,7 +94,26 @@ class TraceEvent:
 
     def to_json(self) -> str:
         """The event's line in ``trace.jsonl``, without the newline."""
-        return _encode(self)
+        head = f'{{"t":{_dumps(self.t)},"entity":{_dumps(self.entity)},"id":{_dumps(self.entity_id)}'
+        return head + _encode_tail(self.transition, self.nodes, self.cpus, self.gpus, self.stage,
+                                   self.pipeline)
+
+
+# The type rule: each field's key in trace.jsonl, attribute, type and kind.
+_RULE = (("t", "t", float, "a finite number"), ("entity", "entity", str, "a string"),
+         ("id", "entity_id", str, "a string"), ("transition", "transition", str, "a string"),
+         *((key, key, int, "an integer or null") for key in ("nodes", "cpus", "gpus")),
+         *((key, key, str, "a string or null") for key in ("stage", "pipeline")))
+
+
+def _rule_break(ev: TraceEvent, show=repr) -> str | None:
+    """How ``ev``'s first bad field breaks the type rule; None if none does."""
+    for key, attr, cls, kind in _RULE:
+        value = getattr(ev, attr)
+        if not (type(value) is cls and (cls is not float or value - value == 0.0)
+                or value is None and kind.endswith("null")):
+            return f"{key} must be {kind}, got {show(value)}"
+    return None
 
 
 # -- encoding ---------------------------------------------------------------
@@ -102,33 +126,25 @@ _SAVE_BATCH = 4096      # lines per write in TraceSink.save
 _TAIL_KEYS = ("nodes", "cpus", "gpus", "stage", "pipeline")
 
 
-def _json(value) -> str:
-    return _json_str(value) if type(value) is str else _dumps(value)
-
-
-def _encode(ev: TraceEvent) -> str:
-    return (f'{{"t":{_dumps(ev.t)},"entity":{_json(ev.entity)},"id":{_json(ev.entity_id)}'
-            + _encode_tail(ev.transition, ev.nodes, ev.cpus, ev.gpus, ev.stage, ev.pipeline))
-
-
 def _encode_tail(transition, *values) -> str:
     """The line from ``,"transition":`` on, closing brace included."""
-    fields = "".join(f',"{key}":{_json(value)}'
+    fields = "".join(f',"{key}":{_dumps(value)}'
                      for key, value in zip(_TAIL_KEYS, values) if value is not None)
-    return f',"transition":{_json(transition)}{fields}}}'
+    return f',"transition":{_dumps(transition)}{fields}}}'
 
 
 # -- decoding ---------------------------------------------------------------
 #
 # A canonical line is a head up to ``,"transition":`` and a tail, each parsed
 # by one regular expression.  Its numbers follow JSON's grammar (a time has a
-# fraction or an exponent, a count at most 18 digits) and its strings are
-# printable ASCII without ``"`` or ``\``, so the parse gives what json.loads
-# gives.  Every other line goes through json.loads (``event_from_json``).
+# fraction or an exponent, at most 16 integer digits and a 2-digit exponent, so
+# it is finite; a count at most 18 digits) and its strings are printable ASCII
+# without ``"`` or ``\``, so the parse gives what json.loads gives.  Every
+# other line goes through json.loads (``event_from_json``).
 
 _STR = r'"([ !#-\[\]-~]*)"'
 _INT = r'(-?(?:0|[1-9][0-9]{0,17}))'
-_TIME = r'(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))'
+_TIME = r'(-?(?:0|[1-9][0-9]{0,15})(?:\.[0-9]+(?:[eE][-+]?[0-9]{1,2})?|[eE][-+]?[0-9]{1,2}))'
 _HEAD = re.compile(rf'\{{"t":{_TIME},"entity":{_STR},"id":{_STR},"transition":')
 _TAIL = re.compile(rf'{_STR}(?:,"nodes":{_INT})?(?:,"cpus":{_INT})?(?:,"gpus":{_INT})?'
                    rf'(?:,"stage":{_STR})?(?:,"pipeline":{_STR})?\}}\n?')
@@ -158,15 +174,19 @@ class _ParsedTails(dict):
 
 
 def event_from_json(line: str, lineno: int | None = None) -> TraceEvent:
+    """The event of a JSON object line, an int time read as a float; InputError
+    naming the line for any other line or an event that breaks the type rule."""
     try:
         rec = json.loads(line)
-        return TraceEvent(
-            t=float(rec["t"]), entity=str(rec["entity"]),
-            entity_id=str(rec["id"]), transition=str(rec["transition"]),
-            nodes=rec.get("nodes"), cpus=rec.get("cpus"), gpus=rec.get("gpus"),
-            stage=rec.get("stage"), pipeline=rec.get("pipeline"))
+        t = rec["t"]
+        event = TraceEvent(float(t) if type(t) is int and abs(t) <= sys.float_info.max else t,
+                           rec["entity"], rec["id"], rec["transition"], rec.get("nodes"),
+                           rec.get("cpus"), rec.get("gpus"), rec.get("stage"), rec.get("pipeline"))
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"bad trace line {lineno}: {exc}", line=lineno) from exc
+    if (why := _rule_break(event, json.dumps)) is not None:
+        raise InputError(f"bad trace line {lineno}: {why}", line=lineno)
+    return event
 
 
 class _Codes(dict):
@@ -178,9 +198,9 @@ class _Codes(dict):
 
 
 class TraceSink:
-    """Collects a run's events as columns, checking legality as they are
-    recorded: mode "reject" raises TraceError on an illegal transition,
-    mode "flag" records the event and keeps it in ``flagged`` too."""
+    """Collects a run's events as columns.  ``record`` raises TraceError on
+    an event that breaks the type rule, and on an illegal transition in mode
+    "reject"; mode "flag" records that one and keeps it in ``flagged`` too."""
 
     def __init__(self, mode: str = "reject"):
         if mode not in ("reject", "flag"):
@@ -201,59 +221,57 @@ class TraceSink:
     @property
     def events(self) -> list[TraceEvent]:
         """The recorded events, built from the columns."""
-        tails, odd = list(self._tails), self._odd
-        return [TraceEvent(t, entity, eid, *tails[code]) if code >= 0 else odd[~code]
+        tails = list(self._tails)
+        return [TraceEvent(t, entity, eid, *tails[code])
                 for t, entity, eid, code in zip(self._t, self._entity, self._id, self._tail)]
 
     @events.setter
     def events(self, events: Iterable[TraceEvent]) -> None:
-        """Replace the recorded events, without checking them."""
-        # Per event: time, entity, id, instance and tail code (odd event ~code).
-        self._t, self._entity, self._id, self._inst, self._tail = [], [], [], [], []
-        self._odd: list[TraceEvent] = []
-        last = self._last
+        """Replace the events, unchecked for legality; TraceError if one breaks the type rule."""
+        events = list(events)
         for ev in events:
-            seen = last.setdefault((ev.entity, ev.entity_id), (*_NEVER_SEEN, len(last)))
-            self._keep(ev, seen[2])
+            if (why := _rule_break(ev)) is not None:
+                raise TraceError(f"{ev.entity} {ev.entity_id}: {why}")
+        # Per event: time, entity, id, instance and tail code.
+        last, tails = self._last, self._tails
+        self._t = [ev.t for ev in events]
+        self._entity = [ev.entity for ev in events]
+        self._id = [ev.entity_id for ev in events]
+        self._inst = [last.setdefault((ev.entity, ev.entity_id), (*_NEVER_SEEN, len(last)))[2]
+                      for ev in events]
+        self._tail = [tails[ev.transition, ev.nodes, ev.cpus, ev.gpus, ev.stage, ev.pipeline]
+                      for ev in events]
 
     def record(self, event: TraceEvent) -> None:
-        entity, t, transition = event.entity, event.t, event.transition
-        key = (entity, event.entity_id)
+        t, entity, eid, transition = event.t, event.entity, event.entity_id, event.transition
+        nodes, cpus, gpus, stage, pipeline = (event.nodes, event.cpus, event.gpus, event.stage,
+                                              event.pipeline)
+        # The type rule (t - t is 0.0 for a finite t); tail keys need it, as 1 == 1.0 == True.
+        if not (type(t) is float and t - t == 0.0 and type(entity) is str and type(eid) is str
+                and type(transition) is str and (nodes is None or type(nodes) is int)
+                and (cpus is None or type(cpus) is int) and (gpus is None or type(gpus) is int)
+                and (stage is None or type(stage) is str)
+                and (pipeline is None or type(pipeline) is str)):
+            raise TraceError(f"{entity} {eid}: {_rule_break(event)}")
+        key = (entity, eid)
         last = self._last.get(key)
         prev_t, prev_tr, inst = (*_NEVER_SEEN, len(self._last)) if last is None else last
-        if (entity, prev_tr, transition) in _LEGAL_STEPS and not t < prev_t:
+        if (entity, prev_tr, transition) in _LEGAL_STEPS and t >= prev_t:
             self._last[key] = (t, transition, inst)
         else:
             why = (f"unknown entity kind {entity!r}" if entity not in LEGAL_GRAPHS
                    else f"event at t={t} before t={prev_t}" if t < prev_t
                    else f"illegal transition {prev_tr} -> {transition}")
             if self.mode == "reject":
-                raise TraceError(f"{entity} {event.entity_id}: {why}")
+                raise TraceError(f"{entity} {eid}: {why}")
             self.flagged.append(event)
             if last is None:
                 self._last[key] = (prev_t, prev_tr, inst)
-        self._keep(event, inst)
-
-    def _keep(self, ev: TraceEvent, inst: int) -> None:
-        t, entity, eid, transition = ev.t, ev.entity, ev.entity_id, ev.transition
-        nodes, cpus, gpus, stage, pipeline = ev.nodes, ev.cpus, ev.gpus, ev.stage, ev.pipeline
-        # True, 1, 1.0 and np.int64(1) are equal as dict keys, but json
-        # writes them apart or not at all: only exactly typed events, with
-        # a finite time (t - t is 0.0), share a tail code.
-        if (type(t) is float and t - t == 0.0 and type(entity) is str and type(eid) is str
-                and type(transition) is str and (nodes is None or type(nodes) is int)
-                and (cpus is None or type(cpus) is int) and (gpus is None or type(gpus) is int)
-                and (stage is None or type(stage) is str)
-                and (pipeline is None or type(pipeline) is str)):
-            code = self._tails[transition, nodes, cpus, gpus, stage, pipeline]
-        else:
-            code = ~len(self._odd)
-            self._odd.append(ev)
         self._t.append(t)
         self._entity.append(entity)
         self._id.append(eid)
         self._inst.append(inst)
-        self._tail.append(code)
+        self._tail.append(self._tails[transition, nodes, cpus, gpus, stage, pipeline])
 
     def save(self, path) -> None:
         """Write one line per event, in batches, so the file's text is
@@ -268,9 +286,6 @@ class TraceSink:
                 j = i + _SAVE_BATCH
                 pieces = []
                 for t, entity, eid, inst, code in zip(*(col[i:j] for col in columns)):
-                    if code < 0:
-                        pieces.append(_encode(self._odd[~code]) + "\n")
-                        continue
                     if t != prev or t == 0.0:       # 0.0 == -0.0, but repr tells them apart
                         prev, time = t, f'{{"t":{t!r},"entity":'
                     head = heads[inst]
@@ -282,9 +297,9 @@ class TraceSink:
 
 def load_trace(path) -> list[TraceEvent]:
     """Read a trace written by ``TraceSink.save``, or any file with one
-    JSON object per line; blank lines are skipped.  Entity kinds,
-    transitions, stages and pipelines are interned, so a loaded trace
-    shares one copy of each."""
+    JSON object per line that follows the type rule; blank lines are
+    skipped.  Entity kinds, transitions, stages and pipelines are
+    interned, so a loaded trace shares one copy of each."""
     events = []
     append = events.append
     head = _HEAD.match
@@ -320,13 +335,7 @@ def merge_traces(traces: Iterable[list[TraceEvent]]) -> list[TraceEvent]:
 # 1 queued tasks, 2 running tasks), and those that take it out of its count.
 _ENTERS = {"node": {"busy": 0}, "task": {"pending": 1, "running": 2}}
 _LEAVES = {"node": {"idle"}, "task": TERMINAL_TASK_STATES}
-
-
-def _tail_table(sink: TraceSink) -> list[tuple]:
-    """The sink's tails by code, then the odd events' tails in reverse, so
-    that tail code ~i, a negative index, finds odd event i's tail."""
-    return list(sink._tails) + [(ev.transition, ev.nodes, ev.cpus, ev.gpus, ev.stage,
-                                 ev.pipeline) for ev in reversed(sink._odd)]
+MAX_BUCKETS = 10**6     # utilization buckets one run may be cut into
 
 
 @dataclass
@@ -375,11 +384,15 @@ class Timeline:
     def utilization(self, bucket_width_s: float | None = None) -> UtilizationSeries:
         """Node-granularity utilization: a node counts busy while any of its
         slots is occupied by a running task.  Each step is spread over the
-        buckets it covers; the default bucket width is makespan / 200."""
+        buckets it covers; the default bucket width is makespan / 200.
+        ValueError for more than MAX_BUCKETS buckets."""
         if bucket_width_s is not None and not 0 < bucket_width_s < math.inf:
             raise ValueError(f"bucket width must be positive and finite: {bucket_width_s!r}")
         t_start = self.t_start
         span = float(self.times[-1]) - t_start
+        if bucket_width_s is not None and span / bucket_width_s > MAX_BUCKETS:
+            raise ValueError(f"bucket width {bucket_width_s:g} cuts the {span:g} s run into "
+                             f"more than {MAX_BUCKETS} buckets")
         if self.total_nodes == 0 or span <= 0:
             return UtilizationSeries(bucket_width_s or 0.0, [], [])
         width = span / 200.0 if bucket_width_s is None else bucket_width_s
@@ -427,8 +440,7 @@ def event_rows(trace):
     its columns, a list's from its TraceEvents."""
     if not isinstance(trace, TraceSink):
         return ((ev.t, ev.entity, ev.entity_id, ev.transition, ev.nodes) for ev in trace)
-    tails = _tail_table(trace)
-    transitions, nodes = [tail[0] for tail in tails], [tail[1] for tail in tails]
+    transitions, nodes = [tail[0] for tail in trace._tails], [tail[1] for tail in trace._tails]
     return zip(trace._t, trace._entity, trace._id, [transitions[code] for code in trace._tail],
                [nodes[code] for code in trace._tail])
 
@@ -539,7 +551,7 @@ def stage_tasks(trace) -> dict:
             return (stages.get(stage) or stages.setdefault(stage, ([], [], [])))[k].append, k == 2
 
     if isinstance(trace, TraceSink):
-        by_code = [joins(tail[0], tail[4]) for tail in _tail_table(trace)]
+        by_code = [joins(tail[0], tail[4]) for tail in trace._tails]
         rows = zip(trace._t, trace._entity, trace._id, map(by_code.__getitem__, trace._tail))
     else:
         rows = ((ev.t, ev.entity, ev.entity_id, joins(ev.transition, ev.stage)) for ev in trace)

@@ -9,6 +9,7 @@ import pytest
 
 from funnelsim.cli import MAX_BUCKETS, _trace_metrics, load_config, main, parse_cost_model
 from funnelsim.engine import Engine, run_campaign
+from funnelsim.errors import TraceError
 from funnelsim.overlay import MasterConfig
 from funnelsim.trace import TraceEvent, TraceSink, load_trace, stage_tasks, stage_throughput
 from funnelsim.workload import StageCost
@@ -366,21 +367,34 @@ class TestReport:
     @pytest.mark.parametrize("lines, text", [
         (['{"t":0.0,"entity":"pilot","id":"p","transition":"acquired","nodes":2}',
           '{"t":Infinity,"entity":"pilot","id":"p","transition":"released"}'],
-         "trace event 2 (pilot p released): t must be a finite number, got Infinity"),
+         "bad trace line 2: t must be a finite number, got Infinity"),
         (['{"t":0.0,"entity":"pilot","id":"p","transition":"acquired","nodes":"2"}',
           '{"t":2.0,"entity":"pilot","id":"p","transition":"released"}'],
-         'trace event 1 (pilot p acquired): nodes must be an integer or null, got "2"'),
+         'bad trace line 1: nodes must be an integer or null, got "2"'),
         (['{"t":0.0,"entity":"task","id":"a","transition":"pending","stage":"S1"}',
           '{"t":0.0,"entity":"task","id":"b","transition":"pending","stage":5}'],
-         "trace event 2 (task b pending): stage must be a string or null, got 5"),
+         "bad trace line 2: stage must be a string or null, got 5"),
         # Unchecked, this NaN made overhead.json read total_node_s 0.0, not 3.0.
         (['{"t":0.0,"entity":"pilot","id":"p","transition":"acquired","nodes":2}',
           '{"t":0.0,"entity":"node","id":"p/0","transition":"busy"}',
           '{"t":1.0,"entity":"node","id":"p/0","transition":"idle"}',
           '{"t":2.0,"entity":"pilot","id":"p","transition":"released"}',
           '{"t":NaN,"entity":"task","id":"a","transition":"pending"}'],
-         "trace event 5 (task a pending): t must be a finite number, got NaN"),
-    ], ids=["inf_time", "string_nodes", "int_and_str_stages", "nan_time"])
+         "bad trace line 5: t must be a finite number, got NaN"),
+        # Cast with str() and float(), these lines read as one task "None"
+        # that ran from t=1.0, and report gave S1 1 /s and exit 0.
+        (['{"t":true,"entity":"task","id":null,"transition":"pending","stage":"S1"}',
+          '{"t":1.0,"entity":"task","id":"None","transition":"running","stage":"S1"}',
+          '{"t":2.0,"entity":"task","id":"None","transition":"done","stage":"S1"}'],
+         "bad trace line 1: t must be a finite number, got true"),
+        (['{"t":1.0,"entity":"task","id":null,"transition":"pending","stage":"S1"}'],
+         "bad trace line 1: id must be a string, got null"),
+        # A time too large for a float: an OverflowError traceback and exit 1.
+        (['{"t":0.0,"entity":"pilot","id":"p","transition":"acquired","nodes":2}',
+          '{"t":1' + "0" * 400 + ',"entity":"pilot","id":"p","transition":"released"}'],
+         "bad trace line 2: t must be a finite number, got 1" + "0" * 400),
+    ], ids=["inf_time", "string_nodes", "int_and_str_stages", "nan_time", "true_time",
+            "null_id", "huge_int_time"])
     def test_unreadable_trace_exits_2(self, lines, text, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
         trace.write_text("".join(line + "\n" for line in lines))
@@ -434,9 +448,9 @@ def flag_mode_sink():
     """A trace with illegal steps: tasks that run before they are born,
     end twice or never run, a stage that never completes a task, a stage
     whose tasks all end at one time, an empty stage tag, and worker and
-    pipeline events that name a stage.  Its last task's events are not
-    exactly typed (an int time, a numpy or bool count), so the sink keeps
-    them as objects of their own."""
+    pipeline events that name a stage.  Its last task's events are first
+    offered with types that break the type rule (an int time, a numpy or
+    bool count), which the sink refuses and does not keep."""
     sink = TraceSink(mode="flag")
     steps = [
         (0.0, "task", "p0.S3FG.c0003.r0", "pending", "S3FG"),
@@ -463,10 +477,17 @@ def flag_mode_sink():
     for t, entity, eid, transition, stage in steps:
         sink.record(TraceEvent(t, entity, eid, transition, stage=stage, pipeline="p0"))
     odd = "p0.S3FG.c0009.r0"
-    sink.record(TraceEvent(5, "task", odd, "pending", stage="S3FG", pipeline="p0"))
-    sink.record(TraceEvent(6.0, "task", odd, "running", nodes=np.int64(1), stage="S3FG"))
-    sink.record(TraceEvent(7.5, "task", odd, "done", cpus=True, stage="S3FG", pipeline="p0"))
-    assert sink.flagged and len(sink._odd) == 3
+    for typed, given in [(dict(t=5.0), dict(t=5)), (dict(nodes=1), dict(nodes=np.int64(1))),
+                         (dict(cpus=1), dict(cpus=True))]:
+        kept = len(sink)
+        with pytest.raises(TraceError, match=f"^task {odd}: {next(iter(given))} must be"):
+            sink.record(TraceEvent(**{**dict(t=5.0, entity="task", entity_id=odd,
+                                             transition="pending", stage="S3FG"), **given}))
+        assert len(sink) == kept
+    sink.record(TraceEvent(5.0, "task", odd, "pending", stage="S3FG", pipeline="p0"))
+    sink.record(TraceEvent(6.0, "task", odd, "running", nodes=1, stage="S3FG"))
+    sink.record(TraceEvent(7.5, "task", odd, "done", cpus=1, stage="S3FG", pipeline="p0"))
+    assert sink.flagged
     return sink
 
 

@@ -9,13 +9,16 @@ import time
 from contextlib import contextmanager
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from funnelsim.campaign import (CampaignSpec, FixedDuration, HookSpec,
-                                PipelineSpec, StageSpec, TaskDescriptor)
+                                PipelineSpec, StageSpec, TaskDescriptor, validate_campaign)
+from funnelsim.cli import main
 from funnelsim.engine import Engine, run_campaign, run_executor
 from funnelsim.errors import ConfigError, StateError
 from funnelsim.overlay import MasterConfig
 from funnelsim.pilot import PilotSpec
+from funnelsim.trace import TraceSink
 from funnelsim.workload import FunnelConfig, build_funnel_campaign, select_top_k
 
 
@@ -189,6 +192,53 @@ class TestNaNTimes:
         s1.params["duration"] = replace(s1.params["duration"], node_seconds=float("nan"))
         with alarm(5), pytest.raises(StateError, match="task p0.S1.L"):
             run_campaign(spec)
+
+
+class TestTraceTypes:
+    """A campaign that validation accepts records only events that follow
+    the trace's type rule; an ill-typed id or count is a ConfigError
+    before the first event."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("cpus", np.int64(1)), ("cpus", True), ("gpus", np.int32(0)), ("nodes", 1.0),
+        ("task_id", 7), ("stage_tag", None)])
+    def test_ill_typed_task_is_config_error(self, field, value):
+        # With cpus=np.int64(1) the run went through and save raised
+        # TypeError; with cpus=True it wrote "cpus":true.
+        bad = TaskDescriptor(**{"task_id": "t1", "duration_model": FixedDuration(1.0),
+                                field: value})
+        spec = CampaignSpec([PipelineSpec("p", [StageSpec("s", [task("t0"), bad])])], pilot())
+        assert [(v.code, v.message) for v in validate_campaign(spec)] == \
+            [("type", f"{field} must be {type(getattr(TaskDescriptor('x'), field)).__name__}, "
+                      f"got {value!r}")]
+        sink = TraceSink()
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            run_executor(pilot(), [task("t0"), bad], sink=sink)
+        assert len(sink) == 0
+
+    @pytest.mark.parametrize("field", ["nodes", "cpus_per_node", "gpus_per_node"])
+    def test_ill_typed_pilot_count_is_config_error(self, field):
+        res = pilot(**{field: np.int64(4)})
+        assert res.validate() == [f"{field} must be int, got {np.int64(4)!r}"]
+        with pytest.raises(ConfigError, match=field):
+            run_executor(res, [task("t0")])
+
+    def test_ill_typed_pipeline_id_and_infinite_walltime_are_violations(self):
+        spec = CampaignSpec([PipelineSpec(3, [StageSpec("s", [task("t0")])])],
+                            pilot(walltime_s=float("inf")))
+        assert sorted(v.code for v in validate_campaign(spec)) == ["resource", "type"]
+
+    def test_int_resource_times_and_numpy_duration_give_float_times(self, tmp_path):
+        res = pilot(bootstrap_s=2, walltime_s=100, sched_gap_s=np.float64(0.5))
+        tasks = [TaskDescriptor(f"t{i}", duration_model=FixedDuration(np.float64(1.0)))
+                 for i in range(3)] + [task("late", dur=500.0)]
+        r = run_executor(res, tasks)
+        assert r.walltime_hit
+        assert {type(ev.t) for ev in r.sink.events} == {float}
+        trace = tmp_path / "trace.jsonl"
+        r.sink.save(trace)
+        assert main(["report", "--trace", str(trace), "--out", str(tmp_path / "rep"),
+                     "--quiet"]) == 0
 
 
 class TestOverlayStage:

@@ -13,7 +13,7 @@ import pytest
 from funnelsim.campaign import (CampaignSpec, PipelineSpec, SampledDuration, StageSpec,
                                 TaskDescriptor)
 from funnelsim.cli import load_config
-from funnelsim.engine import run_campaign
+from funnelsim.engine import run_campaign, run_overlay
 from funnelsim.overlay import MasterConfig
 from funnelsim.pilot import PilotSpec
 from funnelsim.trace import CANONICAL_LINE
@@ -37,12 +37,20 @@ PROPERTY_TRIAL_SHA256 = [
 ]
 NEARLY_FULL_PILOT_SHA256 = "044cdee63318817285e3ba71dcec15779f096374f8e3725401de42f475126e17"
 WALLTIME_CUT_SHA256 = "f7833027efa1ee09b3e27b83391d1a7ba5b6744475239115b2503646cf3feb9c"
+OVERLAY_FANOUT_SHA256 = "ed4ad18ec985b6cbebca07f86680e037f3522286ae48469db9e913cab4238467"
 
 
 def trace_sha256(result, tmp_path):
+    """The saved trace's digest.  Every line must also be canonical:
+    load_trace parses any other line with json.loads, which is correct but
+    slower, and a format change must not make that the common case
+    unnoticed."""
     path = tmp_path / "trace.jsonl"
     result.sink.save(path)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    data = path.read_bytes()
+    lines = data.decode("utf-8").splitlines(keepends=True)
+    assert [line for line in lines if not CANONICAL_LINE.fullmatch(line)] == []
+    return hashlib.sha256(data).hexdigest()
 
 
 def run_overlay_funnel():
@@ -57,17 +65,6 @@ def test_overlay_funnel_trace_pinned(tmp_path):
     r = run_overlay_funnel()
     assert len(r.sink.events) == 3257
     assert trace_sha256(r, tmp_path) == OVERLAY_FUNNEL_SHA256
-
-
-def test_saved_lines_take_the_loader_fast_path(tmp_path):
-    # load_trace parses a line that misses CANONICAL_LINE with json.loads,
-    # which is correct but slower; a format change must not make that the
-    # common case unnoticed.
-    path = tmp_path / "trace.jsonl"
-    run_overlay_funnel().sink.save(path)
-    with open(path, encoding="utf-8") as fh:
-        missed = [line for line in fh if not CANONICAL_LINE.fullmatch(line)]
-    assert missed == []
 
 
 @pytest.mark.parametrize("trial", range(5))
@@ -156,3 +153,16 @@ def test_walltime_cut_trace_pinned(tmp_path):
     stopped = {ev.entity for ev in r.sink.events if ev.t == 30.0 and ev.transition == "stopped"}
     assert stopped == {"master", "worker"}
     assert trace_sha256(r, tmp_path) == WALLTIME_CUT_SHA256
+
+
+def test_overlay_fanout_trace_pinned(tmp_path):
+    # The benchmark's overlay_fanout run: heavy-tailed function tasks
+    # through a 4 x 256 overlay with bulks of 128 on 32 cpu-only nodes.
+    dur = SampledDuration("FN", 2.0, 1.0, "lognormal", (1.0,))
+    tasks = [TaskDescriptor(f"fn.{i:06d}", kind="function", stage_tag="FN", cpus=1,
+                            duration_model=dur) for i in range(32768)]
+    r = run_overlay(PilotSpec(nodes=32, cpus_per_node=42, gpus_per_node=0, walltime_s=1e12),
+                    MasterConfig(n_masters=4, workers_per_master=256, bulk_size=128),
+                    tasks, seed=0, time_scale=1.0)
+    assert len(r.sink) == 135489
+    assert trace_sha256(r, tmp_path) == OVERLAY_FANOUT_SHA256

@@ -12,10 +12,11 @@ from funnelsim.cli import load_config
 from funnelsim.engine import run_campaign, run_executor
 from funnelsim.errors import InputError, TraceError
 from funnelsim.pilot import PilotSpec
-from funnelsim.trace import (LEGAL_GRAPHS, TERMINAL_TASK_STATES, OverheadReport, Timeline,
-                             TraceEvent, TraceSink, UtilizationSeries,
-                             busy_node_seconds, load_trace, merge_traces, overhead,
-                             peak_concurrency, stage_throughput, timeline, utilization)
+from funnelsim.trace import (CANONICAL_LINE, LEGAL_GRAPHS, MAX_BUCKETS, TERMINAL_TASK_STATES,
+                             OverheadReport, Timeline, TraceEvent, TraceSink, UtilizationSeries,
+                             _rule_break, busy_node_seconds, event_from_json, load_trace,
+                             merge_traces, overhead, peak_concurrency, stage_throughput,
+                             timeline, utilization)
 from funnelsim.workload import FunnelConfig, build_funnel_campaign
 
 from test_pinned_traces import run_overlay_funnel
@@ -231,7 +232,34 @@ class TestJsonlFormat:
 # ---------------------------------------------------------------------------
 # The codec and the legality check against straightforward references: the
 # dict-and-json.dumps encoder, the per-line json.loads loader and the
-# graph-walking record that the trace module used before its fast paths.
+# graph-walking record that the trace module used before its fast paths,
+# each refusing an event that breaks the type rule, field by field.
+
+def reference_rule_break(e, show=repr):
+    """The first field of ``e``, in trace.jsonl order, that breaks the type
+    rule, with what it must be; None if none does."""
+    for key, value in [("t", e.t), ("entity", e.entity), ("id", e.entity_id),
+                       ("transition", e.transition), ("nodes", e.nodes), ("cpus", e.cpus),
+                       ("gpus", e.gpus), ("stage", e.stage), ("pipeline", e.pipeline)]:
+        if key == "t":
+            ok, kind = type(value) is float and math.isfinite(value), "a finite number"
+        elif key in ("entity", "id", "transition"):
+            ok, kind = type(value) is str, "a string"
+        elif key in ("nodes", "cpus", "gpus"):
+            ok, kind = value is None or type(value) is int, "an integer or null"
+        else:
+            ok, kind = value is None or type(value) is str, "a string or null"
+        if not ok:
+            return f"{key} must be {kind}, got {show(value)}"
+    return None
+
+
+def refuse_rule_break(e):
+    """TraceError, as a sink raises it, if ``e`` breaks the type rule."""
+    why = reference_rule_break(e)
+    if why is not None:
+        raise TraceError(f"{e.entity} {e.entity_id}: {why}")
+
 
 def reference_to_json(e):
     rec = {"t": e.t, "entity": e.entity, "id": e.entity_id, "transition": e.transition}
@@ -250,24 +278,34 @@ def reference_load(path):
                 continue
             try:
                 rec = json.loads(line)
-                events.append(TraceEvent(
-                    t=float(rec["t"]), entity=str(rec["entity"]),
-                    entity_id=str(rec["id"]), transition=str(rec["transition"]),
-                    nodes=rec.get("nodes"), cpus=rec.get("cpus"), gpus=rec.get("gpus"),
-                    stage=rec.get("stage"), pipeline=rec.get("pipeline")))
+                e = TraceEvent(
+                    t=rec["t"], entity=rec["entity"], entity_id=rec["id"],
+                    transition=rec["transition"], nodes=rec.get("nodes"), cpus=rec.get("cpus"),
+                    gpus=rec.get("gpus"), stage=rec.get("stage"), pipeline=rec.get("pipeline"))
             except (ValueError, KeyError, TypeError) as exc:
                 raise InputError(f"bad trace line {lineno}: {exc}", line=lineno) from exc
+            if type(e.t) is int:
+                try:
+                    e.t = float(e.t)
+                except OverflowError:
+                    pass
+            why = reference_rule_break(e, json.dumps)
+            if why is not None:
+                raise InputError(f"bad trace line {lineno}: {why}", line=lineno)
+            events.append(e)
     return events
 
 
 class ReferenceSink:
     """Legality as a walk of LEGAL_GRAPHS; ``record`` returns the message
-    of an illegal event, or None."""
+    of an illegal event, or None, and raises TraceError for an event that
+    breaks the type rule."""
 
     def __init__(self):
         self._last = {}
 
     def record(self, e):
+        refuse_rule_break(e)
         graph = LEGAL_GRAPHS.get(e.entity)
         if graph is None:
             return f"{e.entity} {e.entity_id}: unknown entity kind {e.entity!r}"
@@ -334,11 +372,12 @@ def loaded(fn, path):
 
 
 def random_events(n):
-    """Random events that the reference encoder accepts (numpy ints are
-    not JSON, so events that carry one are left out)."""
+    """Random events, split into those that follow the type rule and those
+    that break it."""
     rng = np.random.default_rng(11)
     events = [random_event(rng) for _ in range(n)]
-    return [e for e in events if outcome(reference_to_json, e)[0] == "ok"]
+    good = [e for e in events if reference_rule_break(e) is None]
+    return good, [e for e in events if reference_rule_break(e) is not None]
 
 
 class TestCodec:
@@ -350,13 +389,21 @@ class TestCodec:
 
     def test_save_and_load_match_the_references(self, tmp_path):
         # save shares one cache of quoted strings across all its events.
+        good, bad = random_events(3000)
+        assert len(good) > 1500 and len(bad) > 1000
         sink = TraceSink()
-        sink.events = random_events(3000)
+        sink.events = good
         path = tmp_path / "t.jsonl"
         sink.save(path)
         assert path.read_text(encoding="utf-8") == \
-            "".join(reference_to_json(e) + "\n" for e in sink.events)
-        assert loaded(load_trace, path) == loaded(reference_load, path)
+            "".join(reference_to_json(e) + "\n" for e in good)
+        assert loaded(load_trace, path) == loaded(reference_load, path) == \
+            ("ok", [repr(e) for e in good])
+        for e in bad[:100]:
+            # Refused whole, and the events before are kept.
+            assert outcome(setattr, sink, "events", [good[0], e])[:2] == \
+                outcome(refuse_rule_break, e)[:2], repr(e)
+            assert len(sink) == len(good)
 
     @pytest.mark.parametrize("variant", [
         "{canon}", " {canon}", "{canon}  ", "{canon}\r{canon}", "\t{canon}\t", "{canon}\r", "{canon}\r\r", "",
@@ -435,9 +482,12 @@ BAD_HEADS = ['{"t":1,"entity":"task","id":"a"', '{"t":1.0,"entity":"task","id":"
              '{"t":1.0,"entity":"task","id":"a\\u00e9"', '{"t":1.0,"entity":"task","id":"é"']
 GOOD_TAILS = ['"pending","stage":"S1","pipeline":"p0"}', '"busy"}',
               '"running","nodes":1,"cpus":2,"gpus":0,"stage":"S1","pipeline":"p0"}']
-BAD_TAILS = ['"running","nodes":1.0}', '"running","nodes":-0}', '"pending","stage":"S\\u00e9"}',
-             '"pending","stage":"é"}', '"pending", "stage":"S1"}',
-             '"pending","pipeline":"p0","stage":"S1"}', '"pending"} ']
+BAD_TAILS = ['"running","gpus":0,"nodes":1}', '"running","nodes":-0}',
+             '"pending","stage":"S\\u00e9"}', '"pending","stage":"é"}',
+             '"pending", "stage":"S1"}', '"pending","pipeline":"p0","stage":"S1"}', '"pending"} ']
+# Tails json.loads reads but whose values break the type rule.
+RULE_BREAKING_TAILS = ['"running","nodes":1.0}', '"running","cpus":true}', '"pending","stage":7}',
+                       '"pending","pipeline":null,"gpus":"1"}']
 
 
 def write_lines(path, lines, ending="\n"):
@@ -458,26 +508,32 @@ class TestCodecCaches:
            ("entity", True), ("entity", 1), ("t", 2), ("t", True), ("t", np.float64(2.5)),
            ("entity_id", 1), ("entity_id", True)]
 
-    def test_save_keeps_equal_keys_of_other_types_apart(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        sink = TraceSink()
-        events = []
-        for field, value in self.ODD:
-            plain, odd = trace_event(), trace_event(**{field: value})
-            events += [plain, odd, trace_event(t=3.0), odd]
-        sink.events = [e for e in events if outcome(reference_to_json, e)[0] == "ok"]
-        assert len(sink.events) < len(events)
-        sink.save(path)
-        assert path.read_text(encoding="utf-8") == \
-            "".join(reference_to_json(e) + "\n" for e in sink.events)
-        assert loaded(load_trace, path) == loaded(reference_load, path)
-        for e in events:
-            # An event json cannot write fails the save, also after an equal
-            # key went into the cache.
-            sink.events = [trace_event(), e]
-            want = outcome(reference_to_json, e)
-            if want[0] != "ok":
-                assert outcome(sink.save, path)[:2] == want[:2], repr(e)
+    @pytest.mark.parametrize("field, value", ODD, ids=[f"{f}={v!r}" for f, v in ODD])
+    def test_equal_keys_of_other_types_refused_alike(self, field, value, tmp_path):
+        plain = trace_event(transition="pending")
+        odd = trace_event(**{"entity_id": "b", "transition": "pending", field: value})
+        want = outcome(refuse_rule_break, odd)
+        assert (want[0] == "ok") == ((field, value) == ("stage", "1"))
+        path, old_path = tmp_path / "t.jsonl", tmp_path / "old.jsonl"
+        for mode in ("reject", "flag"):
+            # With the plain event's tail cached, both sinks refuse the odd
+            # event in either mode, or keep it apart from the plain one.
+            new, old = TraceSink(mode), ListSink(mode)
+            new.record(plain)
+            old.record(plain)
+            assert outcome(new.record, odd)[:2] == outcome(old.record, odd)[:2] == want[:2]
+            new.save(path)
+            old.save(old_path)
+            assert path.read_bytes() == old_path.read_bytes()
+            assert loaded(load_trace, path) == ("ok", [repr(e) for e in old.events])
+        # Both loaders refuse the line json writes for it, naming the line;
+        # an int or a numpy float time reads back as a float.
+        if outcome(reference_to_json, odd)[0] == "ok":
+            write_lines(path, [reference_to_json(e) for e in (plain, odd, plain)])
+            got = loaded(load_trace, path)
+            assert got == loaded(reference_load, path)
+            readable = field == "t" and value is not True or want[0] == "ok"
+            assert got[0] == "ok" if readable else got[:1] + got[2:] == ("InputError", 2)
 
     def test_one_tail_after_many_heads(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -520,13 +576,66 @@ class TestCodecCaches:
         assert got == loaded(reference_load, path)
 
     @pytest.mark.parametrize("first", [GOOD_TAILS[0], BAD_TAILS[0]])
-    def test_unreadable_line_after_a_cached_tail_names_its_line(self, first, tmp_path):
+    @pytest.mark.parametrize("last", ['"running","nodes":01}', *RULE_BREAKING_TAILS])
+    def test_unreadable_line_after_a_cached_tail_names_its_line(self, first, last, tmp_path):
         path = tmp_path / "t.jsonl"
         write_lines(path, [GOOD_HEADS[0] + SEP + first, GOOD_HEADS[1] + SEP + first,
-                           GOOD_HEADS[2] + SEP + '"running","nodes":01}'])
+                           GOOD_HEADS[2] + SEP + last])
         got = loaded(load_trace, path)
         assert got[:1] == ("InputError",) and got[2] == 3
         assert got == loaded(reference_load, path)
+
+
+class TestTypeRule:
+    """``record``'s inline check, the helper that names the bad field and
+    the reference agree on every odd value, in every field."""
+
+    FIELDS = ["t", "entity", "entity_id", "transition", "nodes", "cpus", "gpus", "stage",
+              "pipeline"]
+    VALUES = ODD_TIMES + ODD_COUNTS + NOT_STRINGS + ODD_STRINGS + [
+        value for _, value in TestCodecCaches.ODD]
+
+    def test_inline_check_and_helper_agree(self):
+        refused = 0
+        for field in self.FIELDS:
+            for value in self.VALUES:
+                e = trace_event(**{"transition": "pending", field: value})
+                why = _rule_break(e)
+                assert why == reference_rule_break(e), repr(e)
+                # In flag mode only the type rule raises.
+                got = outcome(TraceSink(mode="flag").record, e)
+                assert got[:2] == (("ok", None) if why is None else
+                                   ("TraceError", f"{e.entity} {e.entity_id}: {why}")), repr(e)
+                refused += why is not None
+        assert 0 < refused < len(self.FIELDS) * len(self.VALUES)
+
+    def test_canonical_times_are_finite(self):
+        # Every float repr from 1e-99 up to 1e100 takes load_trace's fast
+        # path; a time the bounded pattern misses reads through json.loads.
+        rng = np.random.default_rng(3)
+        for exp in range(-99, 100):
+            for t in (10.0 ** exp, (1 + 9 * float(rng.random())) * 10.0 ** exp, -(10.0 ** exp)):
+                line = ev(t, "task", "a", "pending").to_json()
+                assert CANONICAL_LINE.fullmatch(line), line
+        for text in ["1e100", "1" + "0" * 16 + ".0", "1.5e+308", "5e-324", "1.0e-100"]:
+            line = f'{{"t":{text},"entity":"task","id":"a","transition":"pending"}}'
+            assert not CANONICAL_LINE.fullmatch(line)
+            assert event_from_json(line).t == float(text)
+
+    @pytest.mark.parametrize("t, why", [
+        ("1" + "0" * 400, "t must be a finite number, got 1" + "0" * 400),
+        ("1e400", "t must be a finite number, got Infinity"),
+        ("-Infinity", "t must be a finite number, got -Infinity"),
+        ("true", "t must be a finite number, got true"),
+        ("null", "t must be a finite number, got null"),
+        ("12", None), ("-0", None)])
+    def test_loader_reads_an_int_time_as_a_float(self, t, why):
+        line = f'{{"t":{t},"entity":"task","id":"a","transition":"pending"}}'
+        got = outcome(event_from_json, line, 4)
+        if why is None:
+            assert got[0] == "ok" and repr(got[1].t) == repr(float(int(t)))
+        else:
+            assert got == ("InputError", f"bad trace line 4: {why}", 4)
 
 
 class TestCollectorPaused:
@@ -616,17 +725,20 @@ class TestRecordAgainstReference:
                 t += float(rng.integers(0, 2))
                 when = t
             e = ev(when, entity, eid, transition)
-            why = ref.record(e)
+            want = outcome(ref.record, e)
+            refused = want[0] != "ok"
             try:
                 sink.record(e)
                 got = None
             except TraceError as exc:
                 got = str(exc)
-            assert got == why, repr(e)
-            flag.record(e)
-            if why is not None:
+            assert got == want[1], repr(e)
+            # A NaN time breaks the type rule: refused in flag mode too.
+            assert outcome(flag.record, e)[:2] == (want[:2] if refused else ("ok", None))
+            if not refused and want[1] is not None:
                 expect_flagged.append(e)
         assert flag.flagged == expect_flagged
+        assert 0 < len(expect_flagged) and len(flag) < 3000
 
 
 # ---------------------------------------------------------------------------
@@ -965,11 +1077,22 @@ class TestMetricsAgainstReference:
         with pytest.raises(ValueError, match="bucket width"):
             utilization(events, width)
 
+    def test_bucket_limit(self):
+        # Refused before any edge is built: 1,000,010 buckets took about a
+        # second to build and sum.
+        run = timeline([pilot(), ev(4.0, "pilot", "p", "released")])
+        assert len(run.utilization(4.0 / MAX_BUCKETS).t0s) == MAX_BUCKETS
+        width = 4.0 / (MAX_BUCKETS + 10)
+        with pytest.raises(ValueError, match=f"^bucket width {width:g} cuts the 4 s run into "
+                                             f"more than {MAX_BUCKETS} buckets$"):
+            run.utilization(width)
+
 
 # ---------------------------------------------------------------------------
 # The column sink against the list sink the trace module had before: record
 # kept each TraceEvent in a list, and save wrote one line per event, which
-# TestCodec pins to the dict-and-json.dumps encoder.
+# TestCodec pins to the dict-and-json.dumps encoder.  Both refuse an event
+# that breaks the type rule, in either mode.
 
 class ListSink:
     _STEPS = frozenset((entity, prev, nxt) for entity, graph in LEGAL_GRAPHS.items()
@@ -982,6 +1105,7 @@ class ListSink:
         self._last = {}
 
     def record(self, event):
+        refuse_rule_break(event)
         key = (event.entity, event.entity_id)
         prev_t, prev_tr = self._last.get(key, (-math.inf, None))
         if (event.entity, prev_tr, event.transition) in self._STEPS and not event.t < prev_t:
@@ -1007,8 +1131,8 @@ class ListSink:
 
 def legality_stream(rng, n):
     """The random events of TestRecordAgainstReference: mostly legal steps
-    of a few entities, with unknown kinds, NaN times and times that go
-    back."""
+    of a few entities, with unknown kinds, NaN times (which break the type
+    rule) and times that go back."""
     ref = ReferenceSink()
     transitions = TestRecordAgainstReference.TRANSITIONS
     t = 0.0
@@ -1030,7 +1154,7 @@ def legality_stream(rng, n):
             t += float(rng.integers(0, 2))
             when = t
         e = ev(when, entity, eid, transition, stage=f"S{int(rng.integers(3))}")
-        ref.record(e)
+        outcome(ref.record, e)
         yield e
 
 
@@ -1046,7 +1170,8 @@ def assert_same_timeline(a, b):
 class TestSinkAgainstListSink:
     """Recording, the events view, flagged events, error texts and saved
     bytes are those of the list sink, for legal, illegal and odd-typed
-    events in both modes, also after the events are replaced."""
+    events in both modes, also after the events are replaced.  Both refuse
+    every odd-typed event."""
 
     def run_both(self, events, mode, tmp_path, replace_at=None):
         new, old = TraceSink(mode), ListSink(mode)
@@ -1084,13 +1209,16 @@ class TestSinkAgainstListSink:
         self.run_both(events, mode, tmp_path, replace_at=700 if seed == 2 else None)
 
     def test_codec_events_assigned(self, tmp_path):
-        events = random_events(3000)
+        events, bad = random_events(3000)
         new, old = TraceSink(), ListSink()
         new.events, old.events = events, list(events)
         assert [repr(e) for e in new.events] == [repr(e) for e in events]
         new.save(tmp_path / "new.jsonl")
         old.save(tmp_path / "old.jsonl")
         assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+        with pytest.raises(TraceError):
+            new.events = events + bad[:1]
+        assert len(new) == len(events)
 
     @pytest.mark.parametrize("name", RUN_TRACES + sorted(HAND_MADE))
     def test_timeline_of_sink_equals_timeline_of_list(self, name, run_traces):
@@ -1149,8 +1277,9 @@ def walk_timeline(trace):
 
 class TestTimelineAgainstWalk:
     """The timeline of a sink's columns and of a list equals the walk over
-    events exactly, also on flag-mode traces with repeated steps, NaN
-    times and events out of time order."""
+    events exactly, also on flag-mode traces with repeated steps and
+    events out of time order, and on lists with NaN times, which a sink
+    refuses."""
 
     @pytest.mark.parametrize("name", RUN_TRACES + sorted(HAND_MADE))
     def test_traces(self, name, run_traces):
@@ -1162,9 +1291,10 @@ class TestTimelineAgainstWalk:
         events = list(legality_stream(np.random.default_rng(200 + seed), 3000))
         if seed % 2:
             events[0] = ev(math.nan, "node", "n0", "busy")
+        assert_same_timeline(timeline(events), walk_timeline(events))
         sink = TraceSink(mode="flag")
-        for e in events:
-            sink.record(e)
-        want = walk_timeline(events)
-        assert_same_timeline(timeline(events), want)
+        kept = [e for e in events if outcome(sink.record, e)[0] == "ok"]
+        assert len(kept) == sum(not math.isnan(e.t) for e in events) < len(events)
+        want = walk_timeline(kept)
+        assert_same_timeline(timeline(kept), want)
         assert_same_timeline(timeline(sink), want)
