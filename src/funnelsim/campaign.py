@@ -171,11 +171,11 @@ def validate_campaign(spec: CampaignSpec) -> list[Violation]:
                     out.append(Violation("duplicate_id", task.task_id,
                                          "task_id reused within the campaign"))
                 seen.add(task.task_id)
-                out.extend(_validate_task(task, pilot, pipe.pipeline_id))
+                out.extend(_validate_task(task, pilot))
     return out
 
 
-def _validate_task(task: TaskDescriptor, pilot: PilotSpec, pipeline_id: str) -> list[Violation]:
+def _validate_task(task: TaskDescriptor, pilot: PilotSpec) -> list[Violation]:
     if not (type(task.task_id) is type(task.stage_tag) is str
             and type(task.cpus) is type(task.gpus) is type(task.nodes) is int):
         return [Violation("type", str(task.task_id), f"{name} must be {cls.__name__}, got {v!r}")

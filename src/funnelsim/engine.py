@@ -136,6 +136,11 @@ class Engine:
 
     def _start_stage(self, pid: str, state: cm.PipelineState, t: float):
         stage = state.current_stage()
+        if stage.materialize is not None:   # validate_campaign never saw these tasks
+            bad = "; ".join(str(v) for task in state.current_tasks()
+                            for v in cm._validate_task(task, self.spec.resource))
+            if bad:
+                raise ConfigError(f"stage {pid}/{stage.stage_id} built invalid tasks: {bad}")
         self._ev(t, "stage", f"{pid}/{stage.stage_id}", "started", pipeline=pid)
         pool = self._pending[pid]
         shapes = self._pool_shapes[pid]

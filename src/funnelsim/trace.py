@@ -10,10 +10,10 @@ type rule (a finite float time; str entity, id and transition; int, not
 bool, or None nodes, cpus and gpus; str or None stage and pipeline), so
 the metrics and ``save`` read every event they hand on.
 
-A TraceSink keeps columns, not events: per event its time, entity, id,
-an instance code per distinct (entity, id) and a tail code per distinct
-(transition, nodes, cpus, gpus, stage, pipeline).  ``save`` encodes each
-run of equal times, each instance's entity and id and each tail once.
+A TraceSink keeps columns, not events: per event its time, an instance
+code per distinct (entity, id) and a tail code per distinct (transition,
+nodes, cpus, gpus, stage, pipeline).  ``save``, the one line writer,
+encodes each run of equal times, each instance and each tail once.
 
 Metrics read the trace itself, a sink's columns or a list's events, and
 keep no copy of it.  Node and queue metrics (utilization, overhead, busy
@@ -91,12 +91,6 @@ class TraceEvent:
     gpus: Optional[int] = None
     stage: Optional[str] = None
     pipeline: Optional[str] = None
-
-    def to_json(self) -> str:
-        """The event's line in ``trace.jsonl``, without the newline."""
-        head = f'{{"t":{_dumps(self.t)},"entity":{_dumps(self.entity)},"id":{_dumps(self.entity_id)}'
-        return head + _encode_tail(self.transition, self.nodes, self.cpus, self.gpus, self.stage,
-                                   self.pipeline)
 
 
 # The type rule: each field's key in trace.jsonl, attribute, type and kind.
@@ -198,17 +192,13 @@ class _Codes(dict):
 
 
 class TraceSink:
-    """Collects a run's events as columns.  ``record`` raises TraceError on
-    an event that breaks the type rule, and on an illegal transition in mode
-    "reject"; mode "flag" records that one and keeps it in ``flagged`` too."""
+    """A run's events as columns of time, instance code and tail code.
+    ``record`` raises TraceError on an event that breaks the type rule or
+    is illegal; the ``events`` setter takes any that follow the type rule."""
 
-    def __init__(self, mode: str = "reject"):
-        if mode not in ("reject", "flag"):
-            raise ValueError(f"unknown sink mode {mode!r}")
-        self.mode = mode
-        self.flagged: list[TraceEvent] = []
-        # (entity, id) -> its last legal time and transition, its instance code
-        self._last: dict[tuple, tuple[float, str, int]] = {}
+    def __init__(self):
+        # (entity, id), in code order -> its last legal time and transition, its code
+        self._last: dict[tuple, tuple[float, str | None, int]] = {}
         self._tails = _Codes()      # (transition, nodes, cpus, gpus, stage, pipeline) -> code
         self.events = []
 
@@ -221,9 +211,9 @@ class TraceSink:
     @property
     def events(self) -> list[TraceEvent]:
         """The recorded events, built from the columns."""
-        tails = list(self._tails)
-        return [TraceEvent(t, entity, eid, *tails[code])
-                for t, entity, eid, code in zip(self._t, self._entity, self._id, self._tail)]
+        insts, tails = list(self._last), list(self._tails)
+        return [TraceEvent(t, *insts[inst], *tails[code])
+                for t, inst, code in zip(self._t, self._inst, self._tail)]
 
     @events.setter
     def events(self, events: Iterable[TraceEvent]) -> None:
@@ -232,11 +222,8 @@ class TraceSink:
         for ev in events:
             if (why := _rule_break(ev)) is not None:
                 raise TraceError(f"{ev.entity} {ev.entity_id}: {why}")
-        # Per event: time, entity, id, instance and tail code.
         last, tails = self._last, self._tails
         self._t = [ev.t for ev in events]
-        self._entity = [ev.entity for ev in events]
-        self._id = [ev.entity_id for ev in events]
         self._inst = [last.setdefault((ev.entity, ev.entity_id), (*_NEVER_SEEN, len(last)))[2]
                       for ev in events]
         self._tail = [tails[ev.transition, ev.nodes, ev.cpus, ev.gpus, ev.stage, ev.pipeline]
@@ -256,20 +243,13 @@ class TraceSink:
         key = (entity, eid)
         last = self._last.get(key)
         prev_t, prev_tr, inst = (*_NEVER_SEEN, len(self._last)) if last is None else last
-        if (entity, prev_tr, transition) in _LEGAL_STEPS and t >= prev_t:
-            self._last[key] = (t, transition, inst)
-        else:
+        if (entity, prev_tr, transition) not in _LEGAL_STEPS or t < prev_t:
             why = (f"unknown entity kind {entity!r}" if entity not in LEGAL_GRAPHS
                    else f"event at t={t} before t={prev_t}" if t < prev_t
                    else f"illegal transition {prev_tr} -> {transition}")
-            if self.mode == "reject":
-                raise TraceError(f"{entity} {eid}: {why}")
-            self.flagged.append(event)
-            if last is None:
-                self._last[key] = (prev_t, prev_tr, inst)
+            raise TraceError(f"{entity} {eid}: {why}")
+        self._last[key] = (t, transition, inst)
         self._t.append(t)
-        self._entity.append(entity)
-        self._id.append(eid)
         self._inst.append(inst)
         self._tail.append(self._tails[transition, nodes, cpus, gpus, stage, pipeline])
 
@@ -277,21 +257,18 @@ class TraceSink:
         """Write one line per event, in batches, so the file's text is
         never held in memory whole.  A time is encoded once per run of
         equal times, an entity and id once per instance, a tail once."""
+        heads = [f'{_json_str(entity)},"id":{_json_str(eid)}' for entity, eid in self._last]
         tails = [_encode_tail(*tail) + "\n" for tail in self._tails]
-        heads: list[str | None] = [None] * len(self._last)
-        columns = (self._t, self._entity, self._id, self._inst, self._tail)
+        columns = (self._t, self._inst, self._tail)
         prev = time = None
         with open(path, "w", encoding="utf-8") as fh:
             for i in range(0, len(self._t), _SAVE_BATCH):
                 j = i + _SAVE_BATCH
                 pieces = []
-                for t, entity, eid, inst, code in zip(*(col[i:j] for col in columns)):
+                for t, inst, code in zip(*(col[i:j] for col in columns)):
                     if t != prev or t == 0.0:       # 0.0 == -0.0, but repr tells them apart
                         prev, time = t, f'{{"t":{t!r},"entity":'
-                    head = heads[inst]
-                    if head is None:
-                        head = heads[inst] = f'{_json_str(entity)},"id":{_json_str(eid)}'
-                    pieces += (time, head, tails[code])
+                    pieces += (time, heads[inst], tails[code])
                 fh.write("".join(pieces))
 
 
@@ -435,25 +412,28 @@ class Timeline:
                               makespan, self.n_tasks)
 
 
-def event_rows(trace):
+def event_rows(trace, codes: bool = False):
     """Each event's (t, entity, id, transition, nodes): a TraceSink's from
-    its columns, a list's from its TraceEvents."""
+    its columns, through its instance and tail codes, a list's from its
+    TraceEvents.  With ``codes``, a sink's instance code stands for the id."""
     if not isinstance(trace, TraceSink):
         return ((ev.t, ev.entity, ev.entity_id, ev.transition, ev.nodes) for ev in trace)
+    entities, insts = [key[0] for key in trace._last], trace._inst
     transitions, nodes = [tail[0] for tail in trace._tails], [tail[1] for tail in trace._tails]
-    return zip(trace._t, trace._entity, trace._id, [transitions[code] for code in trace._tail],
-               [nodes[code] for code in trace._tail])
+    return zip(trace._t, map(entities.__getitem__, insts),
+               insts if codes else map([key[1] for key in trace._last].__getitem__, insts),
+               map(transitions.__getitem__, trace._tail), map(nodes.__getitem__, trace._tail))
 
 
 def timeline(trace) -> Timeline:
     """The Timeline of a TraceSink or a list of TraceEvents in any order, from
     one walk; a list is walked as it is, which costs less than coding it."""
     enters, leaves = ([], [], []), ([], [], [])     # times, by count
-    members: dict[str, dict[str, int]] = {entity: {} for entity in _ENTERS}  # id -> its count
+    members: dict[str, dict] = {entity: {} for entity in _ENTERS}  # id or code -> its count
     total_nodes = n_tasks = 0
     acquired, ready = [], []            # pilot acquired and agent_ready times
     t_start = t_end = None
-    for t, entity, eid, transition, nodes in event_rows(trace):
+    for t, entity, eid, transition, nodes in event_rows(trace, codes=True):
         if t_start is None:
             t_start = t_end = t
         if t < t_start:
@@ -540,8 +520,8 @@ def stage_tasks(trace) -> dict:
     """For each stage named on a ``running``, ``done`` or ``pending`` event
     of a TraceSink or a list of TraceEvents, from one walk: the times of
     its ``running`` and its ``done`` task events and the ids of its
-    ``pending`` ones, each in trace order.  A sink's tails are classified
-    once each, not once per event."""
+    ``pending`` ones, each in trace order.  A sink's instances and tails
+    are classified once each, not once per event."""
     stages: dict = {}
 
     def joins(transition, stage):
@@ -551,14 +531,17 @@ def stage_tasks(trace) -> dict:
             return (stages.get(stage) or stages.setdefault(stage, ([], [], [])))[k].append, k == 2
 
     if isinstance(trace, TraceSink):
+        task_ids = [eid if entity == "task" else None for entity, eid in trace._last]
         by_code = [joins(tail[0], tail[4]) for tail in trace._tails]
-        rows = zip(trace._t, trace._entity, trace._id, map(by_code.__getitem__, trace._tail))
+        rows = zip(trace._t, map(task_ids.__getitem__, trace._inst),
+                   map(by_code.__getitem__, trace._tail))
     else:
-        rows = ((ev.t, ev.entity, ev.entity_id, joins(ev.transition, ev.stage)) for ev in trace)
-    for t, entity, eid, join in rows:
-        if join is not None and entity == "task":
+        rows = ((ev.t, ev.entity_id if ev.entity == "task" else None, joins(ev.transition, ev.stage))
+                for ev in trace)
+    for t, task_id, join in rows:
+        if join is not None and task_id is not None:
             append, takes_id = join
-            append(eid if takes_id else t)
+            append(task_id if takes_id else t)
     return stages
 
 

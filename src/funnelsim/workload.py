@@ -58,6 +58,18 @@ class StageCost:
             out.append("nodes_per_task must be positive")
         if self.throughput_per_gpu is not None and self.throughput_per_gpu <= 0:
             out.append("throughput_per_gpu must be positive")
+        kind, params = self.tail_kind, tuple(self.tail_params)
+        if kind == "lognormal" and not params[0] >= 0:
+            out.append("tail sigma must be >= 0")
+        if kind == "pareto_mix" and not (params[0] > 0 and 0 <= params[1] <= 1):
+            out.append("tail alpha must be positive and mix in [0, 1]")
+        if not out:
+            try:    # at the extreme uniforms duration_uniforms returns
+                for u2 in (0.0, 1 - 2 ** -53):
+                    SampledDuration("", 1.0, 1.0, kind, params).sample_from_uniforms(
+                        1 / (2 ** 53 + 1), u2)
+            except ArithmeticError:
+                out.append(f"{kind} tail {params} overflows a duration draw")
         return out
 
 

@@ -183,12 +183,34 @@ class TestConfigTypes:
         ({"S1": {"throughput_per_gpu": True}}, "cost_model.S1.throughput_per_gpu"),
         ({"S1": []}, "cost_model.S1 must be a JSON object"),
         ([], "cost_model must be a JSON object"),
+        # Tails the sampler cannot use: a division by zero, an overflow at
+        # the extreme uniform draws, and parameters outside their range.
+        ({"S3CG": {"tail": {"kind": "pareto_mix", "alpha": 0, "mix": 0.1}}},
+         "cost_model.S3CG: tail alpha must be positive and mix in [0, 1]"),
+        ({"S3CG": {"tail": {"kind": "lognormal", "sigma": 1000}}},
+         "cost_model.S3CG: lognormal tail (1000.0,) overflows a duration draw"),
+        ({"S3CG": {"tail": {"kind": "pareto_mix", "alpha": -2, "mix": 7}}},
+         "cost_model.S3CG: tail alpha must be positive and mix in [0, 1]"),
+        ({"S3CG": {"tail": {"kind": "lognormal", "sigma": -1}}},
+         "cost_model.S3CG: tail sigma must be >= 0"),
+        ({"S3CG": {"tail": {"kind": "pareto_mix", "alpha": 0.05, "mix": 0.5}}},
+         "cost_model.S3CG: pareto_mix tail (0.05, 0.5) overflows a duration draw"),
     ])
     def test_bad_cost_model_exits_2(self, cost_model, text, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", cost_model=cost_model)
         with alarm(5):
             assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert text in capsys.readouterr().err
+        assert not (tmp_path / "o" / "trace.jsonl").exists()
+
+    @pytest.mark.parametrize("kind, params, ok", [
+        ("lognormal", (82.0,), True), ("lognormal", (83.0,), False),
+        ("pareto_mix", (0.06, 1.0), True), ("pareto_mix", (0.05, 1.0), False),
+        ("pareto_mix", (0.01, 0.0), True)])
+    def test_tail_checked_at_the_extreme_draws(self, kind, params, ok):
+        # The heaviest tails whose longest draw is still a float, and the
+        # first that overflow; a mix of 0 never draws from the tail.
+        assert (StageCost(0.5, kind, params).validate() == []) == ok
 
     def test_cost_model_overrides_as_before(self):
         # An entry overrides its stage: an omitted tail is lognormal with
@@ -448,10 +470,11 @@ def flag_mode_sink():
     """A trace with illegal steps: tasks that run before they are born,
     end twice or never run, a stage that never completes a task, a stage
     whose tasks all end at one time, an empty stage tag, and worker and
-    pipeline events that name a stage.  Its last task's events are first
-    offered with types that break the type rule (an int time, a numpy or
-    bool count), which the sink refuses and does not keep."""
-    sink = TraceSink(mode="flag")
+    pipeline events that name a stage, put into the sink through its
+    setter.  Its last task's events are then first offered to ``record``
+    with types that break the type rule (an int time, a numpy or bool
+    count), which the sink refuses and does not keep."""
+    sink = TraceSink()
     steps = [
         (0.0, "task", "p0.S3FG.c0003.r0", "pending", "S3FG"),
         (0.0, "task", "p0.S3FG.c0003.r1", "pending", "S3FG"),
@@ -474,8 +497,8 @@ def flag_mode_sink():
         (3.0, "worker", "w0", "done", "S3FG"),
         (3.0, "pipeline", "p0", "pending", "S3FG"),
     ]
-    for t, entity, eid, transition, stage in steps:
-        sink.record(TraceEvent(t, entity, eid, transition, stage=stage, pipeline="p0"))
+    sink.events = [TraceEvent(t, entity, eid, transition, stage=stage, pipeline="p0")
+                   for t, entity, eid, transition, stage in steps]
     odd = "p0.S3FG.c0009.r0"
     for typed, given in [(dict(t=5.0), dict(t=5)), (dict(nodes=1), dict(nodes=np.int64(1))),
                          (dict(cpus=1), dict(cpus=True))]:
@@ -485,9 +508,9 @@ def flag_mode_sink():
                                              transition="pending", stage="S3FG"), **given}))
         assert len(sink) == kept
     sink.record(TraceEvent(5.0, "task", odd, "pending", stage="S3FG", pipeline="p0"))
+    sink.record(TraceEvent(5.5, "task", odd, "scheduled", stage="S3FG"))
     sink.record(TraceEvent(6.0, "task", odd, "running", nodes=1, stage="S3FG"))
     sink.record(TraceEvent(7.5, "task", odd, "done", cpus=1, stage="S3FG", pipeline="p0"))
-    assert sink.flagged
     return sink
 
 

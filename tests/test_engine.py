@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from funnelsim.campaign import (CampaignSpec, FixedDuration, HookSpec,
+from funnelsim.campaign import (CampaignSpec, FixedDuration, HookSpec, MaterializeSpec,
                                 PipelineSpec, StageSpec, TaskDescriptor, validate_campaign)
 from funnelsim.cli import main
 from funnelsim.engine import Engine, run_campaign, run_executor
@@ -215,6 +215,26 @@ class TestTraceTypes:
         with pytest.raises(ConfigError, match=f"{field} must be"):
             run_executor(pilot(), [task("t0"), bad], sink=sink)
         assert len(sink) == 0
+
+    @pytest.mark.parametrize("bad, why", [
+        (task("m0", kind="bogus"), "[kind] m0: unknown kind 'bogus'"),
+        (task("m0", kind="function", nodes=3),
+         "[multi_node_kind] m0: multi-node tasks must be kind=executable, got function"),
+        (task("m0", cpus=np.int64(1)), f"[type] m0: cpus must be int, got {np.int64(1)!r}")])
+    def test_ill_built_materialized_task_is_config_error(self, bad, why):
+        # Validation never sees a materializer's tasks.  The first two ran
+        # to done, and the third failed only at its pending event.
+        build = MaterializeSpec(lambda params, items: [bad, task("m1")])
+        spec = CampaignSpec([PipelineSpec("p", [StageSpec("s0", [task("t0")]),
+                                                StageSpec("s1", materialize=build)])], pilot())
+        assert validate_campaign(spec) == []
+        sink = TraceSink()
+        with alarm(5), pytest.raises(ConfigError) as exc:
+            run_campaign(spec, sink=sink)
+        assert str(exc.value) == f"stage p/s1 built invalid tasks: {why}"
+        assert [(e.entity_id, e.transition) for e in sink.events if e.entity == "stage"] == \
+            [("p/s0", "started"), ("p/s0", "completed")]
+        assert all(e.entity_id == "t0" for e in sink.events if e.entity == "task")
 
     @pytest.mark.parametrize("field", ["nodes", "cpus_per_node", "gpus_per_node"])
     def test_ill_typed_pilot_count_is_config_error(self, field):

@@ -452,7 +452,7 @@ class TestExecutor:
         assert r.makespan == 10.0
         assert busy_node_seconds(r.sink.events) == 20.0
 
-    def test_simulated_mode_deterministic_event_log(self):
+    def test_simulated_mode_deterministic_event_log(self, tmp_path):
         res = PilotSpec(nodes=3, cpus_per_node=2, gpus_per_node=0, walltime_s=1e6)
 
         def run_once():
@@ -461,6 +461,7 @@ class TestExecutor:
                                                                       "lognormal", (1.0,)))
                      for i in range(20)]
             r = run_executor(res, tasks, seed=99)
-            return [ev.to_json() for ev in r.sink.events]
+            r.sink.save(tmp_path / "t.jsonl")
+            return (tmp_path / "t.jsonl").read_bytes()
 
         assert run_once() == run_once()
