@@ -10,19 +10,29 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError
 
 
+# Characters of text the fast scores reader holds at a time, about 1 MB.
+_CHUNK_CHARS = 1 << 20
+
+
 @dataclass
 class ScoredSet:
-    """(id, true score, predicted score) triples; ``ids=None`` means ids 0..u-1."""
+    """(id, true score, predicted score) triples; ``ids=None`` means ids 0..u-1.
+
+    A set is ranked once: the first ``top_k_recall`` or ``compute_res``
+    keeps the ranks for later calls, so a set's ids and score arrays must
+    not change after its first ranking.
+    """
     ids: list[str] | None
     true_scores: np.ndarray
     predicted_scores: np.ndarray
+    _ranks: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.true_scores = np.asarray(self.true_scores, dtype=float)
@@ -43,21 +53,69 @@ class ScoredSet:
 
     @classmethod
     def from_csv(cls, path) -> "ScoredSet":
-        ids, ts, ps = [], [], []
+        """Rows of ``ligand_id,true_score,predicted_score``: an optional
+        ``ligand_id`` header on line 1, rows of blank cells skipped, and
+        columns after the third ignored.  Most files are read by
+        ``_read_scores_fast``; any file it refuses by ``_read_scores_csv``,
+        which gives the same columns and names the line of a bad row."""
+        return cls(*(_read_scores_fast(path) or _read_scores_csv(path)))
+
+
+def _read_scores_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    ids, ts, ps = [], [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for lineno, row in enumerate(reader, start=1):
+            if lineno == 1 and row and row[0].strip().lower() == "ligand_id":
+                continue
+            if not row or all(not c.strip() for c in row):
+                continue
+            try:
+                ids.append(row[0].strip())
+                ts.append(float(row[1]))
+                ps.append(float(row[2]))
+            except (IndexError, ValueError) as exc:
+                raise InputError(f"bad scores row at line {lineno}: {exc}", line=lineno) from exc
+    return ids, np.array(ts), np.array(ps)
+
+
+def _read_scores_fast(path) -> tuple[list[str], np.ndarray, np.ndarray] | None:
+    """What ``_read_scores_csv`` reads, with the score columns parsed by
+    ``np.loadtxt``, or None for a file it may read differently.
+
+    ``loadtxt`` parses a number with the routine ``float`` uses, so it
+    reads each number it accepts bit for bit as ``float`` does; it is
+    stricter (no ``1_0``, no non-ASCII digits).  Without a quote or a
+    carriage return, ``csv`` splits a line at every comma, as ``loadtxt``
+    does.  A line whose id is blank, such as a blank line that
+    ``loadtxt`` would skip, is refused, as is a line longer than the
+    ``csv`` field limit and any file ``loadtxt`` rejects.  The text is
+    checked and the ids taken one chunk of lines at a time, and
+    ``loadtxt`` reads the file itself.
+    """
+    ids: list[str] = []
+    skip = None
+    limit = csv.field_size_limit()
+    try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            for lineno, row in enumerate(reader, start=1):
-                if lineno == 1 and row and row[0].strip().lower() == "ligand_id":
-                    continue
-                if not row or all(not c.strip() for c in row):
-                    continue
-                try:
-                    ids.append(row[0].strip())
-                    ts.append(float(row[1]))
-                    ps.append(float(row[2]))
-                except (IndexError, ValueError) as exc:
-                    raise InputError(f"bad scores row at line {lineno}: {exc}", line=lineno) from exc
-        return cls(ids, np.array(ts), np.array(ps))
+            while lines := fh.readlines(_CHUNK_CHARS):
+                text = "".join(lines)
+                if '"' in text or "\r" in text or max(map(len, lines)) > limit:
+                    return None
+                if skip is None:    # line 1 is a header if its first cell is
+                    skip = int(lines[0].partition(",")[0].strip().lower() == "ligand_id")
+                    del lines[:skip]
+                chunk_ids = [line.partition(",")[0].strip() for line in lines]
+                if "" in chunk_ids:
+                    return None
+                ids += chunk_ids
+        if not ids:
+            return None
+        ts, ps = np.loadtxt(path, delimiter=",", usecols=(1, 2), comments=None,
+                            skiprows=skip, encoding="utf-8", ndmin=2, unpack=True)
+    except ValueError:  # a bad number, a short row, or text that is not UTF-8
+        return None
+    return (ids, ts, ps) if len(ts) == len(ids) else None
 
 
 def _true_ranks_by_prediction(scored: ScoredSet) -> np.ndarray:
@@ -82,12 +140,22 @@ def _true_ranks_by_prediction(scored: ScoredSet) -> np.ndarray:
     return rank[orders[1]]
 
 
+def _ranked(scored: ScoredSet) -> np.ndarray:
+    """``_true_ranks_by_prediction(scored)``, computed on the set's first
+    ranking and kept, read-only, for the rest."""
+    if scored._ranks is None:
+        ranks = _true_ranks_by_prediction(scored)
+        ranks.flags.writeable = False
+        scored._ranks = ranks
+    return scored._ranks
+
+
 def top_k_recall(scored: ScoredSet, k: int, delta: int) -> float:
     """Fraction of the true top-k found in the predicted top-delta."""
     for name, value in (("k", k), ("delta", delta)):
         if not 1 <= value <= scored.u:
             raise ValueError(f"{name} must be in [1, {scored.u}], got {value}")
-    hits = int(np.count_nonzero(_true_ranks_by_prediction(scored)[:delta] < k))
+    hits = int(np.count_nonzero(_ranked(scored)[:delta] < k))
     return hits / k
 
 
@@ -118,7 +186,7 @@ def compute_res(scored: ScoredSet,
     tf = np.asarray(default_grid() if top_fractions is None else top_fractions, dtype=float)
     if ((bf <= 0) | (bf > 1)).any() or ((tf <= 0) | (tf > 1)).any():
         raise ValueError("grid fractions must lie in (0, 1]")
-    true_ranks = _true_ranks_by_prediction(scored)
+    true_ranks = _ranked(scored)
     ks = np.array([math.ceil(f * scored.u) for f in tf], dtype=np.int64)
     cells = np.empty((len(bf), len(tf)))
     for i, b in enumerate(bf):  # hits: true ranks below k among the first delta

@@ -40,7 +40,7 @@ from typing import Optional, get_type_hints
 
 from . import analysis, workload
 from .campaign import validate_campaign
-from .engine import run_campaign
+from .engine import Engine
 from .errors import ConfigError, FunnelsimError, InputError
 from .overlay import MasterConfig
 from .pilot import PilotSpec
@@ -232,15 +232,16 @@ def cmd_simulate(args) -> int:
         for v in violations:
             print(f"violation: {v}", file=sys.stderr)
         return 2
+    sink = TraceSink()
+    engine = Engine(spec, sink=sink, overlay=overlay)   # refuses an overlay that never fits
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "trace.jsonl"
     if trace_path.exists() and not args.force:
         print(f"refusing to overwrite {trace_path} (use --force)", file=sys.stderr)
         return 2
-    sink = TraceSink()
     try:
-        result = run_campaign(spec, overlay=overlay, sink=sink)
+        result = engine.run()
     finally:
         # A run that raises still leaves the events recorded so far.  The
         # sink raises before it keeps an illegal event, so they are legal.

@@ -30,9 +30,9 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from . import campaign as cm
-from .errors import ConfigError, DispatchError, StateError, WorkerKilled
+from .errors import ConfigError, DispatchError, StateError, UnsatisfiableError, WorkerKilled
 from .overlay import Bulk, Master, MasterConfig, WorkerState, partition_bulks, round_robin_assign
-from .pilot import PilotSpec, acquire_pilot
+from .pilot import Pilot, PilotSpec, acquire_pilot
 from .trace import TraceEvent, TraceSink, event_rows, gc_paused
 from .workload import call_function, duration_uniforms
 
@@ -90,6 +90,8 @@ class Engine:
         backend_cls = _LocalBackend if spec.mode == "local" else _SimulatedBackend
         self.backend = backend_cls(self)
         self.pilot = acquire_pilot(spec.resource)
+        if overlay is not None and self.backend.overlay_on_pilot:
+            self._check_overlay_fits()
         self.states = {p.pipeline_id: cm.PipelineState(p) for p in spec.pipelines}
         self._running_slots = [0] * spec.resource.nodes
         self._overlays: dict[tuple[str, int], _Overlay] = {}
@@ -199,29 +201,54 @@ class Engine:
                 self._task_ev(t, task, "scheduled", pid)
                 self.backend.launch(pid, task, pl, t)
 
+    def _overlay_demands(self, prefix: str, gpu_workers: bool) -> deque:
+        """The overlay's masters, then its workers, as one-node tasks."""
+        config = self.overlay_cfg
+        w_cpus, w_gpus = (0, 1) if gpu_workers else (1, 0)
+        demands = deque(cm.TaskDescriptor(f"{prefix}.m{m:02d}", cpus=1, gpus=0)
+                        for m in range(config.n_masters))
+        demands.extend(cm.TaskDescriptor(f"{prefix}.w{w:04d}", cpus=w_cpus, gpus=w_gpus)
+                       for w in range(config.n_masters * config.workers_per_master))
+        return demands
+
+    def _lacks_capacity(self) -> DispatchError:
+        config = self.overlay_cfg
+        return DispatchError(f"pilot lacks capacity for {config.n_masters} masters + "
+                             f"{config.n_masters * config.workers_per_master} workers")
+
+    def _check_overlay_fits(self):
+        """Refuse, before the run, an overlay that fits an idle pilot with
+        neither cpu nor gpu workers: no stage could ever place it."""
+        config, res = self.overlay_cfg, self.spec.resource
+        # Each master and worker takes a slot, so a larger count never fits.
+        if config.n_masters * (1 + config.workers_per_master) <= \
+                res.nodes * (res.cpus_per_node + res.gpus_per_node):
+            for gpu_workers in (False, True):
+                demands = self._overlay_demands("ovl", gpu_workers)
+                try:
+                    Pilot(res).schedule(demands)
+                except UnsatisfiableError:  # a master or worker larger than a node
+                    continue
+                if not demands:
+                    return
+        raise self._lacks_capacity()
+
     def _place_overlay(self, pid: str, state: cm.PipelineState, tasks) -> list | None:
         """Place the masters and workers of an overlay for ``tasks`` on the
         pilot, all or nothing: None, holding no slots, if they do not fit
         yet.  Local overlays run on host threads and hold no slots."""
         if not self.backend.overlay_on_pilot:
             return []
-        config = self.overlay_cfg
-        prefix = f"ovl.{pid}.{state.current_stage().stage_id}"
-        n_workers = config.n_masters * config.workers_per_master
-        w_cpus, w_gpus = (0, 1) if any(tk.gpus > 0 for tk in tasks) else (1, 0)
-        demands = deque(cm.TaskDescriptor(f"{prefix}.m{m:02d}", cpus=1, gpus=0)
-                        for m in range(config.n_masters))
-        demands.extend(cm.TaskDescriptor(f"{prefix}.w{w:04d}", cpus=w_cpus, gpus=w_gpus)
-                       for w in range(n_workers))
+        demands = self._overlay_demands(f"ovl.{pid}.{state.current_stage().stage_id}",
+                                        any(tk.gpus > 0 for tk in tasks))
         idle = not self.pilot.live
         placements = self.pilot.schedule(demands)
         if not demands:
             return placements
         for pl in placements:
             self.pilot.release(pl)
-        if idle:
-            raise DispatchError(
-                f"pilot lacks capacity for {config.n_masters} masters + {n_workers} workers")
+        if idle:    # it fits the idle pilot only with the other kind of worker
+            raise self._lacks_capacity()
         return None
 
     # -- task lifecycle -------------------------------------------------------
@@ -425,6 +452,7 @@ class _Overlay:
 
     def teardown(self, t: float):
         self._done = True
+        self.engine.backend.stop_functions(self, t)
         for worker in self.workers:
             if worker.stopped_t is None:
                 worker.stopped_t = t
@@ -484,6 +512,15 @@ class _SimulatedBackend:
         dur = _task_duration(task, self.engine.spec)
         worker.busy_time_s += dur
         self._push(t + dur, overlay.on_fn_done, (worker, task, cm.DONE, task.payload))
+
+    def stop_functions(self, overlay: _Overlay, t: float):
+        """The overlay stops at ``t``: each function task it still runs
+        gives back the part of its duration after ``t`` from its worker's
+        busy time, which ``run_function`` charged in full."""
+        done = overlay.on_fn_done
+        for end, _, handler, args in self._heap:
+            if end > t and handler == done:
+                args[0].busy_time_s -= end - t
 
     def loop(self):
         heap = self._heap
@@ -601,6 +638,9 @@ class _LocalBackend:
             outcome, result = cm.FAILED, str(exc)
         worker.busy_time_s += time.perf_counter() - start
         self._queue.put((overlay.on_fn_done, (worker, task, outcome, result)))
+
+    def stop_functions(self, overlay: _Overlay, t: float):
+        """Each worker thread charges its busy time when its call returns."""
 
     def loop(self):
         engine = self.engine

@@ -3,14 +3,17 @@
 The oracles deliberately use plain sorting, set intersection, and
 double loops so they share no code path with the implementations.
 """
+import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from funnelsim.analysis import (ScoredSet, _true_ranks_by_prediction, chamfer,
-                                compute_res, default_grid, lof, select_outliers,
-                                top_k_recall)
+from funnelsim import analysis
+from funnelsim.analysis import (ScoredSet, _read_scores_csv, _read_scores_fast,
+                                _true_ranks_by_prediction, chamfer, compute_res,
+                                default_grid, lof, select_outliers, top_k_recall)
 from funnelsim.errors import InputError
 from funnelsim.workload import (generate_library, ligand_id, recall_at_operating_point,
                                 surrogate_scores)
@@ -315,6 +318,130 @@ class TestRankingDifferential:
             for k_frac, delta_frac in ((1e-4, 1e-3), (1e-2, 5e-2)):
                 assert recall_at_operating_point(u, 0.8, seed, k_frac, delta_frac) == \
                     top_k_recall(s, math.ceil(k_frac * u), math.ceil(delta_frac * u))
+
+
+class TestRankOnce:
+    def test_one_set_ranks_once_with_fresh_set_results(self, monkeypatch):
+        s = scored_set(500, 3, ties=True)
+        fresh = [ScoredSet(list(s.ids), s.true_scores.copy(), s.predicted_scores.copy())
+                 for _ in range(3)]
+        want = (top_k_recall(fresh[0], 10, 50), compute_res(fresh[1]).cells,
+                top_k_recall(fresh[2], 25, 100))
+        calls = []
+
+        def counting(scored):
+            calls.append(scored)
+            return _true_ranks_by_prediction(scored)
+
+        monkeypatch.setattr(analysis, "_true_ranks_by_prediction", counting)
+        got = (top_k_recall(s, 10, 50), compute_res(s).cells, top_k_recall(s, 25, 100))
+        assert calls == [s]
+        assert got[0] == want[0] and got[2] == want[2]
+        assert np.array_equal(got[1], want[1])
+
+    def test_cache_is_private_and_leaves_caller_arrays_writable(self):
+        true, pred = np.array([3.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+        s = ScoredSet(None, true, pred)
+        top_k_recall(s, 1, 1)
+        assert s.true_scores is true and true.flags.writeable and pred.flags.writeable
+        assert not s._ranks.flags.writeable
+        assert "_ranks" not in repr(s)
+        cache = {f.name: f for f in dataclasses.fields(ScoredSet)}["_ranks"]
+        assert not cache.init and not cache.compare
+
+
+# ---------------------------------------------------------------------------
+# scores CSV: the fast reader against the csv reader
+
+def read_columns(read, path):
+    """The ids and the bytes of the score arrays that ``read`` returns,
+    as columns or as a ScoredSet, or its error and the line it names."""
+    try:
+        got = read(path)
+    except (InputError, ValueError, csv.Error) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    ids, true, pred = ((got.ids, got.true_scores, got.predicted_scores)
+                       if isinstance(got, ScoredSet) else got)
+    return ids, np.asarray(true, float).tobytes(), np.asarray(pred, float).tobytes()
+
+
+HEADER = "ligand_id,true_score,predicted_score\n"
+
+# (text, whether the fast reader takes it); every other file goes to the csv reader.
+ODD_SCORE_FILES = {
+    "underscore digits": ("a,1_0,2\n", False),
+    "arabic-indic digit": ("a,\u0661,2\n", False),
+    "fullwidth digit": ("a,\uff11,2\n", False),
+    "inf and nan": ("a,inf,nan\nb,-inf,-nan\n", True),
+    "overflow": ("a,1e999,-1e999\n", True),
+    "plus sign": ("a,+1,+.5\n", True),
+    "spaces around numbers": ("a, 1 ,\t2\u00a0\n", True),
+    "exponents": ("a,1e5,-1E-5\n", True),
+    "signed zeros": ("a,-0,0\nb,0.0,-0.0\n", True),
+    "hex float": ("a,0x10,2\n", False),
+    "ids with spaces": ("  a b  ,1,2\nc d,3,4\n", True),
+    "ids with NULs": ("a\x00,1,2\na,3,4\n\x00b,5,6\n", True),
+    "quoted id": ('"a",1,2\n', False),
+    "quoted comma in id": ('"a,b",1,2\nc,3,4\n', False),
+    "hash in id": ("a#1,1,2\n#b,3,4\n", True),
+    "hash in number": ("a,1#x,2\n", False),
+    "crlf": ("ligand_id,t,p\r\na,1,2\r\nb,3,4\r\n", False),
+    "lone cr": ("a,1,2\rb,3,4\r", False),
+    "blank line": ("a,1,2\n\nb,3,4\n", False),
+    "trailing blank line": ("a,1,2\n\n", False),
+    "whitespace-only line": ("a,1,2\n   \t\nb,3,4\n", False),
+    "blank cells": (HEADER + "a,1,2\n , , \nb,3,4\n", False),
+    "empty id": (",1,2\n", False),
+    "mixed-case header": ("Ligand_ID,x,y\na,1,2\n", True),
+    "padded header": (" ligand_id ,x,y\na,1,2\n", True),
+    "one-cell header": ("ligand_id\na,1,2\n", True),
+    "no header": ("a,1,2\nb,3,4\n", True),
+    "header only": (HEADER, False),
+    "header on line 2": ("a,1,2\n" + HEADER, False),
+    "no final newline": (HEADER + "a,1,2\nb,3,4", True),
+    "extra columns": (HEADER + "a,1,2,x,y\nb,3,4\nc,5,6,z\n", True),
+    "short row": (HEADER + "a,1,2\nb,3\n", False),
+    "empty row value": (HEADER + "a,,2\n", False),
+    "empty file": ("", False),
+    "bom before header": ("\ufeff" + HEADER + "a,1,2\n", False),
+    "bom before a row": ("\ufeffa,1,2\n", True),
+    "duplicate ids": (HEADER + "a,1,2\na,3,4\n", True),
+    "vertical tab inside a line": ("a,1,2\x0bb,3,4\n", False),
+    "id past the csv field limit": ("x" * (csv.field_size_limit() + 1) + ",1,2\n", False),
+}
+
+
+@pytest.mark.parametrize("name", ODD_SCORE_FILES)
+def test_fast_scores_reader_agrees_with_csv_reader(name, tmp_path):
+    text, fast_takes = ODD_SCORE_FILES[name]
+    path = tmp_path / "scores.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert (_read_scores_fast(path) is not None) == fast_takes
+    assert read_columns(lambda p: _read_scores_fast(p) or _read_scores_csv(p), path) == \
+        read_columns(_read_scores_csv, path)
+    assert read_columns(ScoredSet.from_csv, path) == \
+        read_columns(lambda p: ScoredSet(*_read_scores_csv(p)), path)
+
+
+def test_fast_scores_reader_refuses_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_bytes(b"a,1,2\n\xff,3,4\n")
+    assert _read_scores_fast(path) is None
+    with pytest.raises(UnicodeDecodeError):
+        ScoredSet.from_csv(path)
+
+
+def test_fast_scores_reader_reads_across_chunks(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    true, pred = rng.standard_normal(500), rng.standard_normal(500)
+    path = tmp_path / "scores.csv"
+    path.write_text(HEADER + "".join(f"L{i:04d},{t!r},{p!r}\n"
+                                     for i, (t, p) in enumerate(zip(true.tolist(), pred.tolist()))))
+    monkeypatch.setattr(analysis, "_CHUNK_CHARS", 100)
+    ids, got_true, got_pred = _read_scores_fast(path)
+    assert ids == [f"L{i:04d}" for i in range(500)]
+    assert got_true.tobytes() == true.tobytes() and got_pred.tobytes() == pred.tobytes()
+    assert read_columns(_read_scores_fast, path) == read_columns(_read_scores_csv, path)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,22 @@ class TestSimulate:
         assert len(before_fault) > 5
         assert load_trace(out / "trace.jsonl") == before_fault
 
+    @pytest.mark.parametrize("section, key, value", [("resource", "cpus_per_node", 1),
+                                                     ("overlay", "workers_per_master", 10**6)])
+    def test_overlay_that_never_fits_exits_2_with_nothing_written(self, section, key, value,
+                                                                   tmp_path, capsys):
+        doc = json.loads((ROOT / "configs/desk_funnel.json").read_text())
+        doc[section][key] = value
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        with alarm(10):
+            assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        workers = doc["overlay"]["workers_per_master"]
+        assert capsys.readouterr().err == \
+            f"error: pilot lacks capacity for 1 masters + {workers} workers\n"
+        assert not out.exists()
+
     def test_invalid_funnel_lists_violation(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json",
                            funnel={"library_size": 100, "cg_count": 50})

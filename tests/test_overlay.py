@@ -9,6 +9,7 @@ from funnelsim.errors import DispatchError
 from funnelsim.overlay import (Bulk, Master, MasterConfig, WorkerState,
                                partition_bulks, round_robin_assign)
 from funnelsim.pilot import PilotSpec
+from funnelsim.trace import TraceSink
 
 
 def ftask(tid, dur=1.0, sigma=None):
@@ -133,6 +134,27 @@ class TestRunOverlay:
             owners[w.master_id] += 1
         assert sorted(owners.values()) == [64, 64]
 
+    def test_overlay_that_never_fits_is_refused_before_the_run(self):
+        cfg = MasterConfig(n_masters=1, workers_per_master=3, bulk_size=8)
+        gpu_task = TaskDescriptor("g", kind="function", cpus=0, gpus=1,
+                                  duration_model=FixedDuration(1.0))
+        sink = TraceSink()
+        for spec, task in (
+                (PilotSpec(nodes=1, cpus_per_node=3, gpus_per_node=0, walltime_s=10.0),
+                 ftask("t")),
+                (PilotSpec(nodes=1, cpus_per_node=3, gpus_per_node=6, walltime_s=10.0),
+                 gpu_task),
+                # No cpu for a master, so neither kind of worker helps.
+                (PilotSpec(nodes=2, cpus_per_node=0, gpus_per_node=8, walltime_s=10.0,
+                           gpu_host_cpu=False), gpu_task)):
+            with pytest.raises(DispatchError, match="lacks capacity for 1 masters [+] 3 workers"):
+                run_overlay(spec, cfg, [task], sink=sink)
+        assert sink.events == []
+        # Gpu workers without a host cpu fit where cpu workers do not.
+        spec = PilotSpec(nodes=1, cpus_per_node=1, gpus_per_node=3, walltime_s=10.0,
+                         gpu_host_cpu=False)
+        assert len(run_overlay(spec, cfg, [gpu_task]).completions) == 1
+
     def test_overlay_needs_pilot_capacity(self):
         cfg = MasterConfig(n_masters=1, workers_per_master=64, bulk_size=8)
         with pytest.raises(DispatchError):
@@ -163,3 +185,21 @@ class TestRunOverlay:
         for w in r.overlay_workers:
             assert w.completed == 10
             assert w.busy_fraction() == pytest.approx(1.0)
+
+    def test_walltime_cut_charges_only_the_run_part_of_busy_time(self):
+        # Two workers each start a 100 s task at t=0; the walltime cuts them at 30 s.
+        cfg = MasterConfig(n_masters=1, workers_per_master=2, bulk_size=4)
+        pilot = PilotSpec(nodes=1, cpus_per_node=4, gpus_per_node=0, walltime_s=30.0)
+        r = run_overlay(pilot, cfg, [ftask(f"t{i}", dur=100.0) for i in range(4)])
+        assert r.walltime_hit
+        assert [(w.busy_time_s, w.stopped_t) for w in r.overlay_workers] == [(30.0, 30.0)] * 2
+        assert all(w.busy_fraction() <= 1.0 for w in r.overlay_workers)
+
+    def test_walltime_cut_keeps_busy_fraction_at_most_one(self):
+        cfg = MasterConfig(n_masters=2, workers_per_master=5, bulk_size=3)
+        for seed in range(5):
+            tasks = [ftask(f"t{i:03d}", dur=2.0, sigma=1.0) for i in range(120)]
+            r = run_overlay(PilotSpec(nodes=2, cpus_per_node=8, gpus_per_node=0,
+                                      walltime_s=7.5), cfg, tasks, seed=seed)
+            assert r.walltime_hit and len(r.overlay_workers) == 10
+            assert all(0 < w.busy_fraction() <= 1.0 for w in r.overlay_workers)
