@@ -194,6 +194,27 @@ def _trace_metrics(trace, bucket_width: float | None, windows: bool = True):
     return util, run.overhead(), reports, funnel
 
 
+def _load(load, path):
+    """``load(path)``; a file that cannot be opened, decoded as UTF-8 or
+    split as CSV is an InputError that names it."""
+    try:
+        return load(path)
+    except OSError as exc:
+        why = exc.strerror or str(exc)
+    except UnicodeDecodeError:
+        why = "not UTF-8 text"
+    except csv.Error as exc:
+        why = str(exc)
+    raise InputError(f"cannot read {path}: {why}")
+
+
+def _out_dir(args) -> Path:
+    """The output directory, created once the inputs are read."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -234,8 +255,7 @@ def cmd_simulate(args) -> int:
         return 2
     sink = TraceSink()
     engine = Engine(spec, sink=sink, overlay=overlay)   # refuses an overlay that never fits
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     trace_path = out_dir / "trace.jsonl"
     if trace_path.exists() and not args.force:
         print(f"refusing to overwrite {trace_path} (use --force)", file=sys.stderr)
@@ -265,16 +285,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     metric = args.metric
     if metric in ("res", "recall"):
         if not args.scores:
             print("--scores is required for res/recall", file=sys.stderr)
             return 2
-        scored = analysis.ScoredSet.from_csv(args.scores)
+        scored = _load(analysis.ScoredSet.from_csv, args.scores)
         if metric == "res":
             grid = analysis.compute_res(scored)
+            out_dir = _out_dir(args)
             grid.to_csv(out_dir / "res.csv")
             if not args.quiet:
                 print(f"res grid {grid.cells.shape[0]}x{grid.cells.shape[1]} -> {out_dir/'res.csv'}")
@@ -285,7 +304,7 @@ def cmd_analyze(args) -> int:
                 value = analysis.top_k_recall(scored, k, delta)
             except ValueError as exc:  # --k or --delta outside [1, u]
                 raise InputError(str(exc)) from exc
-            _write_csv(out_dir / "recall.csv", ["k", "delta", "recall"],
+            _write_csv(_out_dir(args) / "recall.csv", ["k", "delta", "recall"],
                        [[k, delta, f"{value:.10g}"]])
             if not args.quiet:
                 print(f"recall(k={k}, delta={delta}) = {value:.6g}")
@@ -293,12 +312,13 @@ def cmd_analyze(args) -> int:
         if not args.points:
             print("--points is required for lof", file=sys.stderr)
             return 2
-        pts = analysis.load_points_csv(args.points)
+        pts = _load(analysis.load_points_csv, args.points)
         k = args.k if args.k is not None else min(10, len(pts) - 1)
         try:
             scores = analysis.lof(pts, k)
         except ValueError as exc:  # --k outside [1, n - 1]
             raise InputError(str(exc)) from exc
+        out_dir = _out_dir(args)
         _write_csv(out_dir / "lof.csv", ["index", "lof"],
                    ([i, f"{s:.10g}"] for i, s in enumerate(scores)))
         if not args.quiet:
@@ -307,10 +327,10 @@ def cmd_analyze(args) -> int:
         if not args.points or not args.points_b:
             print("--points and --points-b are required for chamfer", file=sys.stderr)
             return 2
-        a = analysis.load_points_csv(args.points)
-        b = analysis.load_points_csv(args.points_b)
+        a = _load(analysis.load_points_csv, args.points)
+        b = _load(analysis.load_points_csv, args.points_b)
         value = analysis.chamfer(a, b)
-        _write_csv(out_dir / "chamfer.csv", ["chamfer"], [[f"{value:.12g}"]])
+        _write_csv(_out_dir(args) / "chamfer.csv", ["chamfer"], [[f"{value:.12g}"]])
         if not args.quiet:
             print(f"chamfer = {value:.10g}")
     else:
@@ -320,10 +340,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_report(args) -> int:
-    events = load_trace(args.trace)
+    events = _load(load_trace, args.trace)
     util, ovh, reports, _funnel = _trace_metrics(events, args.bucket_width)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     _write_utilization_csv(out_dir / "utilization.csv", util)
     rows = []
     for tag, rep in reports.items():

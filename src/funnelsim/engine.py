@@ -1,10 +1,12 @@
 """Campaign execution engine: one core, two backends.
 
 ``Engine`` does everything a run does wherever its tasks execute: the
-trace, node busy/idle accounting, the pending pool, first-fit rounds on
-the pilot, one master/worker overlay per (pipeline, stage) of function
-tasks, stage advancement, walltime expiry and the RunResult.  A backend
-supplies the clock and the executor.  The simulated backend is a
+trace, node busy/idle accounting, stage advancement, walltime expiry,
+the RunResult, and each task's route, fixed when its stage starts.  With
+an overlay config, a stage's function tasks run on one master/worker
+overlay of that stage and its other tasks take first-fit rounds on the
+pilot; without one, every task goes to the pilot.  A backend supplies
+the clock and the executor.  The simulated backend is a
 deterministic event loop over a virtual clock, with each duration drawn
 from (campaign seed, task id), so identical configs give byte-identical
 traces.  The local backend runs tasks concurrently on the host (threads
@@ -94,13 +96,15 @@ class Engine:
             self._check_overlay_fits()
         self.states = {p.pipeline_id: cm.PipelineState(p) for p in spec.pipelines}
         self._running_slots = [0] * spec.resource.nodes
-        self._overlays: dict[tuple[str, int], _Overlay] = {}
+        self._overlays: list[_Overlay] = []
         self.overlay_workers: list[WorkerState] = []
         self._walltime_hit = False
         # Per-pipeline queue of not-yet-placed tasks of the current stage,
         # with a live count per raw demand for early round exit.
         self._pending: dict[str, deque] = {pid: deque() for pid in self.states}
         self._pool_shapes: dict[str, dict] = {pid: {} for pid in self.states}
+        # Per-pipeline function tasks of the current stage awaiting its overlay.
+        self._awaiting: dict[str, list] = {pid: [] for pid in self.states}
 
     # -- trace helpers ----------------------------------------------------
 
@@ -146,8 +150,12 @@ class Engine:
         self._ev(t, "stage", f"{pid}/{stage.stage_id}", "started", pipeline=pid)
         pool = self._pending[pid]
         shapes = self._pool_shapes[pid]
+        awaiting = self._awaiting[pid] if self.overlay_cfg is not None else None
         for task in state.current_tasks():
             self._task_ev(t, task, "pending", pid)
+            if awaiting is not None and task.kind == "function":
+                awaiting.append(task)
+                continue
             pool.append(task)
             demand = (task.cpus, task.gpus, task.nodes)
             shapes[demand] = shapes.get(demand, 0) + 1
@@ -169,6 +177,7 @@ class Engine:
             self._ev(t, "stage", f"{pid}/{cur.stage_id}", "failed", pipeline=pid)
             self._pending[pid].clear()
             self._pool_shapes[pid].clear()
+            self._awaiting[pid].clear()
             for task in result.canceled:
                 pl = self.pilot.live.get(task.task_id)
                 if pl is not None:
@@ -184,16 +193,10 @@ class Engine:
         if self.spec.pipeline_mode == "sequential":
             active = active[:1]
         for pid, state in active:
-            key = (pid, state.current_stage_index)
+            if self._awaiting[pid]:
+                self._start_overlay(pid, state, t)
             pool = self._pending[pid]
-            if key in self._overlays or not pool:
-                continue
-            if self.overlay_cfg is not None and all(tk.kind == "function" for tk in pool):
-                placements = self._place_overlay(pid, state, pool)
-                if placements is not None:
-                    self._overlays[key] = _Overlay(self, pid, state, list(pool), placements, t)
-                    pool.clear()
-                    self._pool_shapes[pid].clear()
+            if not pool:
                 continue
             for pl in self.pilot.schedule(pool, self._pool_shapes[pid]):
                 task = pl.task
@@ -233,23 +236,23 @@ class Engine:
                     return
         raise self._lacks_capacity()
 
-    def _place_overlay(self, pid: str, state: cm.PipelineState, tasks) -> list | None:
-        """Place the masters and workers of an overlay for ``tasks`` on the
-        pilot, all or nothing: None, holding no slots, if they do not fit
-        yet.  Local overlays run on host threads and hold no slots."""
-        if not self.backend.overlay_on_pilot:
-            return []
-        demands = self._overlay_demands(f"ovl.{pid}.{state.current_stage().stage_id}",
-                                        any(tk.gpus > 0 for tk in tasks))
-        idle = not self.pilot.live
-        placements = self.pilot.schedule(demands)
-        if not demands:
-            return placements
-        for pl in placements:
-            self.pilot.release(pl)
-        if idle:    # it fits the idle pilot only with the other kind of worker
-            raise self._lacks_capacity()
-        return None
+    def _start_overlay(self, pid: str, state: cm.PipelineState, t: float):
+        """Start the overlay of the stage's awaiting function tasks once all its
+        masters and workers fit on the pilot; local ones run on host threads."""
+        tasks, placements = self._awaiting[pid], []
+        if self.backend.overlay_on_pilot:
+            demands = self._overlay_demands(f"ovl.{pid}.{state.current_stage().stage_id}",
+                                            any(tk.gpus > 0 for tk in tasks))
+            idle = not self.pilot.live
+            placements = self.pilot.schedule(demands)
+            if demands:
+                for pl in placements:
+                    self.pilot.release(pl)
+                if idle:    # it fits the idle pilot only with the other kind of worker
+                    raise self._lacks_capacity()
+                return
+        self._overlays.append(_Overlay(self, pid, state, tasks, placements, t))
+        self._awaiting[pid] = []
 
     # -- task lifecycle -------------------------------------------------------
 
@@ -265,8 +268,7 @@ class Engine:
         state = self.states[pid]
         if state.task_states.get(task.task_id) != cm.RUNNING:
             return False
-        pl = self.pilot.live[task.task_id]
-        self._vacate(pl, t)
+        self._vacate(self.pilot.live[task.task_id], t)
         self._complete(pid, state, task, outcome, result, t)
         return True
 
@@ -278,7 +280,7 @@ class Engine:
 
     def _expire(self, t: float):
         self._walltime_hit = True
-        for runtime in list(self._overlays.values()):
+        for runtime in list(self._overlays):
             runtime.teardown(t)
         # With the overlays gone, every live placement is a scheduled or
         # running task of a running pipeline's current stage.  Placed tasks
@@ -340,10 +342,8 @@ class _Overlay:
         self.engine = engine
         self.pid = pid
         self.state = state
-        self.config = config
-        self.key = (pid, state.current_stage_index)
-        # The overlay's own open tasks: in a stage that mixes kinds, the
-        # pilot may still run others when these end.
+        # The stage's function tasks; in a stage that mixes kinds, the
+        # pilot may still run the others when these end.
         self.remaining = len(tasks)
         self._done = False
         self._redispatched: set[str] = set()
@@ -378,7 +378,7 @@ class _Overlay:
             self._refill(master, t)
 
     def _refill(self, master: Master, t: float):
-        while master.wants_refill(self.config.low_water):
+        while master.wants_refill(self.engine.overlay_cfg.low_water):
             bulk = master.pending_bulks.popleft()
             self.engine._ev(t, "master", master.master_id, "bulk_created", pipeline=self.pid)
             for tasks in master.dispatch(bulk).values():
@@ -462,7 +462,7 @@ class _Overlay:
         for pl in self.placements:
             self.engine._vacate(pl, t)
         self.engine.overlay_workers.extend(self.workers)
-        self.engine._overlays.pop(self.key, None)
+        self.engine._overlays.remove(self)
 
 
 # ---------------------------------------------------------------------------

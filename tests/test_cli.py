@@ -1,6 +1,9 @@
 """Command-line behavior: artifacts, determinism, exit codes, local runs."""
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -121,6 +124,20 @@ class TestSimulate:
         assert capsys.readouterr().err == \
             f"error: pilot lacks capacity for 1 masters + {workers} workers\n"
         assert not out.exists()
+
+    def test_outputs_do_not_depend_on_the_string_hash_seed(self, tmp_path):
+        outs = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"hash{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                                os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "funnelsim.cli", "simulate", "--config",
+                            str(ROOT / "configs/desk_funnel.json"), "--out", str(out), "--quiet"],
+                           env=env, check=True, timeout=120)
+            outs.append(out)
+        for name in ("trace.jsonl", "summary.json", "metrics.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_invalid_funnel_lists_violation(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json",
@@ -528,6 +545,34 @@ def flag_mode_sink():
     sink.record(TraceEvent(6.0, "task", odd, "running", nodes=1, stage="S3FG"))
     sink.record(TraceEvent(7.5, "task", odd, "done", cpus=1, stage="S3FG", pipeline="p0"))
     return sink
+
+
+NOT_UTF8 = b"a,1,2\n\xff,3,4\n"
+LONG_CELL = b"x" * (csv.field_size_limit() + 1) + b",1,2\n"
+
+
+@pytest.mark.parametrize("argv, data, why", [
+    (["analyze", "--metric", "recall", "--scores", "{input}"], None, "No such file or directory"),
+    (["analyze", "--metric", "res", "--scores", "{input}"], NOT_UTF8, "not UTF-8 text"),
+    (["analyze", "--metric", "recall", "--scores", "{input}"], LONG_CELL,
+     "field larger than field limit (131072)"),
+    (["analyze", "--metric", "lof", "--points", "{input}"], b"0,0\n\xff,1\n", "not UTF-8 text"),
+    (["analyze", "--metric", "chamfer", "--points", "{good}", "--points-b", "{input}"],
+     LONG_CELL, "field larger than field limit (131072)"),
+    (["report", "--trace", "{input}"], None, "No such file or directory"),
+    (["report", "--trace", "{input}"], NOT_UTF8, "not UTF-8 text"),
+    (["report", "--trace", "{tmp}"], None, "Is a directory"),
+], ids=["missing_scores", "scores_not_utf8", "scores_long_cell", "points_not_utf8",
+        "points_long_cell", "missing_trace", "trace_not_utf8", "trace_is_a_directory"])
+def test_unreadable_input_exits_2_with_nothing_written(argv, data, why, tmp_path, capsys):
+    path, good, out = tmp_path / "input", tmp_path / "good.csv", tmp_path / "out"
+    if data is not None:
+        path.write_bytes(data)
+    good.write_text("0,0\n1,1\n")
+    argv = [arg.format(input=path, good=good, tmp=tmp_path) for arg in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {argv[-1]}: {why}\n"
+    assert not out.exists()
 
 
 class TestTraceMetricsOneWalk:

@@ -6,6 +6,7 @@ import os
 import signal
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -310,10 +311,10 @@ class TestOverlayStage:
 
     def test_overlay_of_a_mixed_stage_stops_when_its_own_tasks_end(self):
         # Stage s0 mixes one 10 s plain task with eight 1 s function tasks.
-        # The first round places the plain task and three function tasks on
-        # the pilot's 4 cpus; the other five get an overlay (3 cpus) once
-        # those three end.  The overlay must stop when its five tasks end,
-        # while the plain task still runs, or s1's 4-cpu task never fits.
+        # All eight function tasks go to the overlay (3 cpus) and the plain
+        # task to the pilot's fourth cpu, so both start in the first round.
+        # The overlay must stop when its eight tasks end, while the plain
+        # task still runs, or s1's 4-cpu task never fits.
         fn_tasks = [TaskDescriptor(f"f{i}", kind="function", cpus=1,
                                    duration_model=FixedDuration(1.0))
                     for i in range(8)]
@@ -334,7 +335,7 @@ class TestOverlayStage:
                  if ev.entity in ("master", "worker") and ev.transition == "stopped"]
         assert len(stops) == 3 and max(stops) < s0_done
         assert len(r.overlay_workers) == 2
-        assert sum(w.completed for w in r.overlay_workers) == 5
+        assert sum(w.completed for w in r.overlay_workers) == 8
         assert not engine.pilot.live
 
 
@@ -445,6 +446,28 @@ class TestLocalBackend:
                     if ev.entity == "task" and ev.transition in ("done", "failed", "canceled")]
         assert [(c.task_id, c.outcome) for c in r.completions] == terminal
         assert terminal == [("bad", "failed"), ("slow", "canceled")]
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two host cores")
+    @pytest.mark.parametrize("stage", ["mixed", "function", "plain"])
+    def test_backends_reach_the_same_final_states(self, stage):
+        # With an overlay config, a stage's function tasks run on its
+        # overlay and its other tasks on the pilot, whatever the backend.
+        # Times differ between the backends; outcomes must not.
+        tasks = {"mixed": [task("plain", dur=0.2)] + [sleep_fn(f"f{i}") for i in range(4)],
+                 "function": [sleep_fn(f"f{i}") for i in range(4)],
+                 "plain": [task(f"t{i}", dur=0.1) for i in range(3)]}[stage]
+        outcomes = {}
+        for backend in ("simulated", "local"):
+            spec = CampaignSpec([PipelineSpec("p", [StageSpec("s0", tasks)])],
+                                pilot(nodes=1, cpus_per_node=2, walltime_s=10.0,
+                                      backend=backend), mode=backend)
+            r = run_campaign(spec, overlay=MasterConfig(n_masters=1, workers_per_master=1,
+                                                        bulk_size=2))
+            counts = Counter((ev.stage, ev.transition) for ev in r.sink.events
+                             if ev.entity == "task")
+            outcomes[backend] = (r.final_states, counts)
+        assert outcomes["local"] == outcomes["simulated"]
+        assert outcomes["local"][0]["p"]["status"] == "done"
 
     def test_function_tasks_without_overlay_config_rejected(self):
         spec = CampaignSpec([PipelineSpec("p", [StageSpec("s", [sleep_fn("f")])])],

@@ -1,12 +1,15 @@
 """Randomized campaigns through the engine, checking global invariants:
 stage barriers, replay equality, determinism, and slot conservation."""
+from collections import deque
+
 import numpy as np
 
 from funnelsim.campaign import (CampaignSpec, FixedDuration, PipelineSpec,
                                 SampledDuration, StageSpec, TaskDescriptor,
                                 replay_trace)
-from funnelsim.engine import run_campaign
-from funnelsim.pilot import PilotSpec
+from funnelsim.engine import Engine, run_campaign
+from funnelsim.overlay import MasterConfig
+from funnelsim.pilot import Pilot, PilotSpec
 from funnelsim.trace import busy_node_seconds
 
 from test_engine import stage_barrier_ok
@@ -39,6 +42,89 @@ def random_campaign(rng, seed):
         pipelines.append(PipelineSpec(f"p{p}", stages))
     mode = "sequential" if rng.random() < 0.3 else "concurrent"
     return CampaignSpec(pipelines, pilot, seed=seed, pipeline_mode=mode)
+
+
+def overlay_fits(pilot, config, gpu_workers):
+    """Whether the overlay's masters and workers, with gpu or cpu workers,
+    all fit the idle pilot."""
+    demands = deque(TaskDescriptor(f"m{m}", cpus=1) for m in range(config.n_masters))
+    demands.extend(TaskDescriptor(f"w{w}", cpus=0 if gpu_workers else 1, gpus=int(gpu_workers))
+                   for w in range(config.n_masters * config.workers_per_master))
+    Pilot(pilot).schedule(demands)
+    return not demands
+
+
+def random_overlay_campaign(rng, seed):
+    """A campaign whose stages are plain, function-only or mixed, with an
+    overlay that fits the idle pilot with each worker kind its stages ask
+    for (cpu workers if none asks), and a walltime that may cut the run at
+    any point."""
+    nodes = int(rng.integers(1, 4))
+    cpn = int(rng.integers(2, 5))
+    gpn = int(rng.integers(0, 3))
+    walltime = float(rng.uniform(0.5, 12.0)) if rng.random() < 0.6 else 1e9
+    pilot = PilotSpec(nodes=nodes, cpus_per_node=cpn, gpus_per_node=gpn, walltime_s=walltime,
+                      sched_gap_s=float(rng.choice([0.0, 0.25])))
+    worker_kinds = set()    # True for gpu workers
+    pipelines = []
+    for p in range(int(rng.integers(1, 4))):
+        stages = []
+        for s in range(int(rng.integers(1, 4))):
+            function_share = float(rng.choice([0.0, 0.5, 1.0]))
+            tasks = []
+            for t in range(int(rng.integers(1, 9))):
+                dm = FixedDuration(float(rng.uniform(0.1, 3.0)))
+                if rng.random() < function_share:
+                    gpus = int(gpn > 0 and rng.random() < 0.3)
+                    tasks.append(TaskDescriptor(f"p{p}.s{s}.f{t}", kind="function", cpus=1,
+                                                gpus=gpus, duration_model=dm))
+                else:
+                    gpus = int(rng.integers(0, gpn + 1))
+                    tasks.append(TaskDescriptor(f"p{p}.s{s}.t{t}", duration_model=dm,
+                                                cpus=int(rng.integers(1, cpn + 1)), gpus=gpus))
+            functions = [tk for tk in tasks if tk.kind == "function"]
+            if functions:
+                worker_kinds.add(any(tk.gpus > 0 for tk in functions))
+            stages.append(StageSpec(f"s{s}", tasks))
+        pipelines.append(PipelineSpec(f"p{p}", stages))
+    mode = "sequential" if rng.random() < 0.3 else "concurrent"
+    while True:
+        overlay = MasterConfig(n_masters=int(rng.integers(1, 3)),
+                               workers_per_master=int(rng.integers(1, 4)),
+                               bulk_size=int(rng.integers(1, 5)),
+                               rebalance_policy=str(rng.choice(["least_outstanding",
+                                                                "round_robin"])),
+                               low_water=int(rng.integers(0, 3)))
+        if all(overlay_fits(pilot, overlay, gpu) for gpu in worker_kinds or {False}):
+            return CampaignSpec(pipelines, pilot, seed=seed, pipeline_mode=mode), overlay
+
+
+def test_random_overlay_campaigns_hold_invariants(tmp_path):
+    cuts = 0
+    for trial in range(200):
+        spec, overlay = random_overlay_campaign(np.random.default_rng(trial + 1000), seed=trial)
+        traces = []
+        for run in range(2):
+            engine = Engine(spec, overlay=overlay)
+            r = engine.run()
+            assert not engine.pilot.live, trial
+            r.sink.save(tmp_path / f"{run}.jsonl")
+            traces.append((tmp_path / f"{run}.jsonl").read_bytes())
+        assert traces[0] == traces[1], trial
+        cuts += r.walltime_hit
+        finals = {s["status"] for s in r.final_states.values()}
+        assert finals <= ({"done", "canceled"} if r.walltime_hit else {"done"}), trial
+        assert stage_barrier_ok(r.sink.events), trial
+        assert replay_trace(r.sink.events) == r.final_states, trial
+        last = {}
+        for ev in r.sink.events:
+            if ev.entity == "node":
+                last[ev.entity_id] = ev.transition
+        assert all(tr == "idle" for tr in last.values()), trial
+        # A worker's busy time is a sum of durations and its span a
+        # difference of summed times, so the two may round apart.
+        assert all(w.busy_fraction(r.makespan) <= 1 + 1e-12 for w in r.overlay_workers), trial
+    assert 0 < cuts < 200
 
 
 def test_random_campaigns_hold_invariants():
