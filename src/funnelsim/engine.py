@@ -4,14 +4,15 @@
 trace, node busy/idle accounting, stage advancement, walltime expiry,
 the RunResult, and each task's route, fixed when its stage starts.  With
 an overlay config, a stage's function tasks run on one master/worker
-overlay of that stage and its other tasks take first-fit rounds on the
-pilot; without one, every task goes to the pilot.  A backend supplies
-the clock and the executor.  The simulated backend is a
-deterministic event loop over a virtual clock, with each duration drawn
-from (campaign seed, task id), so identical configs give byte-identical
-traces.  The local backend runs tasks concurrently on the host (threads
-and subprocesses) and reports wall-clock times; state changes stay in
-the engine thread, and workers only post notices to a queue.
+overlay of that stage, which books its workers' busy time, and its other
+tasks take first-fit rounds on the pilot; without one, every task goes
+to the pilot.  A backend supplies only the clock and the executor, which
+runs a task of any kind.  The simulated backend is a deterministic event
+loop over a virtual clock, with each duration drawn from (campaign seed,
+task id), so identical configs give byte-identical traces.  The local
+backend runs tasks concurrently on the host (threads and subprocesses)
+and reports wall-clock times; state changes stay in the engine thread,
+and workers only post notices to a queue.
 
 Per-task state lives only in each ``PipelineState.task_states``.  A
 pipeline's open tasks are all in its current stage, and placements,
@@ -256,11 +257,16 @@ class Engine:
 
     # -- task lifecycle -------------------------------------------------------
 
-    def _run(self, pid: str, task, pl, t: float):
-        """A placed task starts running on its slots."""
-        self.states[pid].mark_running(task.task_id)
+    def _run(self, pid: str, task, pl, t: float) -> bool:
+        """A placed task starts running on its slots, unless it was canceled
+        since it was placed.  Returns whether it started."""
+        state = self.states[pid]
+        if state.task_states.get(task.task_id) != cm.SCHEDULED:
+            return False
+        state.mark_running(task.task_id)
         self._task_ev(t, task, "running", pid, with_resources=True)
         self._occupy(pl, t)
+        return True
 
     def _finish(self, pid: str, task, outcome: str, result, t: float) -> bool:
         """A placed task of pipeline ``pid`` ended; stale notices for canceled
@@ -332,7 +338,8 @@ class _Overlay:
     simulated runs the masters and workers hold the slots the engine
     placed once they all fit; locally the workers are host threads.  A
     worker that dies has its outstanding tasks re-dispatched once; a
-    task that loses a second worker fails.
+    task that loses a second worker fails.  A worker's busy time is the
+    run time of each task it ended, plus the part run so far at a stop.
     """
 
     def __init__(self, engine: Engine, pid: str, state: cm.PipelineState,
@@ -347,6 +354,7 @@ class _Overlay:
         self.remaining = len(tasks)
         self._done = False
         self._redispatched: set[str] = set()
+        self._started: dict[str, float] = {}    # worker id -> its running task's start
 
         prefix = f"ovl.{pid}.{stage.stage_id}"
         self.placements = placements
@@ -401,16 +409,19 @@ class _Overlay:
         if self.state.task_states.get(task.task_id) == cm.SCHEDULED:
             self.state.mark_running(task.task_id)
             self.engine._task_ev(t, task, "running", self.pid, with_resources=True)
+        self._started[worker.worker_id] = t
         self.engine.backend.run_function(self, worker, task, t)
 
     def _complete(self, task, outcome: str, result, t: float):
         self.remaining -= 1
         self.engine._complete(self.pid, self.state, task, outcome, result, t)
 
-    def on_fn_done(self, worker: WorkerState, task, outcome: str, result,
+    def on_fn_done(self, worker: WorkerState, task, outcome: str, result, dur: float,
                    t: float) -> bool:
         if self._done:
             return False
+        worker.busy_time_s += dur
+        del self._started[worker.worker_id]
         worker.completed += 1
         worker.outstanding -= 1
         if self.state.task_states.get(task.task_id) == cm.RUNNING:
@@ -429,6 +440,7 @@ class _Overlay:
         if self._done:
             return False
         worker.stopped_t = t
+        del self._started[worker.worker_id]
         self.engine._ev(t, "worker", worker.worker_id, "stopped", pipeline=self.pid)
         master = self._owner[worker.worker_id]
         master.workers = [w for w in master.workers if w is not worker]
@@ -452,8 +464,9 @@ class _Overlay:
 
     def teardown(self, t: float):
         self._done = True
-        self.engine.backend.stop_functions(self, t)
         for worker in self.workers:
+            if worker.worker_id in self._started:
+                worker.busy_time_s += t - self._started[worker.worker_id]
             if worker.stopped_t is None:
                 worker.stopped_t = t
                 self.engine._ev(t, "worker", worker.worker_id, "stopped", pipeline=self.pid)
@@ -500,27 +513,15 @@ class _SimulatedBackend:
         self._push(t + self._gap, self._on_start, (pid, task, pl))
 
     def _on_start(self, pid: str, task, pl, t: float) -> bool:
-        if self.engine.states[pid].task_states.get(task.task_id) != cm.SCHEDULED:
-            return False
-        self.engine._run(pid, task, pl, t)
-        # Simulated tasks yield their payload as their result.
-        self._push(t + _task_duration(task, self.engine.spec), self.engine._finish,
-                   (pid, task, cm.DONE, task.payload))
+        # Simulated tasks of every kind yield their payload as their result.
+        if self.engine._run(pid, task, pl, t):
+            self._push(t + _task_duration(task, self.engine.spec), self.engine._finish,
+                       (pid, task, cm.DONE, task.payload))
         return False
 
     def run_function(self, overlay: _Overlay, worker: WorkerState, task, t: float):
         dur = _task_duration(task, self.engine.spec)
-        worker.busy_time_s += dur
-        self._push(t + dur, overlay.on_fn_done, (worker, task, cm.DONE, task.payload))
-
-    def stop_functions(self, overlay: _Overlay, t: float):
-        """The overlay stops at ``t``: each function task it still runs
-        gives back the part of its duration after ``t`` from its worker's
-        busy time, which ``run_function`` charged in full."""
-        done = overlay.on_fn_done
-        for end, _, handler, args in self._heap:
-            if end > t and handler == done:
-                args[0].busy_time_s -= end - t
+        self._push(t + dur, overlay.on_fn_done, (worker, task, cm.DONE, task.payload, dur))
 
     def loop(self):
         heap = self._heap
@@ -546,8 +547,9 @@ class _SimulatedBackend:
 class _LocalBackend:
     """Wall clock and a notification queue.  Simulated-kind tasks sleep
     for their sampled duration, executables run as subprocesses, and
-    function tasks run on overlay worker threads.  Times in the trace are
-    wall-clock seconds since pilot acquisition.
+    function tasks call their function on an overlay worker's thread or
+    a pilot slot's.  Times in the trace are wall-clock seconds since pilot
+    acquisition.
 
     Each executable runs in its own process group.  When the loop ends,
     at walltime or otherwise, the groups still live are killed and
@@ -558,11 +560,6 @@ class _LocalBackend:
     bulk_allocation = staticmethod(nullcontext)
 
     def __init__(self, engine: Engine):
-        tasks = [t for pipe in engine.spec.pipelines for st in pipe.stages for t in st.tasks]
-        if any(t.nodes > 1 for t in tasks):
-            raise ConfigError("multi-node tasks run in simulated mode only")
-        if engine.overlay_cfg is None and any(t.kind == "function" for t in tasks):
-            raise ConfigError("function tasks on the local backend need an overlay config")
         self.engine = engine
         self._queue: queue_mod.Queue = queue_mod.Queue()
         self._stop = threading.Event()
@@ -578,8 +575,8 @@ class _LocalBackend:
         return self.now()
 
     def launch(self, pid: str, task, pl, t: float):
-        self.engine._run(pid, task, pl, self.now())
-        threading.Thread(target=self._run_task, args=(pid, task), daemon=True).start()
+        if self.engine._run(pid, task, pl, self.now()):
+            threading.Thread(target=self._run_task, args=(pid, task), daemon=True).start()
 
     def _run_task(self, pid: str, task: cm.TaskDescriptor):
         outcome, result = cm.DONE, task.payload
@@ -597,8 +594,8 @@ class _LocalBackend:
                         return
                     outcome, result = ended   # stdout: JSON bytes, decoded by campaign
             else:
-                outcome, result = cm.FAILED, "function tasks need the overlay"
-        except Exception as exc:  # pragma: no cover - defensive
+                result = call_function(task.payload)
+        except Exception as exc:
             outcome, result = cm.FAILED, str(exc)
         self._queue.put((self.engine._finish, (pid, task, outcome, result)))
 
@@ -636,11 +633,8 @@ class _LocalBackend:
             return
         except Exception as exc:
             outcome, result = cm.FAILED, str(exc)
-        worker.busy_time_s += time.perf_counter() - start
-        self._queue.put((overlay.on_fn_done, (worker, task, outcome, result)))
-
-    def stop_functions(self, overlay: _Overlay, t: float):
-        """Each worker thread charges its busy time when its call returns."""
+        self._queue.put((overlay.on_fn_done,
+                         (worker, task, outcome, result, time.perf_counter() - start)))
 
     def loop(self):
         engine = self.engine

@@ -79,6 +79,8 @@ class PilotSpec:
         out = []
         if task.nodes > self.nodes:
             out.append(f"needs {task.nodes} nodes, pilot has {self.nodes}")
+        elif task.nodes > 1 and self.backend == "local":    # its nodes share one host
+            out.append(f"needs {task.nodes} nodes, a local pilot runs single-node tasks only")
         if cpus > self.cpus_per_node:
             out.append(f"needs {cpus} cpus/node, pilot has {self.cpus_per_node}")
         if task.gpus > self.gpus_per_node:
@@ -117,9 +119,9 @@ class Pilot:
 
         Raises UnsatisfiableError when it can never fit this pilot, or
         when its demand is malformed (fewer than one node, or a negative
-        count).  A task of at least one node that can never fit also
-        misses, so the capacity rule is checked only on a miss, or when
-        a demand's mask is first built.
+        count).  The capacity rule is checked on a miss, when a demand's
+        mask is first built, and for each multi-node task: a local pilot
+        refuses those even where they fit, and any other unfit task misses.
         """
         if task.nodes < 1 or task.cpus < 0 or task.gpus < 0:
             raise UnsatisfiableError(
@@ -130,8 +132,9 @@ class Pilot:
             raise StateError(f"task {task.task_id} already placed")
         cpus, gpus, n_nodes = self.task_shape(task)
         mask = self._fits.get((cpus, gpus))
-        if mask is None:
+        if mask is None or n_nodes > 1:
             self._check_fit(task)       # no mask is kept for a demand that never fits
+        if mask is None:
             ok = (self.free_cpus >= cpus) & (self.free_gpus >= gpus)
             mask = int.from_bytes(np.packbits(ok, bitorder="little").tobytes(), "little")
             self._fits[(cpus, gpus)] = mask

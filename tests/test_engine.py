@@ -372,9 +372,9 @@ class TestSummaryShapes:
         assert outcomes == ({"done", "canceled"} if which == "walltime_cut" else {"done"})
 
 
-def sleep_fn(tid):
+def sleep_fn(tid, ms=1.0):
     return TaskDescriptor(tid, kind="function", cpus=1, duration_model=FixedDuration(0.0),
-                          payload={"fn": "sleep_ms", "kwargs": {"ms": 1.0}})
+                          payload={"fn": "sleep_ms", "kwargs": {"ms": ms}})
 
 
 def local_pilot():
@@ -448,33 +448,117 @@ class TestLocalBackend:
         assert terminal == [("bad", "failed"), ("slow", "canceled")]
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two host cores")
-    @pytest.mark.parametrize("stage", ["mixed", "function", "plain"])
+    @pytest.mark.parametrize("stage", ["mixed", "function", "plain", "declared", "materialized"])
     def test_backends_reach_the_same_final_states(self, stage):
         # With an overlay config, a stage's function tasks run on its
         # overlay and its other tasks on the pilot, whatever the backend.
-        # Times differ between the backends; outcomes must not.
-        tasks = {"mixed": [task("plain", dur=0.2)] + [sleep_fn(f"f{i}") for i in range(4)],
-                 "function": [sleep_fn(f"f{i}") for i in range(4)],
-                 "plain": [task(f"t{i}", dur=0.1) for i in range(3)]}[stage]
+        # Without one ("declared", "materialized"), the pilot runs every
+        # task, a function task declared in the spec or built by a
+        # materializer alike.  Times differ between the backends;
+        # outcomes must not.
+        build = MaterializeSpec(lambda params, items: [sleep_fn("m0")])
+        stages = {
+            "mixed": [StageSpec("s0", [task("plain", dur=0.2)] +
+                                [sleep_fn(f"f{i}") for i in range(4)])],
+            "function": [StageSpec("s0", [sleep_fn(f"f{i}") for i in range(4)])],
+            "plain": [StageSpec("s0", [task(f"t{i}", dur=0.1) for i in range(3)])],
+            "declared": [StageSpec("s0", [sleep_fn("f")])],
+            "materialized": [StageSpec("s0", [task("plain", dur=0.05)]),
+                             StageSpec("s1", materialize=build),
+                             StageSpec("s2", [sleep_fn("f0")])]}[stage]
+        overlay = (None if stage in ("declared", "materialized") else
+                   MasterConfig(n_masters=1, workers_per_master=1, bulk_size=2))
         outcomes = {}
         for backend in ("simulated", "local"):
-            spec = CampaignSpec([PipelineSpec("p", [StageSpec("s0", tasks)])],
+            spec = CampaignSpec([PipelineSpec("p", stages)],
                                 pilot(nodes=1, cpus_per_node=2, walltime_s=10.0,
                                       backend=backend), mode=backend)
-            r = run_campaign(spec, overlay=MasterConfig(n_masters=1, workers_per_master=1,
-                                                        bulk_size=2))
+            r = run_campaign(spec, overlay=overlay)
             counts = Counter((ev.stage, ev.transition) for ev in r.sink.events
                              if ev.entity == "task")
             outcomes[backend] = (r.final_states, counts)
         assert outcomes["local"] == outcomes["simulated"]
         assert outcomes["local"][0]["p"]["status"] == "done"
 
-    def test_function_tasks_without_overlay_config_rejected(self):
-        spec = CampaignSpec([PipelineSpec("p", [StageSpec("s", [sleep_fn("f")])])],
-                            local_pilot(), mode="local")
-        with pytest.raises(ConfigError, match="overlay"):
-            Engine(spec)
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two host cores")
+    def test_overlay_cut_at_walltime_books_no_busy_time_after_its_stop(self):
+        # The one worker's 600 ms call outlives the 0.2 s walltime and
+        # returns after the overlay stopped; that late return must not
+        # add to the worker's busy time.
+        spec = CampaignSpec([PipelineSpec("p", [StageSpec("s0", [
+            sleep_fn(f"f{i}", ms=600.0) for i in range(2)])])],
+            pilot(nodes=1, cpus_per_node=2, walltime_s=0.2, backend="local"), mode="local")
+        r = run_campaign(spec, overlay=MasterConfig(n_masters=1, workers_per_master=1,
+                                                    bulk_size=2))
+        time.sleep(1.0)
+        assert r.walltime_hit and len(r.overlay_workers) == 1
+        assert all(w.busy_fraction() <= 1 + 1e-12 for w in r.overlay_workers)
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two host cores")
+    def test_materialized_multi_node_task_is_refused_before_its_stage_starts(self):
+        # A local pilot's nodes share one host, so it runs single-node
+        # tasks only; one that a materializer builds is refused as a
+        # declared one is.
+        two_node = TaskDescriptor("m0", kind="executable", cpus=1, nodes=2,
+                                  payload={"argv": [sys.executable, "-c", "pass"]})
+        build = MaterializeSpec(lambda params, items: [two_node])
+        spec = CampaignSpec([PipelineSpec("p", [StageSpec("s0", [task("t0", dur=0.0)]),
+                                                StageSpec("s1", materialize=build)])],
+                            pilot(nodes=2, cpus_per_node=1, walltime_s=10.0, backend="local"),
+                            mode="local")
+        declared = replace(spec, pipelines=[PipelineSpec("p", [StageSpec("s0", [two_node])])])
+        assert [str(v) for v in validate_campaign(declared)] == \
+            ["[capacity] m0: needs 2 nodes, a local pilot runs single-node tasks only"]
+        sink = TraceSink()
+        with pytest.raises(ConfigError, match=r"p/s1 .*\[capacity\] m0"):
+            run_campaign(spec, sink=sink)
+        assert ("p/s1", "started") not in [(e.entity_id, e.transition) for e in sink.events]
+
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two host cores")
+class TestLocalWorkerDeath:
+    """A ``kill_worker`` task on a 1 x 3 local overlay: the first kill
+    re-dispatches it to another worker, and the second fails it and the
+    pipeline."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        kill = TaskDescriptor("k", kind="function", cpus=1, duration_model=FixedDuration(0.0),
+                              payload={"fn": "kill_worker"})
+        spec = CampaignSpec([PipelineSpec("p", [StageSpec("s0", [
+            kill] + [sleep_fn(f"f{i}", ms=50.0) for i in range(5)])])],
+            pilot(nodes=1, cpus_per_node=2, walltime_s=10.0, backend="local"), mode="local")
+        engine = Engine(spec, overlay=MasterConfig(n_masters=1, workers_per_master=3,
+                                                   bulk_size=6))
+        return engine, engine.run()
+
+    def test_killed_task_is_dispatched_again_once(self, run):
+        _, r = run
+        events = r.sink.events
+        failed_at = next(i for i, e in enumerate(events)
+                         if e.entity_id == "k" and e.transition == "failed")
+        deaths = [e.entity_id for e in events[:failed_at] if e.transition == "stopped"]
+        assert len(deaths) == 2 and len(set(deaths)) == 2
+        assert [e.transition for e in events if e.entity_id == "k"] == \
+            ["pending", "scheduled", "running", "failed"]
+
+    def test_second_kill_fails_the_task_and_the_pipeline(self, run):
+        engine, r = run
+        assert r.final_states["p"]["status"] == "failed"
+        assert r.final_states["p"]["task_states"]["k"] == "failed"
+        assert engine.states["p"].outputs["k"] == "worker died twice"
+
+    def test_each_worker_stops_once(self, run):
+        _, r = run
+        stopped = Counter(e.entity_id for e in r.sink.events
+                          if e.entity == "worker" and e.transition == "stopped")
+        assert stopped == {w.worker_id: 1 for w in r.overlay_workers}
+        assert len(stopped) == 3
+
+    def test_busy_fraction_at_most_one(self, run):
+        _, r = run
+        assert all(w.busy_fraction() <= 1 + 1e-12 for w in r.overlay_workers)
 
 def top_k_into_fixed_stage():
     items = [{"id": f"x{i}", "true_score": float(-i)} for i in range(4)]

@@ -150,6 +150,19 @@ class TestSchedule:
         with pytest.raises(UnsatisfiableError):
             schedule(pilot, [task("wide", cpus=1, nodes=3)])
 
+    def test_local_pilot_refuses_multi_node_tasks_its_counts_fit(self):
+        # A local pilot's nodes share one host.  The refusal holds also
+        # once a one-node task of the same per-node demand built its mask.
+        spec = PilotSpec(nodes=2, cpus_per_node=1, gpus_per_node=0, walltime_s=1.0,
+                         backend="local")
+        wide = task("wide", cpus=1, nodes=2)
+        assert spec.unfit(wide) == ["needs 2 nodes, a local pilot runs single-node tasks only"]
+        pilot = Pilot(spec)
+        pilot.release(pilot.place_one(task("narrow", cpus=1)))
+        with pytest.raises(UnsatisfiableError, match="wide needs 2 nodes, a local pilot"):
+            pilot.place_one(wide)
+        assert pilot.free_cpus.tolist() == [1, 1] and not pilot.live
+
     @pytest.mark.parametrize("pool_ids", [["a", "huge"], ["a", "b", "c", "huge", "d"]])
     def test_round_that_raises_is_undone(self, pool_ids):
         # A task placed earlier in a round must not keep its slots when a

@@ -5,6 +5,7 @@ trace bytes on every run alike; these pins can.  A change that alters
 traces on purpose updates the pins and says why in CHANGES.md.
 """
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,10 @@ from funnelsim.workload import FunnelConfig, build_funnel_campaign
 
 from test_properties import random_campaign
 
-DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk_funnel.json"
+ROOT = Path(__file__).resolve().parents[1]
+DESK_CONFIG = ROOT / "configs" / "desk_funnel.json"
+# The benchmark's recorded statistics for its default seed 0; read, never written.
+BENCH_REFERENCE = ROOT / "perfbench" / "reference.json"
 DESK_FUNNEL_SHA256 = {
     42: "67e05646033cf875f2bbf98b9ae52a1c02c0a31f6bc5815b99371fab269551d4",
     0: "88729ea456c50293479d8c6cb26b3bfb0f667adff6a5b30aba99ff9a015b4567",
@@ -53,6 +57,17 @@ def trace_sha256(result, tmp_path):
     return hashlib.sha256(data).hexdigest()
 
 
+def worker_busy_mean(result):
+    """Mean worker busy fraction, summed in worker order as the benchmark
+    sums it, so that it can be compared exactly."""
+    workers = result.overlay_workers
+    return sum(w.busy_fraction(result.makespan) for w in workers) / len(workers)
+
+
+def bench_reference(workload: str) -> dict:
+    return json.loads(BENCH_REFERENCE.read_text(encoding="utf-8"))[workload]
+
+
 def run_overlay_funnel():
     # The funnel of test_engine.TestOverlayStage: 3,257 events.
     spec = build_funnel_campaign(FunnelConfig(library_size=5000, cg_count=20, seed=3),
@@ -78,6 +93,8 @@ def test_desk_funnel_trace_pinned(seed, tmp_path):
     spec, overlay, _ = load_config(str(DESK_CONFIG), seed)
     r = run_campaign(spec, overlay=overlay)
     assert trace_sha256(r, tmp_path) == DESK_FUNNEL_SHA256[seed]
+    if seed == 0:
+        assert worker_busy_mean(r) == bench_reference("desk_funnel")["worker_busy_mean"]
 
 
 def nearly_full_pilot_campaign(seed: int = 5) -> CampaignSpec:
@@ -166,3 +183,4 @@ def test_overlay_fanout_trace_pinned(tmp_path):
                     tasks, seed=0, time_scale=1.0)
     assert len(r.sink) == 135489
     assert trace_sha256(r, tmp_path) == OVERLAY_FANOUT_SHA256
+    assert worker_busy_mean(r) == bench_reference("overlay_fanout")["worker_busy_mean"]

@@ -103,14 +103,16 @@ def test_random_overlay_campaigns_hold_invariants(tmp_path):
     cuts = 0
     for trial in range(200):
         spec, overlay = random_overlay_campaign(np.random.default_rng(trial + 1000), seed=trial)
-        traces = []
+        traces, busy = [], []
         for run in range(2):
             engine = Engine(spec, overlay=overlay)
             r = engine.run()
             assert not engine.pilot.live, trial
             r.sink.save(tmp_path / f"{run}.jsonl")
             traces.append((tmp_path / f"{run}.jsonl").read_bytes())
+            busy.append([w.busy_time_s for w in r.overlay_workers])
         assert traces[0] == traces[1], trial
+        assert busy[0] == busy[1], trial
         cuts += r.walltime_hit
         finals = {s["status"] for s in r.final_states.values()}
         assert finals <= ({"done", "canceled"} if r.walltime_hit else {"done"}), trial
