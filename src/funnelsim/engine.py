@@ -6,13 +6,15 @@ the RunResult, and each task's route, fixed when its stage starts.  With
 an overlay config, a stage's function tasks run on one master/worker
 overlay of that stage, which books its workers' busy time, and its other
 tasks take first-fit rounds on the pilot; without one, every task goes
-to the pilot.  A backend supplies only the clock and the executor, which
-runs a task of any kind.  The simulated backend is a deterministic event
-loop over a virtual clock, with each duration drawn from (campaign seed,
-task id), so identical configs give byte-identical traces.  The local
-backend runs tasks concurrently on the host (threads and subprocesses)
-and reports wall-clock times; state changes stay in the engine thread,
-and workers only post notices to a queue.
+to the pilot.  The engine starts every task; a backend supplies only the
+clock and one executor call, ``execute``, which runs a task of any kind on
+a slot or a worker and posts its end.  Every task yields its payload,
+except a local executable, which yields its stdout.  The simulated backend
+is a deterministic event loop over a virtual clock, with each duration
+drawn from (campaign seed, task id), so identical configs give
+byte-identical traces.  The local backend runs tasks concurrently on the
+host (threads and subprocesses) and reports wall-clock times; state
+changes stay in the engine thread, and workers only post notices to a queue.
 
 Per-task state lives only in each ``PipelineState.task_states``.  A
 pipeline's open tasks are all in its current stage, and placements,
@@ -257,18 +259,19 @@ class Engine:
 
     # -- task lifecycle -------------------------------------------------------
 
-    def _run(self, pid: str, task, pl, t: float) -> bool:
-        """A placed task starts running on its slots, unless it was canceled
-        since it was placed.  Returns whether it started."""
+    def _start(self, pid: str, task, pl, t: float) -> bool:
+        """A placed task, unless canceled since, starts on its slots and its
+        executor runs it.  A start frees nothing, so it asks for no round."""
         state = self.states[pid]
-        if state.task_states.get(task.task_id) != cm.SCHEDULED:
-            return False
-        state.mark_running(task.task_id)
-        self._task_ev(t, task, "running", pid, with_resources=True)
-        self._occupy(pl, t)
-        return True
+        if state.task_states.get(task.task_id) == cm.SCHEDULED:
+            state.mark_running(task.task_id)
+            self._task_ev(t, task, "running", pid, with_resources=True)
+            self._occupy(pl, t)
+            self.backend.execute(task, t, self._finish, (pid, task))
+        return False
 
-    def _finish(self, pid: str, task, outcome: str, result, t: float) -> bool:
+    def _finish(self, pid: str, task, outcome: str, result, duration: float,
+                t: float) -> bool:
         """A placed task of pipeline ``pid`` ended; stale notices for canceled
         tasks are dropped.  Returns whether a completion was applied."""
         state = self.states[pid]
@@ -337,9 +340,10 @@ class _Overlay:
     Function tasks run inside workers and hold no pilot slots.  In
     simulated runs the masters and workers hold the slots the engine
     placed once they all fit; locally the workers are host threads.  A
-    worker that dies has its outstanding tasks re-dispatched once; a
-    task that loses a second worker fails.  A worker's busy time is the
-    run time of each task it ended, plus the part run so far at a stop.
+    worker that dies has its outstanding tasks re-dispatched once; a task
+    that loses a second worker, or its master's last, fails.  A worker's
+    busy time is the run time of each task it ended, plus the part run so
+    far at a stop.
     """
 
     def __init__(self, engine: Engine, pid: str, state: cm.PipelineState,
@@ -410,11 +414,13 @@ class _Overlay:
             self.state.mark_running(task.task_id)
             self.engine._task_ev(t, task, "running", self.pid, with_resources=True)
         self._started[worker.worker_id] = t
-        self.engine.backend.run_function(self, worker, task, t)
+        self.engine.backend.execute(task, t, self.on_fn_done, (worker, task), self.on_death)
 
     def _complete(self, task, outcome: str, result, t: float):
-        self.remaining -= 1
-        self.engine._complete(self.pid, self.state, task, outcome, result, t)
+        # A task canceled while it ran, as its pipeline failed, stays canceled.
+        if self.state.task_states.get(task.task_id) == cm.RUNNING:
+            self.remaining -= 1
+            self.engine._complete(self.pid, self.state, task, outcome, result, t)
 
     def on_fn_done(self, worker: WorkerState, task, outcome: str, result, dur: float,
                    t: float) -> bool:
@@ -424,8 +430,7 @@ class _Overlay:
         del self._started[worker.worker_id]
         worker.completed += 1
         worker.outstanding -= 1
-        if self.state.task_states.get(task.task_id) == cm.RUNNING:
-            self._complete(task, outcome, result, t)
+        self._complete(task, outcome, result, t)
         if worker.queue and self.state.status == cm.RUNNING:
             self._start_task(worker, worker.queue.popleft(), t)
         else:
@@ -447,14 +452,14 @@ class _Overlay:
         orphans = list(worker.queue)
         worker.queue.clear()
         worker.outstanding = 0
-        if not master.workers:
-            raise DispatchError(f"master {master.master_id} lost all workers")
-        if task.task_id in self._redispatched:
+        if not master.workers:   # nothing to re-dispatch to; the pipeline fails
+            self._complete(task, cm.FAILED, f"master {master.master_id} lost all workers", t)
+        elif task.task_id in self._redispatched:
             self._complete(task, cm.FAILED, "worker died twice", t)
         else:
             self._redispatched.add(task.task_id)
             orphans.insert(0, task)
-        if orphans:
+        if orphans and master.workers:
             master.dispatch(Bulk(f"redispatch.{worker.worker_id}", orphans))
         if self.remaining == 0 or self.state.status != cm.RUNNING:
             self.teardown(t)
@@ -510,18 +515,12 @@ class _SimulatedBackend:
         return self.t
 
     def launch(self, pid: str, task, pl, t: float):
-        self._push(t + self._gap, self._on_start, (pid, task, pl))
+        self._push(t + self._gap, self.engine._start, (pid, task, pl))
 
-    def _on_start(self, pid: str, task, pl, t: float) -> bool:
-        # Simulated tasks of every kind yield their payload as their result.
-        if self.engine._run(pid, task, pl, t):
-            self._push(t + _task_duration(task, self.engine.spec), self.engine._finish,
-                       (pid, task, cm.DONE, task.payload))
-        return False
-
-    def run_function(self, overlay: _Overlay, worker: WorkerState, task, t: float):
-        dur = _task_duration(task, self.engine.spec)
-        self._push(t + dur, overlay.on_fn_done, (worker, task, cm.DONE, task.payload, dur))
+    def execute(self, task, t: float, on_end, args: tuple, on_death=None):
+        # No simulated task dies yet, so ``on_death`` goes unused.
+        duration = _task_duration(task, self.engine.spec)
+        self._push(t + duration, on_end, (*args, cm.DONE, task.payload, duration))
 
     def loop(self):
         heap = self._heap
@@ -545,11 +544,11 @@ class _SimulatedBackend:
 
 
 class _LocalBackend:
-    """Wall clock and a notification queue.  Simulated-kind tasks sleep
-    for their sampled duration, executables run as subprocesses, and
-    function tasks call their function on an overlay worker's thread or
-    a pilot slot's.  Times in the trace are wall-clock seconds since pilot
-    acquisition.
+    """Wall clock and a notification queue.  Each task runs on a thread
+    of its own, as a worker runs one task at a time: simulated-kind tasks
+    sleep for their sampled duration, executables run as subprocesses,
+    and function tasks call their function.  Times in the trace are
+    wall-clock seconds since pilot acquisition.
 
     Each executable runs in its own process group.  When the loop ends,
     at walltime or otherwise, the groups still live are killed and
@@ -575,33 +574,40 @@ class _LocalBackend:
         return self.now()
 
     def launch(self, pid: str, task, pl, t: float):
-        if self.engine._run(pid, task, pl, self.now()):
-            threading.Thread(target=self._run_task, args=(pid, task), daemon=True).start()
+        self.engine._start(pid, task, pl, self.now())
 
-    def _run_task(self, pid: str, task: cm.TaskDescriptor):
+    def execute(self, task, t: float, on_end, args: tuple, on_death=None):
+        threading.Thread(target=self._run, args=(task, on_end, args, on_death),
+                         daemon=True).start()
+
+    def _run(self, task: cm.TaskDescriptor, on_end, args: tuple, on_death):
+        start = time.perf_counter()
         outcome, result = cm.DONE, task.payload
         try:
             if task.kind == "simulated":
                 if self._stop.wait(_task_duration(task, self.engine.spec)):
                     return
             elif task.kind == "executable":
-                argv = (task.payload or {}).get("argv")
-                if not argv:
-                    outcome, result = cm.FAILED, "no argv"
-                else:
-                    ended = self._execute(argv)
-                    if ended is None:
-                        return
-                    outcome, result = ended   # stdout: JSON bytes, decoded by campaign
+                ended = self._run_argv((task.payload or {}).get("argv"))
+                if ended is None:
+                    return
+                outcome, result = ended   # stdout: JSON bytes, decoded by campaign
             else:
-                result = call_function(task.payload)
+                call_function(task.payload)
+        except WorkerKilled as exc:
+            if on_death is not None:
+                self._queue.put((on_death, args))
+                return
+            outcome, result = cm.FAILED, str(exc)
         except Exception as exc:
             outcome, result = cm.FAILED, str(exc)
-        self._queue.put((self.engine._finish, (pid, task, outcome, result)))
+        self._queue.put((on_end, (*args, outcome, result, time.perf_counter() - start)))
 
-    def _execute(self, argv) -> tuple[str, bytes] | None:
-        """Run an executable until it exits: its outcome and stdout.  None
-        if the walltime or the run ends first; the engine then cancels it."""
+    def _run_argv(self, argv) -> tuple[str, bytes | str] | None:
+        """Run an executable until it exits: its outcome and stdout ("no argv"
+        without one).  None if the walltime or the run ends first."""
+        if not argv:
+            return cm.FAILED, "no argv"
         with self._procs_lock:
             if self._stop.is_set():
                 return None
@@ -619,22 +625,6 @@ class _LocalBackend:
             with self._procs_lock:
                 self._procs.discard(proc)
         return (cm.DONE if proc.returncode == 0 else cm.FAILED), stdout
-
-    def run_function(self, overlay: _Overlay, worker: WorkerState, task, t: float):
-        # A worker runs one task at a time, so each call gets its own thread.
-        threading.Thread(target=self._call, args=(overlay, worker, task), daemon=True).start()
-
-    def _call(self, overlay: _Overlay, worker: WorkerState, task):
-        start = time.perf_counter()
-        try:
-            outcome, result = cm.DONE, call_function(task.payload)
-        except WorkerKilled:
-            self._queue.put((overlay.on_death, (worker, task)))
-            return
-        except Exception as exc:
-            outcome, result = cm.FAILED, str(exc)
-        self._queue.put((overlay.on_fn_done,
-                         (worker, task, outcome, result, time.perf_counter() - start)))
 
     def loop(self):
         engine = self.engine

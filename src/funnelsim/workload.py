@@ -475,10 +475,6 @@ def _fn_sleep_ms(ms: float = 1.0) -> float:
     return ms
 
 
-def _fn_echo(value=None):
-    return value
-
-
 def _fn_fail(message: str = "task failed"):
     raise RuntimeError(message)
 
@@ -489,7 +485,6 @@ def _fn_kill_worker():
 
 FUNCTIONS = {
     "sleep_ms": _fn_sleep_ms,
-    "echo": _fn_echo,
     "fail": _fn_fail,
     "kill_worker": _fn_kill_worker,
 }

@@ -16,11 +16,11 @@ from funnelsim.campaign import (CampaignSpec, FixedDuration, HookSpec, Materiali
                                 PipelineSpec, StageSpec, TaskDescriptor, validate_campaign)
 from funnelsim.cli import main
 from funnelsim.engine import Engine, run_campaign, run_executor
-from funnelsim.errors import ConfigError, StateError
+from funnelsim.errors import ConfigError, StateError, WorkerKilled
 from funnelsim.overlay import MasterConfig
 from funnelsim.pilot import PilotSpec
 from funnelsim.trace import TraceSink
-from funnelsim.workload import FunnelConfig, build_funnel_campaign, select_top_k
+from funnelsim.workload import FUNCTIONS, FunnelConfig, build_funnel_campaign, select_top_k
 
 
 def task(tid, dur=1.0, **kw):
@@ -448,15 +448,19 @@ class TestLocalBackend:
         assert terminal == [("bad", "failed"), ("slow", "canceled")]
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two host cores")
-    @pytest.mark.parametrize("stage", ["mixed", "function", "plain", "declared", "materialized"])
+    @pytest.mark.parametrize("stage", ["mixed", "function", "plain", "declared", "materialized",
+                                       "fed", "fed_overlay"])
     def test_backends_reach_the_same_final_states(self, stage):
         # With an overlay config, a stage's function tasks run on its
         # overlay and its other tasks on the pilot, whatever the backend.
-        # Without one ("declared", "materialized"), the pilot runs every
-        # task, a function task declared in the spec or built by a
-        # materializer alike.  Times differ between the backends;
-        # outcomes must not.
+        # Without one ("declared", "materialized", "fed"), the pilot runs
+        # every task, a function task declared in the spec or built by a
+        # materializer alike.  A function task yields its payload on both
+        # backends, so its outputs can feed a materializer ("fed").  Times
+        # differ between the backends; outcomes must not.
         build = MaterializeSpec(lambda params, items: [sleep_fn("m0")])
+        feed = MaterializeSpec(lambda params, items: [sleep_fn(f"m{i}")
+                                                      for i in range(len(items))])
         stages = {
             "mixed": [StageSpec("s0", [task("plain", dur=0.2)] +
                                 [sleep_fn(f"f{i}") for i in range(4)])],
@@ -465,8 +469,10 @@ class TestLocalBackend:
             "declared": [StageSpec("s0", [sleep_fn("f")])],
             "materialized": [StageSpec("s0", [task("plain", dur=0.05)]),
                              StageSpec("s1", materialize=build),
-                             StageSpec("s2", [sleep_fn("f0")])]}[stage]
-        overlay = (None if stage in ("declared", "materialized") else
+                             StageSpec("s2", [sleep_fn("f0")])],
+            "fed": [StageSpec("s0", [sleep_fn("f0")]), StageSpec("s1", materialize=feed)],
+        }[stage.removesuffix("_overlay")]
+        overlay = (None if stage in ("declared", "materialized", "fed") else
                    MasterConfig(n_masters=1, workers_per_master=1, bulk_size=2))
         outcomes = {}
         for backend in ("simulated", "local"):
@@ -514,6 +520,36 @@ class TestLocalBackend:
             run_campaign(spec, sink=sink)
         assert ("p/s1", "started") not in [(e.entity_id, e.transition) for e in sink.events]
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two host cores")
+    @pytest.mark.parametrize("case", ["fail_on_slot", "fail_on_worker", "kill_on_slot",
+                                      "no_argv"])
+    def test_failed_task_fails_its_pipeline_and_cancels_its_sibling(self, case):
+        # A task that fails on a pilot slot or an overlay worker ends
+        # ``failed`` with its message as its output; a kill on a pilot
+        # slot has no worker to kill and fails the same way.  On the 1 x 1
+        # overlay the failing task runs first and the sibling waits.
+        def fn(tid, name):
+            return TaskDescriptor(tid, kind="function", cpus=1,
+                                  duration_model=FixedDuration(0.0), payload={"fn": name})
+        bad, message = {
+            "fail_on_slot": (fn("bad", "fail"), "task failed"),
+            "fail_on_worker": (fn("bad", "fail"), "task failed"),
+            "kill_on_slot": (fn("bad", "kill_worker"), "worker killed by task"),
+            "no_argv": (TaskDescriptor("bad", kind="executable", cpus=1), "no argv"),
+        }[case]
+        spec = CampaignSpec([PipelineSpec("p", [
+            StageSpec("s0", [bad, sleep_fn("sib", ms=300.0)])])],
+            pilot(nodes=1, cpus_per_node=2, walltime_s=10.0, backend="local"), mode="local")
+        overlay = (MasterConfig(n_masters=1, workers_per_master=1, bulk_size=2)
+                   if case == "fail_on_worker" else None)
+        engine = Engine(spec, overlay=overlay)
+        r = engine.run()
+        assert r.final_states["p"]["status"] == "failed"
+        assert r.final_states["p"]["task_states"] == {"bad": "failed", "sib": "canceled"}
+        assert engine.states["p"].outputs["bad"] == message
+        last = {e.entity_id: e.transition for e in r.sink.events if e.entity == "node"}
+        assert set(last.values()) == (set() if overlay else {"idle"})
+        assert engine.pilot.live == {}
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two host cores")
@@ -559,6 +595,52 @@ class TestLocalWorkerDeath:
     def test_busy_fraction_at_most_one(self, run):
         _, r = run
         assert all(w.busy_fraction() <= 1 + 1e-12 for w in r.overlay_workers)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two host cores")
+def test_master_that_loses_its_last_worker_fails_the_task():
+    # On a 1 x 1 local overlay the kill leaves the master no worker to
+    # re-dispatch to: the task fails, its pipeline fails, the waiting
+    # sibling is canceled and the overlay tears down.  The run returns.
+    kill = TaskDescriptor("k", kind="function", cpus=1, duration_model=FixedDuration(0.0),
+                          payload={"fn": "kill_worker"})
+    spec = CampaignSpec([PipelineSpec("p", [StageSpec("s0", [kill, sleep_fn("f0", ms=50.0)])])],
+                        pilot(nodes=1, cpus_per_node=2, walltime_s=10.0, backend="local"),
+                        mode="local")
+    engine = Engine(spec, overlay=MasterConfig(n_masters=1, workers_per_master=1, bulk_size=2))
+    r = engine.run()
+    assert r.final_states["p"]["task_states"] == {"k": "failed", "f0": "canceled"}
+    assert engine.states["p"].outputs["k"] == "master ovl.p.s0.m00 lost all workers"
+    last = r.sink.events[-1]
+    assert (last.entity, last.transition) == ("pilot", "released")
+    stopped = Counter(e.entity_id for e in r.sink.events
+                      if e.entity == "worker" and e.transition == "stopped")
+    assert stopped == {"ovl.p.s0.w0000": 1}
+    assert [w.worker_id for w in r.overlay_workers] == ["ovl.p.s0.w0000"]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two host cores")
+def test_death_of_a_task_canceled_while_it_ran_leaves_it_canceled(monkeypatch):
+    # "bad" fails p at once, so "k" is canceled while it runs on p's 1 x 1
+    # overlay; pipeline q keeps the run going until k's worker dies.  That
+    # late death stops the overlay and leaves k canceled.
+    def late_kill():
+        time.sleep(0.2)
+        raise WorkerKilled("late")
+    monkeypatch.setitem(FUNCTIONS, "late_kill", late_kill)
+    kill = TaskDescriptor("k", kind="function", cpus=1, duration_model=FixedDuration(0.0),
+                          payload={"fn": "late_kill"})
+    bad = TaskDescriptor("bad", kind="executable", cpus=1)
+    spec = CampaignSpec([PipelineSpec("p", [StageSpec("s0", [kill, bad])]),
+                         PipelineSpec("q", [StageSpec("s0", [task("long", dur=0.5)])])],
+                        pilot(nodes=1, cpus_per_node=2, walltime_s=10.0, backend="local"),
+                        mode="local")
+    r = run_campaign(spec, overlay=MasterConfig(n_masters=1, workers_per_master=1, bulk_size=2))
+    assert {pid: s["task_states"] for pid, s in r.final_states.items()} == \
+        {"p": {"k": "canceled", "bad": "failed"}, "q": {"long": "done"}}
+    assert [(e.entity_id, e.transition) for e in r.sink.events if e.entity == "worker"] == \
+        [("ovl.p.s0.w0000", "ready"), ("ovl.p.s0.w0000", "busy"), ("ovl.p.s0.w0000", "stopped")]
+
 
 def top_k_into_fixed_stage():
     items = [{"id": f"x{i}", "true_score": float(-i)} for i in range(4)]

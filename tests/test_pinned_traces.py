@@ -31,6 +31,10 @@ DESK_FUNNEL_SHA256 = {
     0: "88729ea456c50293479d8c6cb26b3bfb0f667adff6a5b30aba99ff9a015b4567",
     1: "fdee17a5359bb6d4cfda468305fa8c0e7716acf6152922544fdde37ea5e9e31a",
 }
+# The float.hex() of each worker's busy_time_s, in worker order and joined
+# by spaces, for the desk funnel at seed 0: the mean alone can hold while
+# the last bits of single sums move.
+DESK_FUNNEL_BUSY_SHA256 = "8c96a731688929e9a802acd8ea6571dc011c231f4d00823ba4699ef60b98567c"
 OVERLAY_FUNNEL_SHA256 = "eb7ffed374bdd4996d20d8b470ffb027663cb7db84bdb8e46fd0f9093d7eb91a"
 PROPERTY_TRIAL_SHA256 = [
     "793d058eb158cd9cffb817d72157caa53372875d362f9e208f50e2a8771794eb",
@@ -95,6 +99,8 @@ def test_desk_funnel_trace_pinned(seed, tmp_path):
     assert trace_sha256(r, tmp_path) == DESK_FUNNEL_SHA256[seed]
     if seed == 0:
         assert worker_busy_mean(r) == bench_reference("desk_funnel")["worker_busy_mean"]
+        sums = " ".join(w.busy_time_s.hex() for w in r.overlay_workers)
+        assert hashlib.sha256(sums.encode()).hexdigest() == DESK_FUNNEL_BUSY_SHA256
 
 
 def nearly_full_pilot_campaign(seed: int = 5) -> CampaignSpec:
