@@ -181,6 +181,8 @@ class Engine:
             self._pending[pid].clear()
             self._pool_shapes[pid].clear()
             self._awaiting[pid].clear()
+            for runtime in [o for o in self._overlays if o.pid == pid]:
+                runtime.teardown(t)
             for task in result.canceled:
                 pl = self.pilot.live.get(task.task_id)
                 if pl is not None:
@@ -207,52 +209,44 @@ class Engine:
                 self._task_ev(t, task, "scheduled", pid)
                 self.backend.launch(pid, task, pl, t)
 
-    def _overlay_demands(self, prefix: str, gpu_workers: bool) -> deque:
-        """The overlay's masters, then its workers, as one-node tasks."""
+    def _overlay_demands(self, prefix: str) -> deque:
+        """The overlay's masters, then its workers, as one-node tasks.  A
+        worker holds one gpu slot on a pilot that has gpus, else one cpu."""
         config = self.overlay_cfg
-        w_cpus, w_gpus = (0, 1) if gpu_workers else (1, 0)
+        w_cpus, w_gpus = (0, 1) if self.spec.resource.gpus_per_node > 0 else (1, 0)
         demands = deque(cm.TaskDescriptor(f"{prefix}.m{m:02d}", cpus=1, gpus=0)
                         for m in range(config.n_masters))
         demands.extend(cm.TaskDescriptor(f"{prefix}.w{w:04d}", cpus=w_cpus, gpus=w_gpus)
                        for w in range(config.n_masters * config.workers_per_master))
         return demands
 
-    def _lacks_capacity(self) -> DispatchError:
-        config = self.overlay_cfg
-        return DispatchError(f"pilot lacks capacity for {config.n_masters} masters + "
-                             f"{config.n_masters * config.workers_per_master} workers")
-
     def _check_overlay_fits(self):
-        """Refuse, before the run, an overlay that fits an idle pilot with
-        neither cpu nor gpu workers: no stage could ever place it."""
+        """Refuse, before the run, an overlay that does not fit an idle
+        pilot: no stage could ever place it."""
         config, res = self.overlay_cfg, self.spec.resource
+        n_workers = config.n_masters * config.workers_per_master
         # Each master and worker takes a slot, so a larger count never fits.
-        if config.n_masters * (1 + config.workers_per_master) <= \
-                res.nodes * (res.cpus_per_node + res.gpus_per_node):
-            for gpu_workers in (False, True):
-                demands = self._overlay_demands("ovl", gpu_workers)
-                try:
-                    Pilot(res).schedule(demands)
-                except UnsatisfiableError:  # a master or worker larger than a node
-                    continue
-                if not demands:
-                    return
-        raise self._lacks_capacity()
+        if config.n_masters + n_workers <= res.nodes * (res.cpus_per_node + res.gpus_per_node):
+            demands = self._overlay_demands("ovl")
+            try:
+                Pilot(res).schedule(demands)
+            except UnsatisfiableError:  # a master or worker larger than a node
+                pass
+            if not demands:
+                return
+        raise DispatchError(f"pilot lacks capacity for {config.n_masters} masters + "
+                            f"{n_workers} workers")
 
     def _start_overlay(self, pid: str, state: cm.PipelineState, t: float):
         """Start the overlay of the stage's awaiting function tasks once all its
         masters and workers fit on the pilot; local ones run on host threads."""
         tasks, placements = self._awaiting[pid], []
         if self.backend.overlay_on_pilot:
-            demands = self._overlay_demands(f"ovl.{pid}.{state.current_stage().stage_id}",
-                                            any(tk.gpus > 0 for tk in tasks))
-            idle = not self.pilot.live
+            demands = self._overlay_demands(f"ovl.{pid}.{state.current_stage().stage_id}")
             placements = self.pilot.schedule(demands)
-            if demands:
+            if demands:     # it fits the idle pilot, so a later round places it
                 for pl in placements:
                     self.pilot.release(pl)
-                if idle:    # it fits the idle pilot only with the other kind of worker
-                    raise self._lacks_capacity()
                 return
         self._overlays.append(_Overlay(self, pid, state, tasks, placements, t))
         self._awaiting[pid] = []
@@ -341,9 +335,10 @@ class _Overlay:
     simulated runs the masters and workers hold the slots the engine
     placed once they all fit; locally the workers are host threads.  A
     worker that dies has its outstanding tasks re-dispatched once; a task
-    that loses a second worker, or its master's last, fails.  A worker's
-    busy time is the run time of each task it ended, plus the part run so
-    far at a stop.
+    that loses a second worker, or its master's last, fails.  The overlay
+    stops once its tasks have ended, its pipeline fails or the walltime
+    cuts the run.  A worker's busy time is the run time of each task it
+    ended, plus the part run so far at a stop.
     """
 
     def __init__(self, engine: Engine, pid: str, state: cm.PipelineState,
@@ -417,10 +412,9 @@ class _Overlay:
         self.engine.backend.execute(task, t, self.on_fn_done, (worker, task), self.on_death)
 
     def _complete(self, task, outcome: str, result, t: float):
-        # A task canceled while it ran, as its pipeline failed, stays canceled.
-        if self.state.task_states.get(task.task_id) == cm.RUNNING:
-            self.remaining -= 1
-            self.engine._complete(self.pid, self.state, task, outcome, result, t)
+        # A task that fails its pipeline tears this overlay down (``_done``).
+        self.remaining -= 1
+        self.engine._complete(self.pid, self.state, task, outcome, result, t)
 
     def on_fn_done(self, worker: WorkerState, task, outcome: str, result, dur: float,
                    t: float) -> bool:
@@ -431,11 +425,13 @@ class _Overlay:
         worker.completed += 1
         worker.outstanding -= 1
         self._complete(task, outcome, result, t)
-        if worker.queue and self.state.status == cm.RUNNING:
+        if self._done:
+            return True
+        if worker.queue:
             self._start_task(worker, worker.queue.popleft(), t)
         else:
             self.engine._ev(t, "worker", worker.worker_id, "idle", pipeline=self.pid)
-        if self.remaining == 0 or self.state.status != cm.RUNNING:
+        if self.remaining == 0:
             self.teardown(t)
         else:
             self._refill(self._owner[worker.worker_id], t)
@@ -459,9 +455,11 @@ class _Overlay:
         else:
             self._redispatched.add(task.task_id)
             orphans.insert(0, task)
-        if orphans and master.workers:
+        if self._done:
+            return True
+        if orphans:
             master.dispatch(Bulk(f"redispatch.{worker.worker_id}", orphans))
-        if self.remaining == 0 or self.state.status != cm.RUNNING:
+        if self.remaining == 0:
             self.teardown(t)
         else:
             self._pump(master, t)

@@ -12,7 +12,7 @@ import pytest
 
 from funnelsim.cli import MAX_BUCKETS, _trace_metrics, load_config, main, parse_cost_model
 from funnelsim.engine import Engine, run_campaign
-from funnelsim.errors import DispatchError, TraceError
+from funnelsim.errors import TraceError
 from funnelsim.overlay import MasterConfig
 from funnelsim.trace import TraceEvent, TraceSink, load_trace, stage_tasks, stage_throughput
 from funnelsim.workload import StageCost
@@ -109,12 +109,17 @@ class TestSimulate:
         assert len(before_fault) > 5
         assert load_trace(out / "trace.jsonl") == before_fault
 
-    @pytest.mark.parametrize("section, key, value", [("resource", "cpus_per_node", 1),
-                                                     ("overlay", "workers_per_master", 10**6)])
-    def test_overlay_that_never_fits_exits_2_with_nothing_written(self, section, key, value,
-                                                                   tmp_path, capsys):
+    @pytest.mark.parametrize("updates", [
+        {"resource": {"cpus_per_node": 1}},
+        {"overlay": {"workers_per_master": 10**6}},
+        # The pilot has gpus, so each worker takes one, and the one node has one gpu.
+        {"resource": {"nodes": 1, "gpus_per_node": 1}, "overlay": {"workers_per_master": 4}},
+    ], ids=["resource-cpus_per_node-1", "overlay-workers_per_master-1000000", "one_gpu_node"])
+    def test_overlay_that_never_fits_exits_2_with_nothing_written(self, updates, tmp_path,
+                                                                   capsys):
         doc = json.loads((ROOT / "configs/desk_funnel.json").read_text())
-        doc[section][key] = value
+        for section, values in updates.items():
+            doc[section].update(values)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "out"
@@ -124,30 +129,6 @@ class TestSimulate:
         assert capsys.readouterr().err == \
             f"error: pilot lacks capacity for 1 masters + {workers} workers\n"
         assert not out.exists()
-
-    def test_overlay_refused_at_stage_start_leaves_a_partial_trace(self, tmp_path, capsys):
-        # The one documented exception to "exit 2 with nothing written".
-        # A 1 x 4 overlay fits the one node with cpu workers, so the Engine
-        # builds; S1 needs gpu workers, and the node has one gpu, so the
-        # overlay is refused only when S1 starts.  A fix that refuses it
-        # before the run changes this test on purpose (ROADMAP item 12).
-        doc = json.loads((ROOT / "configs/desk_funnel.json").read_text())
-        doc["resource"].update(nodes=1, gpus_per_node=1)
-        doc["overlay"]["workers_per_master"] = 4
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(doc))
-        spec, overlay, _ = load_config(str(cfg))
-        engine = Engine(spec, overlay=overlay)
-        with alarm(30), pytest.raises(DispatchError, match="lacks capacity"):
-            engine.run()
-        out = tmp_path / "out"
-        with alarm(30):
-            assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
-        assert capsys.readouterr().err == "error: pilot lacks capacity for 1 masters + 4 workers\n"
-        assert [p.name for p in out.iterdir()] == ["trace.jsonl"]
-        started = [e.entity_id for e in load_trace(out / "trace.jsonl")
-                   if e.entity == "stage" and e.transition == "started"]
-        assert started[-1] == "p0/S1"
 
     def test_outputs_do_not_depend_on_the_string_hash_seed(self, tmp_path):
         outs = []

@@ -521,35 +521,54 @@ class TestLocalBackend:
         assert ("p/s1", "started") not in [(e.entity_id, e.transition) for e in sink.events]
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two host cores")
-    @pytest.mark.parametrize("case", ["fail_on_slot", "fail_on_worker", "kill_on_slot",
-                                      "no_argv"])
+    @pytest.mark.parametrize("case", ["fail_on_slot", "fail_on_worker", "fail_beside_worker",
+                                      "kill_on_slot", "no_argv", "no_argv_beside_worker"])
     def test_failed_task_fails_its_pipeline_and_cancels_its_sibling(self, case):
         # A task that fails on a pilot slot or an overlay worker ends
         # ``failed`` with its message as its output; a kill on a pilot
         # slot has no worker to kill and fails the same way.  On the 1 x 1
-        # overlay the failing task runs first and the sibling waits.
+        # overlay of "fail_on_worker" the failing task runs first and the
+        # sibling waits; in the "beside" cases the sibling runs on a worker
+        # as the task fails.  The failure stops the overlay at once, and
+        # the sibling's late return adds no busy time.
         def fn(tid, name):
             return TaskDescriptor(tid, kind="function", cpus=1,
                                   duration_model=FixedDuration(0.0), payload={"fn": name})
         bad, message = {
             "fail_on_slot": (fn("bad", "fail"), "task failed"),
             "fail_on_worker": (fn("bad", "fail"), "task failed"),
+            "fail_beside_worker": (fn("bad", "fail"), "task failed"),
             "kill_on_slot": (fn("bad", "kill_worker"), "worker killed by task"),
             "no_argv": (TaskDescriptor("bad", kind="executable", cpus=1), "no argv"),
+            "no_argv_beside_worker": (TaskDescriptor("bad", kind="executable", cpus=1),
+                                      "no argv"),
         }[case]
         spec = CampaignSpec([PipelineSpec("p", [
             StageSpec("s0", [bad, sleep_fn("sib", ms=300.0)])])],
             pilot(nodes=1, cpus_per_node=2, walltime_s=10.0, backend="local"), mode="local")
-        overlay = (MasterConfig(n_masters=1, workers_per_master=1, bulk_size=2)
-                   if case == "fail_on_worker" else None)
+        workers = {"fail_on_worker": 1, "fail_beside_worker": 2,
+                   "no_argv_beside_worker": 1}.get(case)
+        overlay = (MasterConfig(n_masters=1, workers_per_master=workers, bulk_size=2)
+                   if workers else None)
         engine = Engine(spec, overlay=overlay)
         r = engine.run()
         assert r.final_states["p"]["status"] == "failed"
         assert r.final_states["p"]["task_states"] == {"bad": "failed", "sib": "canceled"}
         assert engine.states["p"].outputs["bad"] == message
         last = {e.entity_id: e.transition for e in r.sink.events if e.entity == "node"}
-        assert set(last.values()) == (set() if overlay else {"idle"})
+        on_slot = overlay is None or bad.kind == "executable"
+        assert set(last.values()) == ({"idle"} if on_slot else set())
         assert engine.pilot.live == {}
+        if overlay is None:
+            return
+        time.sleep(0.5)
+        events = r.sink.events
+        failed_at = [(e.entity, e.transition) for e in events].index(("pipeline", "failed"))
+        stops = Counter(e.entity_id for e in events[:failed_at] if e.transition == "stopped")
+        assert stops == {"ovl.p.s0.m00": 1, **{w.worker_id: 1 for w in r.overlay_workers}}
+        assert len(r.overlay_workers) == workers
+        assert not [e for e in events[failed_at:] if e.entity in ("worker", "master")]
+        assert all(w.busy_fraction() <= 1 + 1e-12 for w in r.overlay_workers)
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two host cores")
@@ -622,8 +641,9 @@ def test_master_that_loses_its_last_worker_fails_the_task():
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two host cores")
 def test_death_of_a_task_canceled_while_it_ran_leaves_it_canceled(monkeypatch):
     # "bad" fails p at once, so "k" is canceled while it runs on p's 1 x 1
-    # overlay; pipeline q keeps the run going until k's worker dies.  That
-    # late death stops the overlay and leaves k canceled.
+    # overlay, and the failure stops that overlay; pipeline q keeps the run
+    # going until k's worker dies.  That late death is dropped and leaves k
+    # canceled.
     def late_kill():
         time.sleep(0.2)
         raise WorkerKilled("late")

@@ -8,7 +8,7 @@ from funnelsim.engine import run_overlay
 from funnelsim.errors import DispatchError
 from funnelsim.overlay import (Bulk, Master, MasterConfig, WorkerState,
                                partition_bulks, round_robin_assign)
-from funnelsim.pilot import PilotSpec
+from funnelsim.pilot import Pilot, PilotSpec
 from funnelsim.trace import TraceSink
 
 
@@ -144,7 +144,7 @@ class TestRunOverlay:
                  ftask("t")),
                 (PilotSpec(nodes=1, cpus_per_node=3, gpus_per_node=6, walltime_s=10.0),
                  gpu_task),
-                # No cpu for a master, so neither kind of worker helps.
+                # No cpu for a master, whatever the workers take.
                 (PilotSpec(nodes=2, cpus_per_node=0, gpus_per_node=8, walltime_s=10.0,
                            gpu_host_cpu=False), gpu_task)):
             with pytest.raises(DispatchError, match="lacks capacity for 1 masters [+] 3 workers"):
@@ -154,6 +154,28 @@ class TestRunOverlay:
         spec = PilotSpec(nodes=1, cpus_per_node=1, gpus_per_node=3, walltime_s=10.0,
                          gpu_host_cpu=False)
         assert len(run_overlay(spec, cfg, [gpu_task]).completions) == 1
+
+    def test_workers_take_gpu_slots_on_a_pilot_with_gpus(self, monkeypatch):
+        # The master takes one of the two cpus, so two cpu workers would not
+        # fit; on a pilot with gpus the workers take gpus, whatever the tasks ask.
+        placed = []
+        real_schedule = Pilot.schedule
+
+        def schedule(self, pool, shapes=None):
+            placements = real_schedule(self, pool, shapes)
+            placed.extend((pl.task_id, pl.cpus, pl.gpus) for pl in placements)
+            return placements
+
+        monkeypatch.setattr(Pilot, "schedule", schedule)
+        spec = PilotSpec(nodes=1, cpus_per_node=2, gpus_per_node=2, walltime_s=10.0,
+                         gpu_host_cpu=False)
+        cfg = MasterConfig(n_masters=1, workers_per_master=2, bulk_size=8)
+        r = run_overlay(spec, cfg, [ftask(f"t{i}", dur=1.0) for i in range(4)])
+        assert r.final_states["exec"]["status"] == "done"
+        assert r.makespan == 2.0
+        assert [p for p in placed if p[0].startswith("ovl.exec.")] == [
+            ("ovl.exec.batch.m00", 1, 0), ("ovl.exec.batch.w0000", 0, 1),
+            ("ovl.exec.batch.w0001", 0, 1)]
 
     def test_overlay_needs_pilot_capacity(self):
         cfg = MasterConfig(n_masters=1, workers_per_master=64, bulk_size=8)

@@ -1,5 +1,14 @@
 """Randomized campaigns through the engine, checking global invariants:
-stage barriers, replay equality, determinism, and slot conservation."""
+stage barriers, replay equality, determinism, and slot conservation.
+
+One closed form is an exact oracle.  An overlay with one master, W workers
+and ``bulk_size`` at least the task count n dispatches one bulk at the
+bootstrap time b.  Least-outstanding dispatch breaks ties to the lowest
+worker index, so task i goes to worker i mod W, and each worker runs its
+tasks back to back.  Worker w's busy time is therefore ``sum(d[w::W])``,
+and the makespan is the largest end time b + d[w] + d[w + W] + ...,
+summed in that order.  A highest-index tie rule breaks the per-worker sums.
+"""
 from collections import deque
 
 import numpy as np
@@ -7,7 +16,7 @@ import numpy as np
 from funnelsim.campaign import (CampaignSpec, FixedDuration, PipelineSpec,
                                 SampledDuration, StageSpec, TaskDescriptor,
                                 replay_trace)
-from funnelsim.engine import Engine, run_campaign
+from funnelsim.engine import Engine, run_campaign, run_overlay
 from funnelsim.overlay import MasterConfig
 from funnelsim.pilot import Pilot, PilotSpec
 from funnelsim.trace import busy_node_seconds
@@ -44,9 +53,10 @@ def random_campaign(rng, seed):
     return CampaignSpec(pipelines, pilot, seed=seed, pipeline_mode=mode)
 
 
-def overlay_fits(pilot, config, gpu_workers):
-    """Whether the overlay's masters and workers, with gpu or cpu workers,
-    all fit the idle pilot."""
+def overlay_fits(pilot, config):
+    """Whether the overlay's masters and workers all fit the idle pilot,
+    with gpu workers on a pilot that has gpus and cpu workers otherwise."""
+    gpu_workers = pilot.gpus_per_node > 0
     demands = deque(TaskDescriptor(f"m{m}", cpus=1) for m in range(config.n_masters))
     demands.extend(TaskDescriptor(f"w{w}", cpus=0 if gpu_workers else 1, gpus=int(gpu_workers))
                    for w in range(config.n_masters * config.workers_per_master))
@@ -56,16 +66,14 @@ def overlay_fits(pilot, config, gpu_workers):
 
 def random_overlay_campaign(rng, seed):
     """A campaign whose stages are plain, function-only or mixed, with an
-    overlay that fits the idle pilot with each worker kind its stages ask
-    for (cpu workers if none asks), and a walltime that may cut the run at
-    any point."""
+    overlay that fits the idle pilot (gpu workers if the pilot has gpus,
+    else cpu workers), and a walltime that may cut the run at any point."""
     nodes = int(rng.integers(1, 4))
     cpn = int(rng.integers(2, 5))
     gpn = int(rng.integers(0, 3))
     walltime = float(rng.uniform(0.5, 12.0)) if rng.random() < 0.6 else 1e9
     pilot = PilotSpec(nodes=nodes, cpus_per_node=cpn, gpus_per_node=gpn, walltime_s=walltime,
                       sched_gap_s=float(rng.choice([0.0, 0.25])))
-    worker_kinds = set()    # True for gpu workers
     pipelines = []
     for p in range(int(rng.integers(1, 4))):
         stages = []
@@ -82,9 +90,6 @@ def random_overlay_campaign(rng, seed):
                     gpus = int(rng.integers(0, gpn + 1))
                     tasks.append(TaskDescriptor(f"p{p}.s{s}.t{t}", duration_model=dm,
                                                 cpus=int(rng.integers(1, cpn + 1)), gpus=gpus))
-            functions = [tk for tk in tasks if tk.kind == "function"]
-            if functions:
-                worker_kinds.add(any(tk.gpus > 0 for tk in functions))
             stages.append(StageSpec(f"s{s}", tasks))
         pipelines.append(PipelineSpec(f"p{p}", stages))
     mode = "sequential" if rng.random() < 0.3 else "concurrent"
@@ -95,7 +100,7 @@ def random_overlay_campaign(rng, seed):
                                rebalance_policy=str(rng.choice(["least_outstanding",
                                                                 "round_robin"])),
                                low_water=int(rng.integers(0, 3)))
-        if all(overlay_fits(pilot, overlay, gpu) for gpu in worker_kinds or {False}):
+        if overlay_fits(pilot, overlay):
             return CampaignSpec(pipelines, pilot, seed=seed, pipeline_mode=mode), overlay
 
 
@@ -127,6 +132,37 @@ def test_random_overlay_campaigns_hold_invariants(tmp_path):
         # difference of summed times, so the two may round apart.
         assert all(w.busy_fraction(r.makespan) <= 1 + 1e-12 for w in r.overlay_workers), trial
     assert 0 < cuts < 200
+
+
+def test_one_bulk_overlay_matches_its_closed_form():
+    for trial in range(200):
+        rng = np.random.default_rng(trial + 2000)
+        n_workers = int(rng.integers(1, 13))
+        n_tasks = int(rng.integers(1, 81))
+        bootstrap = float(rng.choice([0.0, 0.5]))
+        # Room for the master and every worker on each node, with or
+        # without gpus, so both worker kinds run.
+        gpn = int(rng.integers(n_workers, n_workers + 3)) if rng.random() < 0.5 else 0
+        pilot = PilotSpec(nodes=int(rng.integers(1, 4)), walltime_s=1e9,
+                          cpus_per_node=int(rng.integers(n_workers + 1, n_workers + 4)),
+                          gpus_per_node=gpn, bootstrap_s=bootstrap)
+        overlay = MasterConfig(n_masters=1, workers_per_master=n_workers,
+                               bulk_size=int(rng.integers(n_tasks, n_tasks + 5)),
+                               low_water=int(rng.integers(0, 3)))
+        durations = [float(d) for d in rng.uniform(0.1, 3.0, size=n_tasks)]
+        tasks = [TaskDescriptor(f"f{i}", kind="function", cpus=1,
+                                duration_model=FixedDuration(d))
+                 for i, d in enumerate(durations)]
+        r = run_overlay(pilot, overlay, tasks, seed=trial)
+        assert [w.busy_time_s for w in r.overlay_workers] == \
+            [sum(durations[w::n_workers]) for w in range(n_workers)], trial
+        ends = []
+        for w in range(n_workers):
+            t = bootstrap
+            for d in durations[w::n_workers]:
+                t += d
+            ends.append(t)
+        assert r.makespan == max(ends), trial
 
 
 def test_random_campaigns_hold_invariants():
