@@ -206,11 +206,15 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+# The largest n_a * n_b * d broadcast that _pairwise_sq differences directly.
+_DIRECT_MAX_ELEMENTS = 2 ** 25
+
+
 def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances.  Direct differencing keeps exact
     zeros for coincident points; the gram-matrix route is only used when
     the broadcast would be too large, with a clamp at 0."""
-    if a.shape[0] * b.shape[0] * a.shape[1] <= 2 ** 25:
+    if a.shape[0] * b.shape[0] * a.shape[1] <= _DIRECT_MAX_ELEMENTS:
         diff = a[:, None, :] - b[None, :, :]
         return np.einsum("ijk,ijk->ij", diff, diff)
     sq_a = np.sum(a * a, axis=1)

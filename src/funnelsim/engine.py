@@ -19,7 +19,8 @@ changes stay in the engine thread, and workers only post notices to a queue.
 Per-task state lives only in each ``PipelineState.task_states``.  A
 pipeline's open tasks are all in its current stage, and placements,
 dispatches, cancels and handlers hand back the task objects (handlers
-with their pipeline id), so the engine maps no task ids.
+with their pipeline id, or their master and worker), so the engine maps
+no task or worker ids.
 """
 from __future__ import annotations
 
@@ -128,7 +129,7 @@ class Engine:
     def _occupy(self, placement, t):
         cnt = placement.cpus + placement.gpus
         for n in placement.node_indices:
-            if self._running_slots[n] == 0 and cnt > 0:
+            if self._running_slots[n] == 0:
                 self._ev(t, "node", f"{self.pilot.pilot_id}/{n}", "busy")
             self._running_slots[n] += cnt
 
@@ -138,7 +139,7 @@ class Engine:
         cnt = placement.cpus + placement.gpus
         for n in placement.node_indices:
             self._running_slots[n] -= cnt
-            if self._running_slots[n] == 0 and cnt > 0:
+            if self._running_slots[n] == 0:
                 self._ev(t, "node", f"{self.pilot.pilot_id}/{n}", "idle")
 
     # -- stage bookkeeping --------------------------------------------------
@@ -362,7 +363,6 @@ class _Overlay:
 
         self.workers: list[WorkerState] = []
         self.masters: list[Master] = []
-        self._owner: dict[str, Master] = {}
         for m in range(config.n_masters):
             mid = f"{prefix}.m{m:02d}"
             engine._ev(t, "master", mid, "ready", pipeline=pid)
@@ -373,10 +373,7 @@ class _Overlay:
                 engine._ev(t, "worker", wid, "ready", pipeline=pid)
                 owned.append(worker)
                 self.workers.append(worker)
-            master = Master(mid, owned, policy=config.rebalance_policy)
-            self.masters.append(master)
-            for worker in owned:
-                self._owner[worker.worker_id] = master
+            self.masters.append(Master(mid, owned, policy=config.rebalance_policy))
 
         bulks = partition_bulks(tasks, config.bulk_size, prefix=f"{pid}.{stage.stage_id}.b")
         for master, assigned in zip(self.masters, round_robin_assign(bulks, len(self.masters))):
@@ -395,29 +392,27 @@ class _Overlay:
             self._pump(master, t)
 
     def _pump(self, master: Master, t: float):
-        # A worker is busy while it runs a task taken off its queue.
         for worker in master.workers:
-            if not worker.queue or worker.outstanding > len(worker.queue):
-                continue
-            task = worker.queue.popleft()
-            self.engine._ev(t, "worker", worker.worker_id, "busy", pipeline=self.pid)
-            self._start_task(worker, task, t)
+            if worker.queue and worker.worker_id not in self._started:
+                self.engine._ev(t, "worker", worker.worker_id, "busy", pipeline=self.pid)
+                self._start_task(master, worker, worker.queue.popleft(), t)
 
-    def _start_task(self, worker: WorkerState, task, t: float):
+    def _start_task(self, master: Master, worker: WorkerState, task, t: float):
         # A re-dispatched task is running already.
         if self.state.task_states.get(task.task_id) == cm.SCHEDULED:
             self.state.mark_running(task.task_id)
             self.engine._task_ev(t, task, "running", self.pid, with_resources=True)
         self._started[worker.worker_id] = t
-        self.engine.backend.execute(task, t, self.on_fn_done, (worker, task), self.on_death)
+        self.engine.backend.execute(task, t, self.on_fn_done, (master, worker, task),
+                                    self.on_death)
 
     def _complete(self, task, outcome: str, result, t: float):
         # A task that fails its pipeline tears this overlay down (``_done``).
         self.remaining -= 1
         self.engine._complete(self.pid, self.state, task, outcome, result, t)
 
-    def on_fn_done(self, worker: WorkerState, task, outcome: str, result, dur: float,
-                   t: float) -> bool:
+    def on_fn_done(self, master: Master, worker: WorkerState, task, outcome: str, result,
+                   dur: float, t: float) -> bool:
         if self._done:
             return False
         worker.busy_time_s += dur
@@ -428,40 +423,33 @@ class _Overlay:
         if self._done:
             return True
         if worker.queue:
-            self._start_task(worker, worker.queue.popleft(), t)
+            self._start_task(master, worker, worker.queue.popleft(), t)
         else:
             self.engine._ev(t, "worker", worker.worker_id, "idle", pipeline=self.pid)
         if self.remaining == 0:
             self.teardown(t)
         else:
-            self._refill(self._owner[worker.worker_id], t)
+            self._refill(master, t)
         return True
 
-    def on_death(self, worker: WorkerState, task, t: float) -> bool:
+    def on_death(self, master: Master, worker: WorkerState, task, t: float) -> bool:
         if self._done:
             return False
         worker.stopped_t = t
         del self._started[worker.worker_id]
         self.engine._ev(t, "worker", worker.worker_id, "stopped", pipeline=self.pid)
-        master = self._owner[worker.worker_id]
         master.workers = [w for w in master.workers if w is not worker]
-        orphans = list(worker.queue)
+        orphans = [task, *worker.queue]
         worker.queue.clear()
         worker.outstanding = 0
-        if not master.workers:   # nothing to re-dispatch to; the pipeline fails
+        # A failed task fails its pipeline, which tears this overlay down.
+        if not master.workers:   # nothing to re-dispatch to
             self._complete(task, cm.FAILED, f"master {master.master_id} lost all workers", t)
         elif task.task_id in self._redispatched:
             self._complete(task, cm.FAILED, "worker died twice", t)
         else:
             self._redispatched.add(task.task_id)
-            orphans.insert(0, task)
-        if self._done:
-            return True
-        if orphans:
             master.dispatch(Bulk(f"redispatch.{worker.worker_id}", orphans))
-        if self.remaining == 0:
-            self.teardown(t)
-        else:
             self._pump(master, t)
         return True
 

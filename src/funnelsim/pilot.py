@@ -51,8 +51,8 @@ class PilotSpec:
             return out
         if self.nodes < 1:
             out.append("nodes must be >= 1")
-        if self.cpus_per_node < 0 or self.gpus_per_node < 0:
-            out.append("per-node slot counts must be >= 0")
+        if not (0 <= self.cpus_per_node < 2 ** 63 and 0 <= self.gpus_per_node < 2 ** 63):
+            out.append("per-node slot counts must be >= 0 and < 2**63")   # int64 free counts
         if self.cpus_per_node + self.gpus_per_node <= 0:
             out.append("cpus_per_node + gpus_per_node must be > 0")
         # Negated comparisons, so that NaN fails them.  A finite walltime keeps times finite.

@@ -319,7 +319,7 @@ def gather_tasks(params: dict, items: list[dict]) -> list[TaskDescriptor]:
     agg = TaskDescriptor(
         task_id=f"{params['prefix']}.aggregate",
         kind="simulated", stage_tag=params["stage_tag"],
-        cpus=int(params.get("agg_cpus", 4)), gpus=0, nodes=1,
+        cpus=int(params.get("agg_cpus", 4)), gpus=int(params.get("agg_gpus", 0)), nodes=1,
         duration_model=SampledDuration(params["stage_tag"], 60.0, 1.0, "lognormal", (0.0,)),
         payload={"kind": "conformation_set", "items": items})
     train = TaskDescriptor(
@@ -421,7 +421,8 @@ def build_funnel_campaign(funnel: FunnelConfig,
                       "train_nodes": train_nodes, "train_gpus": train_gpus,
                       "train_cpus": train_cpus,
                       "train_kind": "simulated" if resource.backend == "local" else "executable",
-                      "agg_cpus": max(1, min(4, resource.cpus_per_node)),
+                      "agg_cpus": min(4, resource.cpus_per_node),
+                      "agg_gpus": 0 if resource.cpus_per_node else 1,
                       "duration": resolve_duration("S2", cost_model)})),
         StageSpec("S3FG", [],
                   materialize=MaterializeSpec(fg_replica_tasks, {

@@ -557,3 +557,36 @@ class TestChamfer:
         assert chamfer(a, b) == 0.0
         c = [[0.0, 0.0], [2.0, 2.0]]
         assert chamfer(a, c) > 0.0
+
+
+class TestGramRoute:
+    """Above ``_DIRECT_MAX_ELEMENTS`` broadcast elements, ``_pairwise_sq``
+    takes the gram-matrix route; a lowered threshold runs it on small sets."""
+
+    def test_matches_direct_differencing(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((40, 3)) * 10
+        b = rng.standard_normal((30, 3)) * 10 + 5
+        direct = analysis._pairwise_sq(a, b)
+        monkeypatch.setattr(analysis, "_DIRECT_MAX_ELEMENTS", 0)
+        np.testing.assert_allclose(analysis._pairwise_sq(a, b), direct, rtol=0, atol=1e-9)
+
+    def test_never_returns_a_negative_distance(self, monkeypatch):
+        # Unclamped, the gram terms of these near-coincident pairs cancel
+        # to below zero.
+        rng = np.random.default_rng(6)
+        base = rng.standard_normal((60, 3)) * 100
+        pts = np.vstack([base, base + 1e-7])
+        sq = np.sum(pts * pts, axis=1)
+        assert (sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)).min() < 0
+        monkeypatch.setattr(analysis, "_DIRECT_MAX_ELEMENTS", 0)
+        assert (analysis._pairwise_sq(pts, pts) >= 0).all()
+
+    def test_chamfer_and_lof_agree_across_routes(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((50, 3))
+        b = rng.standard_normal((40, 3)) + 1.0
+        direct = chamfer(a, b), lof(a, 5)
+        monkeypatch.setattr(analysis, "_DIRECT_MAX_ELEMENTS", 0)
+        assert chamfer(a, b) == pytest.approx(direct[0], rel=1e-9)
+        np.testing.assert_allclose(lof(a, 5), direct[1], rtol=1e-9)

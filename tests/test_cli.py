@@ -37,6 +37,16 @@ def write_config(path, **overrides):
     return path
 
 
+def desk_funnel_without_cpus() -> dict:
+    """The desk funnel with no overlay on a pilot without cpus: S2's
+    aggregate once asked for a cpu there, and the run stopped at S2 with
+    exit 2 and a partial trace."""
+    doc = json.loads((ROOT / "configs/desk_funnel.json").read_text())
+    del doc["overlay"]
+    doc["resource"].update(cpus_per_node=0, gpus_per_node=2, gpu_host_cpu=False)
+    return doc
+
+
 class TestSimulate:
     def test_artifacts_and_summary(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
@@ -129,6 +139,13 @@ class TestSimulate:
         assert capsys.readouterr().err == \
             f"error: pilot lacks capacity for 1 masters + {workers} workers\n"
         assert not out.exists()
+
+    def test_funnel_on_a_pilot_without_cpus_completes(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(desk_funnel_without_cpus()))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        assert json.loads((out / "summary.json").read_text())["pipelines"] == {"p0": "done"}
 
     def test_outputs_do_not_depend_on_the_string_hash_seed(self, tmp_path):
         outs = []

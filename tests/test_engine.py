@@ -570,6 +570,36 @@ class TestLocalBackend:
         assert not [e for e in events[failed_at:] if e.entity in ("worker", "master")]
         assert all(w.busy_fraction() <= 1 + 1e-12 for w in r.overlay_workers)
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two host cores")
+    @pytest.mark.parametrize("case", ["sibling_on_slot", "sibling_on_worker"])
+    def test_late_notice_of_a_canceled_sibling_is_dropped(self, case):
+        # Pipeline "a" fails at once and cancels its 300 ms sibling, whose
+        # end still arrives while pipeline "b"'s 0.6 s task keeps the loop
+        # running.  On a slot, ``Engine._finish`` drops that notice; on the
+        # worker of a 1 x 1 overlay, ``_Overlay.on_fn_done`` does.
+        if case == "sibling_on_slot":
+            bad = TaskDescriptor("a.bad", kind="function", cpus=1,
+                                 duration_model=FixedDuration(0.0), payload={"fn": "fail"})
+            sib, overlay = task("a.sib", dur=0.3), None
+        else:
+            bad = TaskDescriptor("a.bad", kind="executable", cpus=1)
+            sib = sleep_fn("a.sib", ms=300.0)
+            overlay = MasterConfig(n_masters=1, workers_per_master=1, bulk_size=2)
+        spec = CampaignSpec([PipelineSpec("a", [StageSpec("s0", [bad, sib])]),
+                             PipelineSpec("b", [StageSpec("s0", [task("b.t", dur=0.6)])])],
+                            pilot(nodes=1, cpus_per_node=2, walltime_s=10.0, backend="local"),
+                            mode="local")
+        r = run_campaign(spec, overlay=overlay)
+        assert {pid: s["status"] for pid, s in r.final_states.items()} == \
+            {"a": "failed", "b": "done"}
+        events = r.sink.events
+        assert [e.transition for e in events if e.entity_id == "a.sib"][-1] == "canceled"
+        failed_at = [(e.entity_id, e.transition) for e in events].index(("a", "failed"))
+        assert not [e for e in events[failed_at:]
+                    if e.entity in ("worker", "master") and e.pipeline == "a"]
+        assert len(r.overlay_workers) == (0 if overlay is None else 1)
+        assert all(w.busy_fraction() <= 1 + 1e-12 for w in r.overlay_workers)
+
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two host cores")
 class TestLocalWorkerDeath:

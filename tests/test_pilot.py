@@ -163,6 +163,16 @@ class TestSchedule:
             pilot.place_one(wide)
         assert pilot.free_cpus.tolist() == [1, 1] and not pilot.live
 
+    def test_placing_a_placed_task_again_is_a_state_error(self):
+        pilot = Pilot(PilotSpec(nodes=1, cpus_per_node=2, gpus_per_node=0, walltime_s=1.0))
+        placed = pilot.place_one(task("t"))
+        with pytest.raises(StateError, match="task t already placed"):
+            pilot.place_one(task("t"))
+        # A placed task that can never fit is refused as unsatisfiable first.
+        with pytest.raises(UnsatisfiableError, match="task t needs 3 cpus/node"):
+            pilot.place_one(task("t", cpus=3))
+        assert pilot.live == {"t": placed} and pilot.free_cpus.tolist() == [1]
+
     @pytest.mark.parametrize("pool_ids", [["a", "huge"], ["a", "b", "c", "huge", "d"]])
     def test_round_that_raises_is_undone(self, pool_ids):
         # A task placed earlier in a round must not keep its slots when a
