@@ -161,8 +161,7 @@ def load_config(path: str, seed_override: int | None = None,
         raise ConfigError(f"mode must be concurrent or sequential_pipelines, got {mode!r}")
     spec = workload.build_funnel_campaign(
         funnel, cost_model=cost_model, resource=resource, time_scale=time_scale,
-        pipeline_mode="sequential" if mode == "sequential_pipelines" else "concurrent",
-        overlay_stage_kind="function" if overlay is not None else "simulated")
+        pipeline_mode="sequential" if mode == "sequential_pipelines" else "concurrent")
     return spec, overlay, funnel
 
 

@@ -16,6 +16,10 @@ byte-identical traces.  The local backend runs tasks concurrently on the
 host (threads and subprocesses) and reports wall-clock times; state
 changes stay in the engine thread, and workers only post notices to a queue.
 
+A failure and a walltime cut stop a pipeline by one rule (a cut stops each
+running pipeline in turn): its overlays stop first, then its open tasks are
+canceled in declaration order, each after its slots are freed.
+
 Per-task state lives only in each ``PipelineState.task_states``.  A
 pipeline's open tasks are all in its current stage, and placements,
 dispatches, cancels and handlers hand back the task objects (handlers
@@ -36,7 +40,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from . import campaign as cm
-from .errors import ConfigError, DispatchError, StateError, UnsatisfiableError, WorkerKilled
+from .errors import ConfigError, DispatchError, StateError, WorkerKilled
 from .overlay import Bulk, Master, MasterConfig, WorkerState, partition_bulks, round_robin_assign
 from .pilot import Pilot, PilotSpec, acquire_pilot
 from .trace import TraceEvent, TraceSink, event_rows, gc_paused
@@ -179,17 +183,18 @@ class Engine:
         elif result.kind == "pipeline_failed":
             cur = state.current_stage()
             self._ev(t, "stage", f"{pid}/{cur.stage_id}", "failed", pipeline=pid)
-            self._pending[pid].clear()
-            self._pool_shapes[pid].clear()
-            self._awaiting[pid].clear()
-            for runtime in [o for o in self._overlays if o.pid == pid]:
-                runtime.teardown(t)
-            for task in result.canceled:
-                pl = self.pilot.live.get(task.task_id)
-                if pl is not None:
-                    self._vacate(pl, t)
-                self._task_ev(t, task, "canceled", pid)
+            self._cancel(pid, result.canceled, t)
             self._ev(t, "pipeline", pid, "failed", pipeline=pid)
+
+    def _cancel(self, pid: str, tasks: list, t: float):
+        """Stop pipeline ``pid``'s overlays, then free the slots of each of its
+        open ``tasks`` and cancel it.  No round reads a stopped pipeline's pools."""
+        for runtime in [o for o in self._overlays if o.pid == pid]:
+            runtime.teardown(t)
+        for task in tasks:
+            if pl := self.pilot.live.get(task.task_id):
+                self._vacate(pl, t)
+            self._task_ev(t, task, "canceled", pid)
 
     # -- scheduling ---------------------------------------------------------
 
@@ -226,13 +231,14 @@ class Engine:
         pilot: no stage could ever place it."""
         config, res = self.overlay_cfg, self.spec.resource
         n_workers = config.n_masters * config.workers_per_master
-        # Each master and worker takes a slot, so a larger count never fits.
-        if config.n_masters + n_workers <= res.nodes * (res.cpus_per_node + res.gpus_per_node):
+        w_gpus = int(res.gpus_per_node > 0)
+        # What the pilot's cpu and gpu totals cannot hold never fits; under
+        # them no master or worker outgrows a node, so placement cannot raise.
+        if (config.n_masters + n_workers * res.effective_cpus(1 - w_gpus, w_gpus)
+                <= res.nodes * res.cpus_per_node
+                and n_workers * w_gpus <= res.nodes * res.gpus_per_node):
             demands = self._overlay_demands("ovl")
-            try:
-                Pilot(res).schedule(demands)
-            except UnsatisfiableError:  # a master or worker larger than a node
-                pass
+            Pilot(res).schedule(demands)
             if not demands:
                 return
         raise DispatchError(f"pilot lacks capacity for {config.n_masters} masters + "
@@ -284,23 +290,10 @@ class Engine:
 
     def _expire(self, t: float):
         self._walltime_hit = True
-        for runtime in list(self._overlays):
-            runtime.teardown(t)
-        # With the overlays gone, every live placement is a scheduled or
-        # running task of a running pipeline's current stage.  Placed tasks
-        # are canceled first and leave ``pid_of``; the rest follow.
-        pid_of = {task.task_id: pid for pid, state in self.states.items()
-                  if state.status == cm.RUNNING for task in state.current_tasks()}
-        for pl in list(self.pilot.live.values()):
-            self._task_ev(t, pl.task, "canceled", pid_of.pop(pl.task_id))
-            self._vacate(pl, t)
         for pid, state in self.states.items():
-            if state.status != cm.RUNNING:
-                continue
-            for task in state.cancel():
-                if task.task_id in pid_of:
-                    self._task_ev(t, task, "canceled", pid)
-            self._ev(t, "pipeline", pid, "canceled", pipeline=pid)
+            if state.status == cm.RUNNING:
+                self._cancel(pid, state.cancel(), t)
+                self._ev(t, "pipeline", pid, "canceled", pipeline=pid)
 
     def run(self) -> RunResult:
         res = self.spec.resource
@@ -314,10 +307,9 @@ class Engine:
                 self._start_stage(pid, state, t0)
             self._schedule_round(t0)
             self.backend.loop()
-        if not self._walltime_hit:
-            stuck = [pid for pid, st in self.states.items() if st.status == cm.RUNNING]
-            if stuck:
-                raise StateError(f"engine stalled with live pipelines: {stuck}")
+        stuck = [pid for pid, st in self.states.items() if st.status == cm.RUNNING]
+        if stuck:
+            raise StateError(f"engine stalled with live pipelines: {stuck}")
         t_end = self.backend.now()
         self._ev(t_end, "pilot", self.pilot.pilot_id, "released")
         return RunResult(

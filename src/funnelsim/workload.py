@@ -354,8 +354,7 @@ def build_funnel_campaign(funnel: FunnelConfig,
                           cost_model: CostModel | None = None,
                           resource: PilotSpec | None = None,
                           time_scale: float = 1e-4,
-                          pipeline_mode: str = "concurrent",
-                          overlay_stage_kind: str = "simulated") -> CampaignSpec:
+                          pipeline_mode: str = "concurrent") -> CampaignSpec:
     """Wire the five-stage screening funnel:
 
     ML1 (one scoring task over the library, handing S1 its top
@@ -390,6 +389,10 @@ def build_funnel_campaign(funnel: FunnelConfig,
         **one_gpu, nodes=1,
         duration_model=resolve_duration("ML1", cost_model, ligands=funnel.library_size),
         payload=ml1_payload)
+    # S1's function tasks take a simulated run's overlay when it has one;
+    # without one they run on the pilot as simulated tasks do.  A local S1
+    # task carries a ligand item, not a function call, so it is simulated.
+    s1_kind = "simulated" if resource.backend == "local" else "function"
     # Multi-node tasks exist in simulated mode only; locally everything
     # shares one host.
     train_nodes = 1 if resource.backend == "local" else min(2, resource.nodes)
@@ -403,7 +406,7 @@ def build_funnel_campaign(funnel: FunnelConfig,
                                      {"k": funnel.cg_count, "by": "true_score"}),
                   materialize=MaterializeSpec(ligand_tasks, {
                       "prefix": f"{FUNNEL_PIPELINE}.S1", "stage_tag": "S1",
-                      "kind": overlay_stage_kind, **one_gpu,
+                      "kind": s1_kind, **one_gpu,
                       "duration": resolve_duration("S1", cost_model)})),
         StageSpec("S3CG", [],
                   materialize=MaterializeSpec(cg_replica_tasks, {

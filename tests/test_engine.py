@@ -133,6 +133,34 @@ class TestFailurePaths:
                 per_node[ev.entity_id] = ev.transition
         assert all(last == "idle" for last in per_node.values())
 
+    def test_list_payload_of_a_hooked_stage_feeds_the_next_stage(self):
+        # A task's output may be a bare list of items.
+        items = [{"id": f"x{i}", "true_score": float(i)} for i in range(4)]
+        spec = CampaignSpec([PipelineSpec("p", [
+            StageSpec("s0", [task("a0", payload=items[2:]), task("a1", payload=items[:2])],
+                      post_hook=HookSpec(select_top_k, {"k": 2})),
+            StageSpec("s1", [task("b0"), task("b1")]),
+        ])], pilot(), seed=0)
+        engine = Engine(spec)
+        assert engine.run().final_states["p"]["status"] == "done"
+        assert [t.payload for t in engine.states["p"].stage_tasks[1]] == items[:2]
+
+    def test_int_payload_of_a_hooked_stage_fails_its_pipeline(self):
+        # An int holds no items, so the hook cannot read the stage's
+        # outputs: the stage and its pipeline fail once its last task ends.
+        spec = CampaignSpec([PipelineSpec("p", [
+            StageSpec("s0", [task("a0", dur=1.0, payload=7), task("a1", dur=2.0)],
+                      post_hook=HookSpec(select_top_k, {"k": 1})),
+            StageSpec("s1", [task("b0")]),
+        ])], pilot(), seed=0)
+        r = run_campaign(spec)
+        assert r.final_states["p"]["status"] == "failed"
+        tail = [(ev.t, ev.entity, ev.entity_id, ev.transition) for ev in r.sink.events
+                if ev.entity in ("task", "stage", "pipeline")][-3:]
+        assert tail == [(2.0, "task", "a1", "done"), (2.0, "stage", "p/s0", "failed"),
+                        (2.0, "pipeline", "p", "failed")]
+        assert r.final_states["p"]["task_states"] == {"a0": "done", "a1": "done"}
+
     def test_unsatisfiable_task_raises(self):
         spec = CampaignSpec([PipelineSpec("p", [StageSpec("s", [task("t", cpus=99)])])],
                             pilot(), seed=0)
@@ -265,7 +293,7 @@ class TestTraceTypes:
 class TestOverlayStage:
     def test_funnel_with_overlay_s1(self):
         funnel = FunnelConfig(library_size=5000, cg_count=20, seed=3)
-        spec = build_funnel_campaign(funnel, overlay_stage_kind="function")
+        spec = build_funnel_campaign(funnel)
         cfg = MasterConfig(n_masters=2, workers_per_master=12, bulk_size=16)
         r = run_campaign(spec, overlay=cfg)
         assert r.final_states["p0"]["status"] == "done"

@@ -1,5 +1,7 @@
 """Bulk partitioning, round-robin, least-outstanding dispatch, and the
 overlay executor."""
+import time
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,18 @@ class TestRunOverlay:
         spec = PilotSpec(nodes=1, cpus_per_node=1, gpus_per_node=3, walltime_s=10.0,
                          gpu_host_cpu=False)
         assert len(run_overlay(spec, cfg, [gpu_task]).completions) == 1
+
+    def test_overlay_beyond_the_pilot_totals_is_refused_before_its_workers_are_built(self):
+        # Each worker takes a gpu and, under gpu_host_cpu, a host cpu, so the
+        # 16 cpus hold fewer than 16 workers; the million gpus do not help.
+        spec = PilotSpec(nodes=8, cpus_per_node=2, gpus_per_node=10**6, walltime_s=10.0)
+        assert spec.gpu_host_cpu
+        cfg = MasterConfig(n_masters=1, workers_per_master=10**6)
+        start = time.perf_counter()
+        with pytest.raises(DispatchError,
+                           match="^pilot lacks capacity for 1 masters [+] 1000000 workers$"):
+            run_overlay(spec, cfg, [ftask("t")])
+        assert time.perf_counter() - start < 0.5
 
     def test_workers_take_gpu_slots_on_a_pilot_with_gpus(self, monkeypatch):
         # The master takes one of the two cpus, so two cpu workers would not

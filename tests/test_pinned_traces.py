@@ -44,7 +44,7 @@ PROPERTY_TRIAL_SHA256 = [
     "90f43ffb9a3380d183d08c061a48cb03c3d760fc76cd8210133bbfa2f35c5509",
 ]
 NEARLY_FULL_PILOT_SHA256 = "044cdee63318817285e3ba71dcec15779f096374f8e3725401de42f475126e17"
-WALLTIME_CUT_SHA256 = "f7833027efa1ee09b3e27b83391d1a7ba5b6744475239115b2503646cf3feb9c"
+WALLTIME_CUT_SHA256 = "5755d0a82d389c3496cefa385967b3a3cef59296fbfdad772070761054f923b9"
 OVERLAY_FANOUT_SHA256 = "ed4ad18ec985b6cbebca07f86680e037f3522286ae48469db9e913cab4238467"
 
 
@@ -74,8 +74,7 @@ def bench_reference(workload: str) -> dict:
 
 def run_overlay_funnel():
     # The funnel of test_engine.TestOverlayStage: 3,257 events.
-    spec = build_funnel_campaign(FunnelConfig(library_size=5000, cg_count=20, seed=3),
-                                 overlay_stage_kind="function")
+    spec = build_funnel_campaign(FunnelConfig(library_size=5000, cg_count=20, seed=3))
     return run_campaign(spec, overlay=MasterConfig(n_masters=2, workers_per_master=12,
                                                    bulk_size=16))
 

@@ -104,6 +104,41 @@ def random_overlay_campaign(rng, seed):
             return CampaignSpec(pipelines, pilot, seed=seed, pipeline_mode=mode), overlay
 
 
+def logged_releases(engine):
+    """Log each placement the engine's pilot releases, with the number of
+    events recorded before the release."""
+    log, release = [], engine.pilot.release
+
+    def logged(placement):
+        log.append((len(engine.sink), placement))
+        release(placement)
+
+    engine.pilot.release = logged
+    return log
+
+
+def check_cut_order(engine, releases, trial):
+    """A walltime cut stops pipelines as a failure does: their canceled
+    events come pipeline by pipeline, each pipeline's in its current
+    stage's declaration order, and a task that held slots is released
+    before its cancel, with only the idle events of its nodes between."""
+    events = engine.sink.events
+    canceled = {ev.entity_id: i for i, ev in enumerate(events)
+                if ev.entity == "task" and ev.transition == "canceled"}
+    pids = [events[i].pipeline for i in canceled.values()]
+    assert pids == sorted(pids, key=list(engine.states).index), trial
+    for pid, state in engine.states.items():
+        ids = [tid for tid, i in canceled.items() if events[i].pipeline == pid]
+        assert ids == [task.task_id for task in state.current_tasks()
+                       if task.task_id in ids], trial
+    for at, pl in releases:
+        if pl.task_id in canceled:
+            assert at <= canceled[pl.task_id], trial
+            nodes = {f"{engine.pilot.pilot_id}/{n}" for n in pl.node_indices}
+            assert all(ev.transition == "idle" and ev.entity_id in nodes
+                       for ev in events[at:canceled[pl.task_id]]), trial
+
+
 def test_random_overlay_campaigns_hold_invariants(tmp_path):
     cuts = 0
     for trial in range(200):
@@ -111,8 +146,11 @@ def test_random_overlay_campaigns_hold_invariants(tmp_path):
         traces, busy = [], []
         for run in range(2):
             engine = Engine(spec, overlay=overlay)
+            releases = logged_releases(engine)
             r = engine.run()
             assert not engine.pilot.live, trial
+            if r.walltime_hit:
+                check_cut_order(engine, releases, trial)
             r.sink.save(tmp_path / f"{run}.jsonl")
             traces.append((tmp_path / f"{run}.jsonl").read_bytes())
             busy.append([w.busy_time_s for w in r.overlay_workers])
